@@ -17,8 +17,7 @@ from .reduce import (LiftMap, ReducedProblem, ResourceSocpPair, SocCon,
                      to_socp_rank1)
 from .solve import (SocpResult, SolveOptions, SolveReport, kkt_check,
                     recover_design, solve_combined_dual, solve_combined_eta,
-                    solve_packing_bm, solve_packing_lowrank, solve_sdp,
-                    solve_socp)
+                    solve_packing_lowrank, solve_sdp, solve_socp)
 
 __all__ = [
     "analysis", "conelp", "linalg", "model", "reduce", "solve",
@@ -34,7 +33,7 @@ __all__ = [
     "project_packing", "to_socp_rank1",
     "SocpResult", "SolveOptions", "SolveReport", "kkt_check",
     "recover_design", "solve_combined_dual", "solve_combined_eta",
-    "solve_packing_bm", "solve_packing_lowrank", "solve_sdp", "solve_socp",
+    "solve_packing_lowrank", "solve_sdp", "solve_socp",
 ]
 
 __version__ = "0.1.0"

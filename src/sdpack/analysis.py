@@ -72,17 +72,10 @@ def dual_scalar_bound(problem: PackingProblem) -> float:
     Raises ``RangeInclusionFails`` when no scalar works because some
     eigenvector of C leaves the range of the constraint sum.
     """
-    S = problem.mat_sum()
-    U = linalg.range_basis(S)
-    cks, _ = _positive_eigvecs(problem.C)
-    if cks.shape[1] == 0:
-        return 0.0
-    resid = cks - U @ (U.T @ cks)
-    norms = np.linalg.norm(cks, axis=0)
-    if np.any(np.linalg.norm(resid, axis=0) > RANGE_RTOL * norms):
+    cert = check_bounded(problem)
+    if not cert.bounded:
         raise RangeInclusionFails("objective range leaves the constraint range")
-    pinv_S = linalg.pinv(S)
-    return float(np.sum(cks * (pinv_S @ cks)))
+    return cert.lam
 
 
 def check_bounded(problem: PackingProblem) -> BoundednessCertificate:
@@ -106,7 +99,10 @@ def check_bounded(problem: PackingProblem) -> BoundednessCertificate:
             dec = linalg.eigh_desc(core)
             ray = N @ dec.eigenvectors[:, 0]
             return BoundednessCertificate(bounded=False, ray=ray)
-    return BoundednessCertificate(bounded=True, lam=dual_scalar_bound(problem))
+        lam = float(np.sum(cks * (linalg.pinv(S) @ cks)))
+    else:
+        lam = 0.0
+    return BoundednessCertificate(bounded=True, lam=lam)
 
 
 def barvinok_pataki(l: int) -> int:

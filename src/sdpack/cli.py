@@ -44,14 +44,6 @@ _NUMERICAL_ERRORS = (NumericalFailure, MaxIterations, PathDiverged,
                      PathNotMonotone)
 
 
-def _mat(a) -> list:
-    return [[float(v) for v in row] for row in np.asarray(a)]
-
-
-def _vec(a) -> list:
-    return [float(v) for v in np.asarray(a)]
-
-
 def _num(v):
     v = float(v)
     return v if math.isfinite(v) else None
@@ -115,7 +107,7 @@ def cmd_analyze(path: str, args) -> dict:
         cert = analysis.check_bounded(prob)
         report["bounded"] = cert.bounded
         report["lambda"] = cert.lam
-        report["ray"] = None if cert.ray is None else _vec(cert.ray)
+        report["ray"] = None if cert.ray is None else model._vec(cert.ray)
     else:
         report["bounded"] = None
         report["lambda"] = None
@@ -132,7 +124,7 @@ def cmd_reduce(path: str, args) -> dict:
         "file": path,
         "reduced": (None if red.empty
                     else model.to_document(red.problem)),
-        "lift": _mat(lift.basis),
+        "lift": model._mat(lift.basis),
         "kept": list(red.kept),
         "zeroed": list(red.zeroed),
         "dropped": list(red.dropped),
@@ -153,29 +145,24 @@ def cmd_solve(path: str, args) -> dict:
             "objective": _num(sol.objective),
             "rank": linalg.rank_tol(sol.X, opts.rank_threshold)
             if sol.X.size else 0,
-            "lambda": _vec(sol.lam),
+            "lambda": model._vec(sol.lam),
             "gamma": [float(g) for g in sol.gamma],
             "ranks": list(sol.ranks),
             "route": "eta-path",
         }
     if not isinstance(prob, model.PackingProblem):
         raise SchemaError(f"{path}: solve expects a packing or combined problem")
-    if args.route == "bm":
-        sol = solving.solve_packing_bm(prob, opts=opts)
-    else:
-        sol = solving.solve_packing_lowrank(prob, opts, route=args.route)
+    sol = solving.solve_packing_lowrank(prob, opts, route=args.route)
     report = {
         "file": path,
         "status": sol.status.value,
         "objective": _num(sol.objective),
         "rank": sol.numerical_rank,
-        "mu": _vec(sol.mu),
+        "mu": model._vec(sol.mu),
         "kkt": _kkt_doc(sol.kkt_residuals),
         "route": sol.route,
         "path_values": [float(v) for v in sol.path_values],
     }
-    if sol.certified is not None:
-        report["certified"] = sol.certified
     if args.oracle:
         oracle = solving.solve_sdp(prob, opts)
         report["oracle_value"] = _num(oracle.objective)
@@ -201,7 +188,7 @@ def cmd_design(path: str, args) -> dict:
             "criterion": prob.criterion.value,
             "formulation": "resource-socp",
             "status": pres.report.status.value,
-            "weights": _vec(w),
+            "weights": model._vec(w),
             "criterion_value": _num(pres.value ** 2),
             "primal_value": _num(pres.value),
             "dual_value": _num(dres.value),
@@ -221,7 +208,7 @@ def cmd_design(path: str, args) -> dict:
         "criterion": prob.criterion.value,
         "formulation": "packing",
         "status": sol.status.value,
-        "weights": _vec(w),
+        "weights": model._vec(w),
         "criterion_value": _num(sol.objective),
         "solution_rank": sol.numerical_rank,
         "route": sol.route,
@@ -313,7 +300,7 @@ def _error_doc(exc: Exception) -> dict:
             else list(np.atleast_1d(np.asarray(witness, dtype=float)))
     ray = getattr(exc, "ray", None)
     if ray is not None:
-        doc["ray"] = _vec(ray)
+        doc["ray"] = model._vec(ray)
     return doc
 
 
@@ -348,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("reduce", help="strictly feasible projection"))
     p_solve = sub.add_parser("solve", help="solve a packing or combined problem")
     common(p_solve)
-    p_solve.add_argument("--route", choices=("auto", "socp", "eps-path", "bm"),
+    p_solve.add_argument("--route", choices=("auto", "socp", "eps-path"),
                          default="auto")
     p_solve.add_argument("--oracle", action="store_true",
                          help="also run the dense oracle and report the difference")

@@ -37,12 +37,6 @@ from .errors import InvalidInput, NumericalFailure
 _STEP = 0.99
 _REFINE_ROUNDS = 2
 _STALL_LIMIT = 8
-_TRACE = False
-
-
-def _trace(*args):
-    if _TRACE:
-        print("[conelp]", *args)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +473,6 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
         if mu > 0.9 * last_mu:
             stall += 1
             if stall >= _STALL_LIMIT:
-                _trace('stall', mu, last_mu)
                 break
         else:
             stall = 0
@@ -492,12 +485,10 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
             kkt = _KktFactor(G, A, sc.Winv, WtW)
             dx1, dy1, dz1 = kkt.solve(-c, b, h)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError,
-                ValueError) as exc:
-            _trace('scaling/factor failure', exc)
+                ValueError):
             break
         denom = c @ dx1 + (b @ dy1 if p else 0.0) + h @ dz1 - kappa / tau
         if not np.isfinite(denom) or abs(denom) < 1e-14:
-            _trace('tiny denom', denom)
             break
 
         lam = sc.lam
@@ -541,8 +532,7 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
             corr_tk = dta * dka
             dx, dy, dz, dsv, dtau, dkappa = direction(sigma, corr_s, corr_tk)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError,
-                ValueError) as exc:
-            _trace('direction failure', exc)
+                ValueError):
             break
         ds_sc = sc.Winv.T @ dsv
         dz_sc = sc.W @ dz
@@ -553,7 +543,6 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
             alpha = min(alpha, -kappa / dkappa)
         alpha = min(1.0, _STEP * alpha)
         if not np.isfinite(alpha) or alpha < 1e-12:
-            _trace('tiny alpha', alpha)
             break
 
         x = x + alpha * dx
@@ -564,7 +553,6 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
         kappa += alpha * dkappa
         if tau <= 0 or kappa < 0 or layout.margin(s) <= 0 or layout.margin(z) <= 0:
             # should not happen with fraction-to-boundary steps
-            _trace('left cone', tau, kappa, layout.margin(s), layout.margin(z))
             break
 
     if best is None:

@@ -161,9 +161,8 @@ class Solution:
     """Primal/dual solution of a packing problem.
 
     ``route`` records how the solution was produced ("socp", "eps-path",
-    "direct", "bm", "trivial"); ``path_values`` the objective sequence of a
-    perturbation path when one was followed; ``certified`` is set by the
-    non-convex factorized backend only.
+    "direct", "trivial"); ``path_values`` the objective sequence of a
+    perturbation path when one was followed.
     """
 
     X: np.ndarray
@@ -174,7 +173,6 @@ class Solution:
     kkt_residuals: KktResiduals | None = None
     route: str = ""
     path_values: tuple[float, ...] = field(default_factory=tuple)
-    certified: bool | None = None
 
 
 @dataclass(frozen=True)

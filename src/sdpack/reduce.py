@@ -16,12 +16,13 @@ covers combined problems with free variables via the hyperbolic identity
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis, linalg
-from .conelp import ConeProgram, solve_cone_program, svec
+from .conelp import ConeProgram, solve_cone_program, svec, svec_dim
 from .errors import (DimensionMismatch, InfeasibleDesign, InfeasibleDual,
                      InfeasibleInput, InfeasiblePrimal, NonzeroH0, NonzeroR,
                      RankNotOne, UnboundedInput, WrongCriterion)
@@ -248,60 +249,80 @@ def to_socp_rank1(problem: PackingProblem) -> SocpProblem:
     return SocpProblem(objective=c, cones=tuple(cones))
 
 
-def _phase1_lambda(H: np.ndarray, b: np.ndarray) -> tuple[bool, np.ndarray]:
-    """Feasibility of ``H^T lam + b >= 0``: maximize the worst slack
-    (capped at 1) and test its sign."""
-    q, l = H.shape
-    if q == 0:
-        return bool(np.min(b) >= -1e-9), np.zeros(0)
-    # variables (lam, s): max s  s.t.  s - H^T lam <= b, s <= 1
-    c = np.zeros(q + 1)
+def combined_primal_phase1(cmb: CombinedProblem) -> tuple[bool, float]:
+    """Maximize the worst constraint slack over (Y, lam) with X = 0."""
+    p, q, l = cmb.p, cmb.q, cmb.l
+    Lp = svec_dim(p) if p else 0
+    nv = Lp + q + 1
+    c = np.zeros(nv)
     c[-1] = -1.0
-    G = np.zeros((l + 1, q + 1))
-    G[:l, :q] = -H.T
-    G[:l, q] = 1.0
-    G[l, q] = 1.0
-    h = np.r_[b, 1.0]
-    res = solve_cone_program(ConeProgram(c=c, G=G, h=h, cones=[("nn", l + 1)]),
+    rows = []
+    h = []
+    for m, bi, r, hi in zip(cmb.mats, cmb.b, cmb.Rs, cmb.hs):
+        row = np.zeros(nv)
+        if p:
+            row[:Lp] = -svec(r)
+        row[Lp:Lp + q] = -hi
+        row[-1] = 1.0
+        rows.append(row)
+        h.append(float(bi))
+    cap = np.zeros(nv)
+    cap[-1] = 1.0
+    rows.append(cap)
+    h.append(1.0)
+    G = np.vstack(rows)
+    hv = np.asarray(h)
+    cones = [("nn", l + 1)]
+    if p:
+        Gp = np.zeros((Lp, nv))
+        Gp[:, :Lp] = -np.eye(Lp)
+        G = np.vstack([G, Gp])
+        hv = np.r_[hv, np.zeros(Lp)]
+        cones.append(("psd", p))
+    res = solve_cone_program(ConeProgram(c=c, G=G, h=hv, cones=cones),
                              reltol=1e-9)
     if not res.optimal:
-        return False, np.zeros(q)
-    return bool(-res.pcost >= -1e-9), res.x[:q]
+        return False, -math.inf
+    return bool(-res.pcost >= -1e-9), float(-res.pcost)
 
 
-def _phase1_dual(mats, C, H, h0) -> tuple[bool, np.ndarray]:
-    """Feasibility of ``sum mu_i M_i >= C, H mu = -h0, mu >= 0`` via the
-    strictly feasible relaxation ``min t: sum mu_i M_i + t I >= C``."""
-    l = len(mats)
-    n = C.shape[0]
-    q = H.shape[0]
-    L = svec(np.eye(n)).shape[0]
-    # variables (mu, t)
+def combined_dual_phase1(cmb: CombinedProblem) -> tuple[bool, np.ndarray, float]:
+    """Minimize the uniform relaxation ``t`` of the dual constraints; the
+    dual is feasible exactly when the minimum is nonpositive."""
+    l, n, p, q = cmb.l, cmb.n, cmb.p, cmb.q
     c = np.zeros(l + 1)
     c[-1] = 1.0
     G_nn = np.zeros((l + 1, l + 1))
     G_nn[:l, :l] = -np.eye(l)
     G_nn[l, l] = -1.0          # t >= -1 keeps the relaxation bounded
     h_nn = np.r_[np.zeros(l), 1.0]
-    G_psd = np.zeros((L, l + 1))
-    for i, m in enumerate(mats):
+    Ln = svec_dim(n)
+    G_psd = np.zeros((Ln, l + 1))
+    for i, m in enumerate(cmb.mats):
         G_psd[:, i] = -svec(m)
     G_psd[:, l] = -svec(np.eye(n))
-    h_psd = -svec(np.asarray(C, float))
+    h_psd = -svec(cmb.C)
     G = np.vstack([G_nn, G_psd])
     h = np.r_[h_nn, h_psd]
-    A = np.hstack([H, np.zeros((q, 1))]) if q else None
-    beq = -np.asarray(h0, float) if q else None
-    res = solve_cone_program(ConeProgram(c=c, G=G, h=h,
-                                         cones=[("nn", l + 1), ("psd", n)],
-                                         A=A, b=beq),
+    cones = [("nn", l + 1), ("psd", n)]
+    if p:
+        Lp = svec_dim(p)
+        G_r = np.zeros((Lp, l + 1))
+        for i, r in enumerate(cmb.Rs):
+            G_r[:, i] = svec(r)
+        G_r[:, l] = -svec(np.eye(p))
+        G = np.vstack([G, G_r])
+        h = np.r_[h, -svec(cmb.R0)]
+        cones.append(("psd", p))
+    A = np.hstack([cmb.H, np.zeros((q, 1))]) if q else None
+    beq = -cmb.h0 if q else None
+    res = solve_cone_program(ConeProgram(c=c, G=G, h=h, cones=cones, A=A, b=beq),
                              reltol=1e-9)
-    if res.status == "primal_infeasible":
-        return False, np.zeros(l)
-    if not res.optimal:
-        return False, np.zeros(l)
-    t = res.x[-1]
-    return bool(t <= 1e-7 * max(1.0, float(np.linalg.norm(C)))), res.x[:l]
+    if res.status == "primal_infeasible" or res.x is None:
+        return False, np.zeros(l), math.inf
+    t = float(res.x[-1])
+    tol = 1e-7 * max(1.0, float(np.linalg.norm(cmb.C)))
+    return bool(t <= tol), np.clip(res.x[:l], 0.0, None), t
 
 
 def combined_to_socp(problem: CombinedProblem) -> SocpProblem:
@@ -319,11 +340,11 @@ def combined_to_socp(problem: CombinedProblem) -> SocpProblem:
         raise NonzeroH0("free-variable objective must vanish for this reduction")
     c = rank_one_vector(problem.C)
 
-    ok, _ = _phase1_lambda(problem.H, problem.b)
+    ok, _ = combined_primal_phase1(problem)
     if not ok:
         raise InfeasiblePrimal("no free variables make every right-hand side "
                                "nonnegative")
-    ok, _ = _phase1_dual(problem.mats, problem.C, problem.H, problem.h0)
+    ok, _, _ = combined_dual_phase1(problem)
     if not ok:
         raise InfeasibleDual("no nonnegative multipliers dominate the objective "
                              "matrix under the linear constraints")

@@ -25,9 +25,9 @@ from . import linalg, reduce as reduction
 from .analysis import check_bounded, check_feasible
 from .conelp import (ConeProgram, ConeResult, smat, solve_cone_program, svec,
                      svec_dim)
-from .errors import (InfeasibleDual, InfeasibleInput, InfeasiblePrimal,
-                     InvalidInput, MaxIterations, NumericalFailure,
-                     PathDiverged, PathNotMonotone, UnboundedInput, ZeroDual)
+from .errors import (InfeasibleDual, InfeasiblePrimal, InvalidInput,
+                     MaxIterations, NumericalFailure, PathDiverged,
+                     PathNotMonotone, ZeroDual)
 from .model import (CombinedProblem, CombinedSolution, KktResiduals,
                     PackingProblem, Solution, Status)
 
@@ -236,21 +236,6 @@ def _packing_cone_program(C, mats, b, eps: float = 0.0) -> ConeProgram:
     return ConeProgram(c=-svec(C), G=G, h=h, cones=[("nn", l), ("psd", n)])
 
 
-def _solve_packing_direct(problem: PackingProblem, opts: SolveOptions,
-                          reltol: float | None = None,
-                          warm=None) -> tuple[ConeResult, np.ndarray, np.ndarray]:
-    """One interior-point solve of a packing problem; returns the engine
-    result plus (X, mu)."""
-    prog = _packing_cone_program(problem.C, problem.mats, problem.b)
-    res = solve_cone_program(prog, reltol=reltol or opts.tol,
-                             max_iter=opts.max_iter, warm=warm)
-    if res.x is None:
-        raise NumericalFailure("cone solver returned no iterate")
-    X = linalg.symmetrize(smat(res.x, problem.n))
-    mu = np.clip(res.z[:problem.l], 0.0, None)
-    return res, X, mu
-
-
 def solve_dual_packing(problem: PackingProblem,
                        opts: SolveOptions | None = None) -> tuple[np.ndarray, float]:
     """Solve ``min b.mu  s.t.  sum mu_i M_i >= C, mu >= 0`` directly."""
@@ -391,14 +376,6 @@ def solve_packing_lowrank(problem: PackingProblem,
     opts = opts or SolveOptions()
     if route not in ("auto", "socp", "eps-path"):
         raise InvalidInput(f"unknown route {route!r}")
-    ok, idx = check_feasible(problem)
-    if not ok:
-        raise InfeasibleInput(f"right-hand side {idx} is negative")
-    cert = check_bounded(problem)
-    if not cert.bounded:
-        raise UnboundedInput("objective range leaves the constraint range",
-                             ray=cert.ray)
-
     red, lift = reduction.project_packing(problem)
     if red.empty or linalg.rank_tol(red.problem.C) == 0:
         X = np.zeros((problem.n, problem.n))
@@ -549,26 +526,42 @@ def _rank_one_route(inner: PackingProblem, opts: SolveOptions):
     return X_red, np.clip(mu_red, 0.0, None), ()
 
 
-def _eps_path_route(inner: PackingProblem, opts: SolveOptions):
-    warm = None
-    values = []
-    final = None
-    for eps in opts.eps_schedule:
-        prog = _packing_cone_program(inner.C, inner.mats, inner.b, eps=eps)
-        res = solve_cone_program(prog, reltol=_PATH_RELTOL,
-                                 feastol=_PATH_FEASTOL,
-                                 max_iter=opts.max_iter, warm=warm)
-        if res.status not in ("optimal", "max_iterations") or res.x is None:
-            raise NumericalFailure(
-                f"perturbed solve at eps={eps:g} ended with {res.status}")
-        values.append(-res.pcost)
-        warm = (res.x, res.y, res.s, res.z)
-        final = res
+def _follow_path(build, schedule, max_iter: int, accept: tuple[str, ...],
+                 what: str, warm_start: bool = True) -> list[ConeResult]:
+    """Solve ``build(v)`` for each ``v`` in ``schedule`` at the path
+    tolerances, each stage warm-started from the previous one unless
+    ``warm_start`` is off.  A stage whose engine status is not in
+    ``accept`` raises ``NumericalFailure`` naming ``what`` and ``v``."""
+    warm, results = None, []
+    for v in schedule:
+        res = solve_cone_program(build(v), reltol=_PATH_RELTOL,
+                                 feastol=_PATH_FEASTOL, max_iter=max_iter,
+                                 warm=warm)
+        if res.status not in accept or res.x is None:
+            raise NumericalFailure(f"{what}={v:g} ended with {res.status}")
+        if warm_start:
+            warm = (res.x, res.y, res.s, res.z)
+        results.append(res)
+    return results
+
+
+def _check_monotone(values, error: type[Exception], what: str) -> None:
+    """Raise ``error`` when a path value falls below its predecessor by more
+    than the slack, relative to the largest magnitude on the path."""
     scale = max(1.0, float(np.max(np.abs(values))))
     for a, b in zip(values, values[1:]):
         if b < a - _MONOTONE_SLACK * scale:
-            raise PathDiverged(
-                f"perturbation-path values decreased: {a!r} -> {b!r}")
+            raise error(f"{what} values decreased: {a!r} -> {b!r}")
+
+
+def _eps_path_route(inner: PackingProblem, opts: SolveOptions):
+    results = _follow_path(
+        lambda eps: _packing_cone_program(inner.C, inner.mats, inner.b, eps=eps),
+        opts.eps_schedule, opts.max_iter, ("optimal", "max_iterations"),
+        "perturbed solve at eps")
+    values = [-res.pcost for res in results]
+    _check_monotone(values, PathDiverged, "perturbation-path")
+    final = results[-1]
     X = linalg.symmetrize(smat(final.x, inner.n))
     X = _truncate_feasible(inner, X, opts.rank_threshold)
     mu = np.clip(final.z[:inner.l], 0.0, None)
@@ -577,82 +570,6 @@ def _eps_path_route(inner: PackingProblem, opts: SolveOptions):
 
 # ---------------------------------------------------------------------------
 # combined problems
-
-
-def _combined_primal_feasible(cmb: CombinedProblem) -> tuple[bool, float]:
-    """Maximize the worst constraint slack over (Y, lam) with X = 0."""
-    p, q, l = cmb.p, cmb.q, cmb.l
-    Lp = svec_dim(p) if p else 0
-    nv = Lp + q + 1
-    c = np.zeros(nv)
-    c[-1] = -1.0
-    rows = []
-    h = []
-    for m, bi, r, hi in zip(cmb.mats, cmb.b, cmb.Rs, cmb.hs):
-        row = np.zeros(nv)
-        if p:
-            row[:Lp] = -svec(r)
-        row[Lp:Lp + q] = -hi
-        row[-1] = 1.0
-        rows.append(row)
-        h.append(float(bi))
-    cap = np.zeros(nv)
-    cap[-1] = 1.0
-    rows.append(cap)
-    h.append(1.0)
-    G = np.vstack(rows)
-    hv = np.asarray(h)
-    cones = [("nn", l + 1)]
-    if p:
-        Gp = np.zeros((Lp, nv))
-        Gp[:, :Lp] = -np.eye(Lp)
-        G = np.vstack([G, Gp])
-        hv = np.r_[hv, np.zeros(Lp)]
-        cones.append(("psd", p))
-    res = solve_cone_program(ConeProgram(c=c, G=G, h=hv, cones=cones),
-                             reltol=1e-9)
-    if not res.optimal:
-        return False, -math.inf
-    return bool(-res.pcost >= -1e-9), float(-res.pcost)
-
-
-def _combined_dual_phase1(cmb: CombinedProblem) -> tuple[bool, np.ndarray, float]:
-    """Minimize the uniform relaxation ``t`` of the dual constraints; the
-    dual is feasible exactly when the minimum is nonpositive."""
-    l, n, p, q = cmb.l, cmb.n, cmb.p, cmb.q
-    c = np.zeros(l + 1)
-    c[-1] = 1.0
-    G_nn = np.zeros((l + 1, l + 1))
-    G_nn[:l, :l] = -np.eye(l)
-    G_nn[l, l] = -1.0
-    h_nn = np.r_[np.zeros(l), 1.0]
-    Ln = svec_dim(n)
-    G_psd = np.zeros((Ln, l + 1))
-    for i, m in enumerate(cmb.mats):
-        G_psd[:, i] = -svec(m)
-    G_psd[:, l] = -svec(np.eye(n))
-    h_psd = -svec(cmb.C)
-    G = np.vstack([G_nn, G_psd])
-    h = np.r_[h_nn, h_psd]
-    cones = [("nn", l + 1), ("psd", n)]
-    if p:
-        Lp = svec_dim(p)
-        G_r = np.zeros((Lp, l + 1))
-        for i, r in enumerate(cmb.Rs):
-            G_r[:, i] = svec(r)
-        G_r[:, l] = -svec(np.eye(p))
-        G = np.vstack([G, G_r])
-        h = np.r_[h, -svec(cmb.R0)]
-        cones.append(("psd", p))
-    A = np.hstack([cmb.H, np.zeros((q, 1))]) if q else None
-    beq = -cmb.h0 if q else None
-    res = solve_cone_program(ConeProgram(c=c, G=G, h=h, cones=cones, A=A, b=beq),
-                             reltol=1e-9)
-    if res.status == "primal_infeasible" or res.x is None:
-        return False, np.zeros(l), math.inf
-    t = float(res.x[-1])
-    tol = 1e-7 * max(1.0, float(np.linalg.norm(cmb.C)))
-    return bool(t <= tol), np.clip(res.x[:l], 0.0, None), t
 
 
 def _combined_cone_program(cmb: CombinedProblem, cap: float,
@@ -708,52 +625,38 @@ def solve_combined_eta(cmb: CombinedProblem,
     the iterates' norms diverge, the supremum is reported asymptotic.
     """
     opts = opts or SolveOptions()
-    ok, margin = _combined_primal_feasible(cmb)
+    ok, margin = reduction.combined_primal_phase1(cmb)
     if not ok:
         raise InfeasiblePrimal(f"no feasible point (best slack {margin:.3e})")
-    ok, _, t = _combined_dual_phase1(cmb)
+    ok, _, t = reduction.combined_dual_phase1(cmb)
     if not ok:
         raise InfeasibleDual(f"dual infeasible (relaxation needs t={t:.3e})")
 
     mat_scale = max(1.0, max((float(np.linalg.eigvalsh(m)[-1])
                               for m in cmb.mats), default=1.0))
     eps = 1e-9 * mat_scale
-    rank_cap = linalg.rank_tol(cmb.C)
 
-    warm = None
-    gammas, norms, ranks = [], [], []
-    last = None
-    for cap in opts.eta_schedule:
-        prog = _combined_cone_program(cmb, cap, eps)
-        res = solve_cone_program(prog, reltol=_PATH_RELTOL,
-                                 feastol=_PATH_FEASTOL,
-                                 max_iter=opts.max_iter, warm=warm)
-        if res.status not in ("optimal", "max_iterations", "near_unattained") \
-                or res.x is None:
-            raise NumericalFailure(
-                f"trace-cap solve at cap={cap:g} ended with {res.status}")
-        warm = (res.x, res.y, res.s, res.z)
-        gammas.append(-res.pcost)
+    results = _follow_path(lambda cap: _combined_cone_program(cmb, cap, eps),
+                           opts.eta_schedule, opts.max_iter,
+                           ("optimal", "max_iterations", "near_unattained"),
+                           "trace-cap solve at cap")
+    gammas = [-res.pcost for res in results]
+    _check_monotone(gammas, PathNotMonotone, "trace-cap path")
+
+    norms, ranks = [], []
+    for res in results:
         X, Y, lam = _split_combined(res.x, cmb)
         Xt = truncate_psd(X, opts.rank_threshold)
         ranks.append(linalg.rank_tol(Xt, opts.rank_threshold))
         norms.append(float(np.trace(X)) + (float(np.trace(Y)) if cmb.p else 0.0)
                      + float(np.linalg.norm(lam, 1)))
-        last = (Xt, Y, lam)
-
     scale = max(1.0, float(np.max(np.abs(gammas))))
-    for a, b in zip(gammas, gammas[1:]):
-        if b < a - _MONOTONE_SLACK * scale:
-            raise PathNotMonotone(
-                f"trace-cap path values decreased: {a!r} -> {b!r}")
-
-    X, Y, lam = last
     converged = (len(gammas) < 2
                  or abs(gammas[-1] - gammas[-2]) <= 1e-3 * scale)
     diverging = (norms[-1] >= 100.0 * (1.0 + norms[0])
                  and norms[-1] >= 1e3 * (1.0 + float(np.max(np.abs(cmb.b)))))
     status = Status.ASYMPTOTIC_SUP if (diverging and converged) else Status.OPTIMAL
-    return CombinedSolution(X=X, Y=Y, lam=lam, objective=float(gammas[-1]),
+    return CombinedSolution(X=Xt, Y=Y, lam=lam, objective=float(gammas[-1]),
                             status=status, gamma=tuple(gammas),
                             ranks=tuple(ranks))
 
@@ -781,24 +684,17 @@ def solve_combined_dual(cmb: CombinedProblem,
     multipliers come from the tighter cap's constraint duals.
     """
     opts = opts or SolveOptions()
-    ok, _, t = _combined_dual_phase1(cmb)
+    ok, _, t = reduction.combined_dual_phase1(cmb)
     if not ok:
         raise InfeasibleDual(f"dual infeasible (relaxation needs t={t:.3e})")
-    vals, mu_last = [], None
-    for cap in caps:
-        # cold starts: these solves need full accuracy and the warm point
-        # sits too close to the boundary to help
-        prog = _combined_cone_program(cmb, cap, eps=0.0)
-        res = solve_cone_program(prog, reltol=_PATH_RELTOL,
-                                 feastol=_PATH_FEASTOL,
-                                 max_iter=opts.max_iter)
-        if res.status not in ("optimal", "max_iterations") or res.x is None:
-            raise NumericalFailure(
-                f"capped solve at cap={cap:g} ended with {res.status}")
-        vals.append(-res.pcost)
-        mu_last = np.clip(res.z[:cmb.l], 0.0, None)
+    # cold starts: these solves need full accuracy and the warm point sits
+    # too close to the boundary to help
+    results = _follow_path(lambda cap: _combined_cone_program(cmb, cap, eps=0.0),
+                           caps, opts.max_iter, ("optimal", "max_iterations"),
+                           "capped solve at cap", warm_start=False)
+    mu_last = np.clip(results[-1].z[:cmb.l], 0.0, None)
     # value is linear in the cap while the cap binds; extrapolate to zero
-    v1, v2 = vals
+    v1, v2 = (-res.pcost for res in results)
     ratio = caps[0] / caps[1]
     value = v2 + (v2 - v1) / (ratio - 1.0)
     scale = max(1.0, abs(v2))
@@ -808,7 +704,7 @@ def solve_combined_dual(cmb: CombinedProblem,
 
 
 # ---------------------------------------------------------------------------
-# design recovery and the factorized cross-check
+# design recovery
 
 
 def recover_design(mu: np.ndarray, b: np.ndarray | None = None,
@@ -831,66 +727,3 @@ def recover_design(mu: np.ndarray, b: np.ndarray | None = None,
             raise ZeroDual("resource recovery needs the positive dual scalar")
         return mu / t
     raise InvalidInput(f"unknown recovery mode {mode!r}")
-
-
-def solve_packing_bm(problem: PackingProblem, rank: int | None = None,
-                     opts: SolveOptions | None = None) -> Solution:
-    """Factorized cross-check: search ``X = R R.T`` with ``R`` of width
-    ``rank`` by sequential quadratic programming.
-
-    Non-convex, so the result is certified only when the recovered
-    multipliers pass the optimality check; otherwise the solution is
-    returned with ``certified=False``.  Never the default route.
-    """
-    opts = opts or SolveOptions()
-    ok, idx = check_feasible(problem)
-    if not ok:
-        raise InfeasibleInput(f"right-hand side {idx} is negative")
-    n, l = problem.n, problem.l
-    r = rank or max(1, linalg.rank_tol(problem.C))
-    rng = np.random.default_rng(0)
-    best_val, best_R = -math.inf, None
-    for _ in range(3):
-        R0 = 0.1 * rng.standard_normal((n, r))
-
-        def objective(v):
-            R = v.reshape(n, r)
-            return -float(np.sum(R * (problem.C @ R)))
-
-        def objective_grad(v):
-            R = v.reshape(n, r)
-            return (-2.0 * problem.C @ R).ravel()
-
-        cons = []
-        for m, bi in zip(problem.mats, problem.b):
-            cons.append({
-                "type": "ineq",
-                "fun": (lambda v, m=m, bi=bi:
-                        bi - float(np.sum(v.reshape(n, r)
-                                          * (m @ v.reshape(n, r))))),
-                "jac": (lambda v, m=m: (-2.0 * m @ v.reshape(n, r)).ravel()),
-            })
-        sol = scipy.optimize.minimize(objective, R0.ravel(),
-                                      jac=objective_grad, constraints=cons,
-                                      method="SLSQP",
-                                      options={"maxiter": 300, "ftol": 1e-12})
-        if -sol.fun > best_val and np.all([c["fun"](sol.x) >= -1e-7 for c in cons]):
-            best_val, best_R = -sol.fun, sol.x.reshape(n, r)
-    if best_R is None:
-        raise NumericalFailure("factorized search found no feasible point")
-    X = linalg.symmetrize(best_R @ best_R.T)
-    mu = _nnls_multipliers(problem, best_R)
-    kkt, passed = kkt_check(problem, X, mu, 1e-5)
-    return Solution(X=X, objective=float(np.trace(problem.C @ X)),
-                    numerical_rank=linalg.rank_tol(X, opts.rank_threshold),
-                    mu=mu, status=Status.OPTIMAL, kkt_residuals=kkt,
-                    route="bm", certified=passed)
-
-
-def _nnls_multipliers(problem: PackingProblem, R: np.ndarray) -> np.ndarray:
-    """Stationarity multipliers for a factorized point: least-squares fit of
-    ``sum mu_i M_i R = C R`` over ``mu >= 0``."""
-    cols = [(m @ R).ravel() for m in problem.mats]
-    target = (problem.C @ R).ravel()
-    mu, _ = scipy.optimize.nnls(np.column_stack(cols), target)
-    return mu

@@ -124,13 +124,6 @@ class TestSolve:
         assert doc["objective"] == pytest.approx(3.1, abs=1e-3)
         assert all(r <= 1 for r in doc["ranks"])
 
-    def test_bm_route(self, capsys, rank1_file):
-        code, doc = run(capsys, ["solve", rank1_file, "--route", "bm", "--oracle"])
-        assert code == 0
-        assert doc["route"] == "bm"
-        assert doc["certified"] in (True, False)
-        if doc["certified"]:
-            assert doc["oracle_diff"] <= 1e-4
     def test_infeasible_exit_4(self, capsys, tmp_path):
         path = write(tmp_path, "inf.json", {
             "kind": "packing", "C": [[1.0]],

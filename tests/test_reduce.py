@@ -3,8 +3,9 @@ import pytest
 
 from sdpack import linalg
 from sdpack import reduce as rd
-from sdpack.errors import (DimensionMismatch, InfeasibleInput, NonzeroH0,
-                           NonzeroR, RankNotOne, UnboundedInput)
+from sdpack.errors import (DimensionMismatch, InfeasibleDual, InfeasibleInput,
+                           InfeasiblePrimal, NonzeroH0, NonzeroR, RankNotOne,
+                           UnboundedInput)
 from sdpack.model import Criterion, DesignProblem, parse_problem
 
 
@@ -160,6 +161,17 @@ class TestCombinedToSocp:
         doc = {"kind": "combined", "C": [[1.0]], "constraints": [{"M": [[1.0]], "b": 1.0}],
                "h0": [1.0], "h": [[0.0]]}
         with pytest.raises(NonzeroH0):
+            rd.combined_to_socp(parse_problem(doc))
+
+    @pytest.mark.parametrize("C, M, b, error", [
+        ([[1.0]], [[1.0]], -1.0, InfeasiblePrimal),
+        ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]], 1.0,
+         InfeasibleDual),
+    ])
+    def test_phase1_rejects(self, C, M, b, error):
+        doc = {"kind": "combined", "C": C, "constraints": [{"M": M, "b": b}],
+               "h0": []}
+        with pytest.raises(error):
             rd.combined_to_socp(parse_problem(doc))
 
     def test_degenerate_combined_matches_plain(self):

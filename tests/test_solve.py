@@ -4,7 +4,10 @@ from instances import bounded_packing, packing, subspace_packing
 
 from sdpack import reduce as rd
 from sdpack import solve as sv
-from sdpack.errors import InfeasibleInput, InvalidInput, UnboundedInput, ZeroDual
+from sdpack.analysis import check_bounded
+from sdpack.errors import (InfeasibleInput, InfeasiblePrimal, InvalidInput,
+                           PathDiverged, PathNotMonotone, UnboundedInput,
+                           ZeroDual)
 from sdpack.model import Status, parse_problem
 
 
@@ -130,7 +133,8 @@ class TestSolveSdp:
         for _ in range(10):
             prob = bounded_packing(rng, int(rng.integers(2, 6)),
                                    int(rng.integers(1, 5)), 2)
-            res, X, mu = sv._solve_packing_direct(prob, sv.SolveOptions())
+            res = sv.solve_sdp(sv._packing_cone_program(prob.C, prob.mats,
+                                                        prob.b))
             primal = -res.pcost
             dual = -res.dcost
             assert dual >= primal - 1e-7 * max(1.0, abs(primal))
@@ -190,9 +194,10 @@ class TestLowRank:
             sv.solve_packing_lowrank(packing(np.eye(2), [np.eye(2)], [-1.0]))
 
     def test_unbounded_raises(self):
-        with pytest.raises(UnboundedInput):
-            sv.solve_packing_lowrank(packing(np.diag([1.0, 0.0]),
-                                             [np.diag([0.0, 1.0])], [1.0]))
+        prob = packing(np.diag([1.0, 0.0]), [np.diag([0.0, 1.0])], [1.0])
+        with pytest.raises(UnboundedInput) as info:
+            sv.solve_packing_lowrank(prob)
+        assert np.array_equal(info.value.ray, check_bounded(prob).ray)
 
     def test_rank_guarantee_and_oracle_match(self):
         rng = np.random.default_rng(42)
@@ -274,6 +279,12 @@ class TestCombined:
         assert abs(float(sol.Y[0, 0])) <= 1e-6
         assert sol.ranks[-1] == 1
 
+    def test_negative_budget_without_free_variables(self):
+        doc = {"kind": "combined", "C": [[1.0]],
+               "constraints": [{"M": [[1.0]], "b": -1.0}], "h0": []}
+        with pytest.raises(InfeasiblePrimal):
+            sv.solve_combined_eta(parse_problem(doc))
+
     def test_coupling_makes_dual_infeasible(self):
         from sdpack.errors import InfeasibleDual
         doc = {"kind": "combined", "C": [[1.0, 1.0], [1.0, 1.0]],
@@ -305,6 +316,18 @@ class TestCombined:
             assert all(rank <= r for rank in sol.ranks)
 
 
+class TestPathChecks:
+    @pytest.mark.parametrize("error", [PathDiverged, PathNotMonotone])
+    def test_decrease_raises(self, error):
+        with pytest.raises(error, match="test path values decreased"):
+            sv._check_monotone([1.0, 2.0, 1.5, 3.0], error, "test path")
+
+    def test_dip_within_slack_passes(self):
+        top = 10.0
+        dip = top - 0.5 * sv._MONOTONE_SLACK * top
+        sv._check_monotone([1.0, top, dip, top], PathDiverged, "test path")
+
+
 class TestRecovery:
     def test_simplex_mode(self):
         w = sv.recover_design(np.array([2.0, 2.0]), np.array([1.0, 1.0]))
@@ -323,22 +346,3 @@ class TestRecovery:
         assert np.allclose(w, [0.5, 1.0])
         with pytest.raises(ZeroDual):
             sv.recover_design(np.array([1.0]), mode="resource", t=0.0)
-
-
-class TestFactorizedBackend:
-    def test_rank_one_instance_certified(self):
-        prob = c_opt_instance()
-        sol = sv.solve_packing_bm(prob, rank=1)
-        assert sol.objective == pytest.approx(4.0, abs=1e-4)
-        assert sol.certified is True
-
-    def test_rank_two_instance(self):
-        rng = np.random.default_rng(3)
-        prob = bounded_packing(rng, 4, 3, 2)
-        oracle = sv.solve_sdp(prob)
-        sol = sv.solve_packing_bm(prob, rank=2)
-        if sol.certified:
-            assert sol.objective == pytest.approx(oracle.objective,
-                                                  rel=1e-4, abs=1e-4)
-        else:
-            assert sol.objective <= oracle.objective + 1e-6

@@ -13,10 +13,13 @@ product of the matrices.
 
 The algorithm is a homogeneous self-dual embedding with Nesterov-Todd
 scaling and a Mehrotra-style predictor-corrector; infeasibility and
-unboundedness come out as certificates of the embedding.  Dense
-factorizations with iterative refinement keep the search directions
-accurate enough to push relative gaps to ~1e-11 on desk-scale problems,
-which the path-following solvers need for their monotonicity checks.
+unboundedness come out as certificates of the embedding.  The scaling is
+kept per cone block (a diagonal for nn blocks, a d x d matrix for soc
+blocks, the svec-space congruence by the scaling matrix for psd blocks)
+and applied block by block.  A dense LU of the scaled augmented system
+with iterative refinement keeps the search directions accurate enough to
+push relative gaps to ~1e-11 on desk-scale problems, which the
+path-following solvers need for their monotonicity checks.
 
 This is an internal engine; the user-facing entry points are in
 ``sdpack.solve``.
@@ -24,6 +27,8 @@ This is an internal engine; the user-facing entry points are in
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -43,19 +48,48 @@ _STALL_LIMIT = 8
 # packed symmetric coordinates
 
 
-def svec(S: np.ndarray) -> np.ndarray:
-    """Pack a symmetric matrix so that ``svec(A) . svec(B) == <A, B>``."""
-    n = S.shape[0]
+@functools.lru_cache(maxsize=64)
+def _svec_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and scale factors of the packed entries of an order-``n``
+    matrix (read-only; shared by every caller)."""
     r, c = np.tril_indices(n)
     scale = np.where(r == c, 1.0, math.sqrt(2.0))
+    for a in (r, c, scale):
+        a.flags.writeable = False
+    return r, c, scale
+
+
+@functools.lru_cache(maxsize=64)
+def _svec_basis(n: int) -> np.ndarray:
+    """``smat`` of every unit vector, stacked as a read-only ``(dim, n, n)``
+    array."""
+    r, c, scale = _svec_index(n)
+    k = np.arange(r.shape[0])
+    E = np.zeros((r.shape[0], n, n))
+    E[k, r, c] = 1.0 / scale
+    E[k, c, r] = 1.0 / scale
+    E.flags.writeable = False
+    return E
+
+
+def svec(S: np.ndarray) -> np.ndarray:
+    """Pack a symmetric matrix so that ``svec(A) . svec(B) == <A, B>``."""
+    S = np.asarray(S)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise InvalidInput(f"svec needs a square matrix, got shape {S.shape}")
+    r, c, scale = _svec_index(S.shape[0])
     return S[r, c] * scale
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`svec`."""
+    v = np.asarray(v)
+    r, c, scale = _svec_index(n)
+    if v.shape != scale.shape:
+        raise InvalidInput(f"smat of order {n} needs a vector of length "
+                           f"{scale.shape[0]}, got shape {v.shape}")
     S = np.zeros((n, n))
-    r, c = np.tril_indices(n)
-    vals = np.asarray(v) / np.where(r == c, 1.0, math.sqrt(2.0))
+    vals = v / scale
     S[r, c] = vals
     S[c, r] = vals
     return S
@@ -124,6 +158,14 @@ class _Layout:
             self.blocks.append(blk)
         self.m = pos
         self.deg = sum(b.order if b.kind in ("nn", "psd") else 1 for b in self.blocks)
+        # maximal runs of consecutive blocks of one kind and order, which the
+        # scaling stores and applies as one stacked operator
+        self.runs: list[tuple[str, slice, list[_Block]]] = []
+        for (kind, _), group in itertools.groupby(self.blocks,
+                                                  key=lambda b: (b.kind, b.order)):
+            group = list(group)
+            self.runs.append((kind, slice(group[0].sl.start, group[-1].sl.stop),
+                              group))
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.m)
@@ -230,36 +272,76 @@ def _smallest_positive_root(p2: float, p1: float, p0: float) -> float:
     return min(pos) if pos else math.inf
 
 
-class _Scaling:
-    """Nesterov-Todd scaling materialized as dense matrices.
+def _blockwise(ops, v: np.ndarray) -> np.ndarray:
+    """Apply a block-diagonal operator to a vector or to the rows of a
+    matrix.  ``ops`` holds ``(slice, F)`` pairs that cover the cone rows:
+    a 1-D ``F`` is a diagonal, a ``(k, d, d)`` ``F`` holds ``k`` consecutive
+    d x d blocks."""
+    out = np.empty(v.shape, dtype=np.result_type(v, *(F for _, F in ops)))
+    for sl, F in ops:
+        vb = v[sl]
+        if F.ndim == 3:
+            k, d, _ = F.shape
+            cols = vb.shape[1] if vb.ndim == 2 else 1
+            out[sl] = (F @ vb.reshape(k, d, cols)).reshape(vb.shape)
+        else:
+            out[sl] = F * vb if vb.ndim == 1 else F[:, None] * vb
+    return out
 
-    ``lam = W @ z = inv(W).T @ s`` is the scaled point.  For PSD blocks the
-    svec-space matrix of ``V -> R.T V R`` is not symmetric; transposes are
-    kept explicit throughout.
+
+class _Scaling:
+    """Nesterov-Todd scaling kept as one operator per cone block.
+
+    ``lam = W z = W^{-T} s`` is the scaled point.  Each block has its own
+    ``W`` and ``W^{-1}``: the diagonal as a vector for nn blocks, the
+    symmetric hyperbolic Householder matrix for soc blocks, and for psd
+    blocks the svec-space matrix of ``V -> R.T V R``, which is not
+    symmetric, so its transposes are kept as views.  Consecutive blocks of
+    one kind and order are stacked and applied together; ``W`` is never
+    formed as an m x m matrix.
     """
 
     def __init__(self, layout: _Layout, s: np.ndarray, z: np.ndarray):
-        m = layout.m
-        self.W = np.zeros((m, m))
-        self.Winv = np.zeros((m, m))
-        self.lam = np.zeros(m)
-        for b in layout.blocks:
-            sb, zb = s[b.sl], z[b.sl]
-            if b.kind == "nn":
-                w = np.sqrt(sb / zb)
-                self.W[b.sl, b.sl] = np.diag(w)
-                self.Winv[b.sl, b.sl] = np.diag(1.0 / w)
-                self.lam[b.sl] = np.sqrt(sb * zb)
-            elif b.kind == "soc":
-                Wb, Wibm, lb = _soc_scaling(sb, zb)
-                self.W[b.sl, b.sl] = Wb
-                self.Winv[b.sl, b.sl] = Wibm
+        self.lam = np.zeros(layout.m)
+        self._W, self._Wt, self._Winv, self._Winvt = [], [], [], []
+        for kind, run, blocks in layout.runs:
+            Ws, Wis = [], []
+            for b in blocks:
+                sb, zb = s[b.sl], z[b.sl]
+                if kind == "nn":
+                    w = np.sqrt(sb / zb)
+                    Wb, Wib, lb = w, 1.0 / w, np.sqrt(sb * zb)
+                elif kind == "soc":
+                    Wb, Wib, lb = _soc_scaling(sb, zb)
+                else:
+                    Wb, Wib, lb = _psd_scaling(sb, zb, b.order)
+                Ws.append(Wb)
+                Wis.append(Wib)
                 self.lam[b.sl] = lb
-            else:
-                Wb, Wib, lb = _psd_scaling(sb, zb, b.order)
-                self.W[b.sl, b.sl] = Wb
-                self.Winv[b.sl, b.sl] = Wib
-                self.lam[b.sl] = lb
+            join = np.concatenate if kind == "nn" else np.stack
+            W, Wi = join(Ws), join(Wis)
+            symmetric = kind != "psd"
+            self._W.append((run, W))
+            self._Wt.append((run, W if symmetric else W.transpose(0, 2, 1)))
+            self._Winv.append((run, Wi))
+            self._Winvt.append((run, Wi if symmetric else Wi.transpose(0, 2, 1)))
+
+    def W(self, v: np.ndarray) -> np.ndarray:
+        return _blockwise(self._W, v)
+
+    def Wt(self, v: np.ndarray) -> np.ndarray:
+        return _blockwise(self._Wt, v)
+
+    def Winv(self, v: np.ndarray) -> np.ndarray:
+        return _blockwise(self._Winv, v)
+
+    def Winvt(self, v: np.ndarray) -> np.ndarray:
+        return _blockwise(self._Winvt, v)
+
+    def gram(self) -> list:
+        """``W.T W`` as ``(slice, F)`` block operators for :func:`_blockwise`."""
+        return [(sl, F * F if F.ndim == 1 else Ft @ F)
+                for (sl, F), (_, Ft) in zip(self._W, self._Wt)]
 
 
 def _soc_scaling(s: np.ndarray, z: np.ndarray):
@@ -300,16 +382,17 @@ def _psd_scaling(s: np.ndarray, z: np.ndarray, n: int):
     sv = np.maximum(sv, max(1e-15 * float(sv[0]), 1e-300))
     R = Ls @ Vt.T / np.sqrt(sv)[None, :]
     Rinv = (U.T @ Lz.T) / np.sqrt(sv)[:, None]
-    dim = svec_dim(n)
-    W = np.empty((dim, dim))
-    Winv = np.empty((dim, dim))
-    basis = np.eye(dim)
-    for j in range(dim):
-        Ej = smat(basis[j], n)
-        W[:, j] = svec(R.T @ Ej @ R)
-        Winv[:, j] = svec(Rinv.T @ Ej @ Rinv)
     lam = svec(np.diag(sv))
-    return W, Winv, lam
+    return _svec_congruence(R), _svec_congruence(Rinv), lam
+
+
+def _svec_congruence(R: np.ndarray) -> np.ndarray:
+    """svec-space matrix of ``V -> R.T V R``: column ``j`` is
+    ``svec(R.T @ smat(e_j) @ R)``, built for every ``j`` by one batched
+    product over the stacked basis."""
+    r, c, scale = _svec_index(R.shape[0])
+    B = R.T @ _svec_basis(R.shape[0]) @ R
+    return np.ascontiguousarray((B[:, r, c] * scale).T)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +564,7 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
         # scaling and KKT factorization
         try:
             sc = _Scaling(layout, s, z)
-            WtW = sc.W.T @ sc.W
-            kkt = _KktFactor(G, A, sc.Winv, WtW)
+            kkt = _KktFactor(G, A, sc)
             dx1, dy1, dz1 = kkt.solve(-c, b, h)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError,
                 ValueError):
@@ -500,7 +582,8 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
             fac = 1.0 - sigma
             rx2 = -fac * r_x
             ry2 = -fac * r_y if p else np.zeros(0)
-            rz2 = -fac * r_z - sc.W.T @ layout.circ_solve(lam, ds)
+            wds = sc.Wt(layout.circ_solve(lam, ds))
+            rz2 = -fac * r_z - wds
             dx2, dy2, dz2 = kkt.solve(rx2, ry2, rz2)
             num = (-fac * r_tau - dtk / tau
                    - (c @ dx2 + (b @ dy2 if p else 0.0) + h @ dz2))
@@ -508,15 +591,15 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
             dx = dx2 + dtau * dx1
             dy = dy2 + dtau * dy1
             dz = dz2 + dtau * dz1
-            dsv = sc.W.T @ layout.circ_solve(lam, ds) - sc.W.T @ (sc.W @ dz)
+            dsv = wds - sc.Wt(sc.W(dz))
             dkappa = (dtk - kappa * dtau) / tau
             return dx, dy, dz, dsv, dtau, dkappa
 
         # predictor
         try:
             dxa, dya, dza, dsa, dta, dka = direction(0.0, 0.0, 0.0)
-            ds_sc = sc.Winv.T @ dsa
-            dz_sc = sc.W @ dza
+            ds_sc = sc.Winvt(dsa)
+            dz_sc = sc.W(dza)
             alpha = min(layout.max_step(lam, ds_sc), layout.max_step(lam, dz_sc))
             if dta < 0:
                 alpha = min(alpha, -tau / dta)
@@ -534,8 +617,8 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError,
                 ValueError):
             break
-        ds_sc = sc.Winv.T @ dsv
-        dz_sc = sc.W @ dz
+        ds_sc = sc.Winvt(dsv)
+        dz_sc = sc.W(dz)
         alpha = min(layout.max_step(lam, ds_sc), layout.max_step(lam, dz_sc))
         if dtau < 0:
             alpha = min(alpha, -tau / dtau)
@@ -602,14 +685,13 @@ class _KktFactor:
     unreduced equations with residuals accumulated in extended precision.
     The scaled system loses roughly half the conditioning of the explicit
     ``G.T inv(WtW) G`` form, which is what lets path solves reach relative
-    gaps near 1e-11.
+    gaps near 1e-11.  ``Gs``, the scaled right-hand sides and the ``WtW``
+    term of the residual all go through the scaling's block operators.
     """
 
-    def __init__(self, G: np.ndarray, A: np.ndarray, Winv: np.ndarray,
-                 WtW: np.ndarray):
-        self.G, self.A, self.WtW = G, A, WtW
-        self.Winv = Winv
-        self.Gs = Winv.T @ G
+    def __init__(self, G: np.ndarray, A: np.ndarray, sc: _Scaling):
+        self.sc = sc
+        self.Gs = sc.Winvt(G)
         nx, p = G.shape[1], A.shape[0]
         m = G.shape[0]
         self.nx, self.p, self.m = nx, p, m
@@ -635,7 +717,7 @@ class _KktFactor:
         long = np.longdouble
         self._G_l = G.astype(long)
         self._A_l = A.astype(long) if p else None
-        self._WtW_l = WtW.astype(long)
+        self._WtW_l = [(sl, F.astype(long)) for sl, F in sc.gram()]
 
     def _solve_once(self, rx, ry, rz):
         rhs = np.empty(self.nx + self.p + self.m)
@@ -643,13 +725,13 @@ class _KktFactor:
             rhs[:self.nx] = rx
             if self.p:
                 rhs[self.nx:self.nx + self.p] = ry
-            rhs[self.nx + self.p:] = self.Winv.T @ rz
+            rhs[self.nx + self.p:] = self.sc.Winvt(rz)
             if not np.all(np.isfinite(rhs)):
                 raise np.linalg.LinAlgError("non-finite reduced right-hand side")
             sol = scipy.linalg.lu_solve(self.lu, rhs)
             ux = sol[:self.nx]
             uy = sol[self.nx:self.nx + self.p]
-            uz = self.Winv @ sol[self.nx + self.p:]
+            uz = self.sc.Winv(sol[self.nx + self.p:])
         return ux, uy, uz
 
     def _residual(self, rx, ry, rz, ux, uy, uz):
@@ -661,7 +743,7 @@ class _KktFactor:
             e2 = ry.astype(long) - self._A_l @ ux_l
         else:
             e2 = np.zeros(0)
-        e3 = rz.astype(long) - (self._G_l @ ux_l - self._WtW_l @ uz_l)
+        e3 = rz.astype(long) - (self._G_l @ ux_l - _blockwise(self._WtW_l, uz_l))
         return e1, e2, e3
 
     def solve(self, rx, ry, rz):

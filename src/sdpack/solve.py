@@ -65,14 +65,18 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Numerical summary of one solve."""
+    """Numerical summary of one solve: the engine's objective values, gap
+    and iteration count, and its relative primal residual, dual residual
+    and relative gap."""
 
     primal: float
     dual: float
     gap: float
     iterations: int
     status: Status
-    kkt: KktResiduals | None = None
+    pres: float
+    dres: float
+    relgap: float
 
 
 @dataclass(frozen=True)
@@ -152,8 +156,7 @@ def _report_from_cone(res: ConeResult, status: Status, sense: str) -> SolveRepor
     sign = -1.0 if sense == "max" else 1.0
     return SolveReport(primal=sign * res.pcost, dual=sign * res.dcost,
                        gap=res.gap, iterations=res.iterations, status=status,
-                       kkt=KktResiduals(primal=res.pres, dual=res.dres,
-                                        complementarity=res.relgap))
+                       pres=res.pres, dres=res.dres, relgap=res.relgap)
 
 
 def solve_socp(socp: reduction.SocpProblem,

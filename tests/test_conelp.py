@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from sdpack.conelp import (ConeProgram, _Layout, _Scaling, smat,
-                           solve_cone_program, svec, svec_dim)
+from sdpack.conelp import (ConeProgram, _blockwise, _Layout, _Scaling,
+                           _svec_congruence, smat, solve_cone_program, svec,
+                           svec_dim)
+from sdpack.errors import InvalidInput
 
 
 class TestPackedCoordinates:
@@ -16,30 +18,68 @@ class TestPackedCoordinates:
             assert svec(A) @ svec(B) == pytest.approx(np.trace(A @ B))
             assert svec(A).shape == (svec_dim(n),)
 
+    def test_wrong_shapes_rejected(self):
+        with pytest.raises(InvalidInput):
+            smat(np.array([2.0]), 3)
+        with pytest.raises(InvalidInput):
+            smat(np.ones((6, 1)), 3)
+        with pytest.raises(InvalidInput):
+            svec(np.ones((2, 3)))
+        with pytest.raises(InvalidInput):
+            svec(np.ones(3))
+
+
+def _interior_point(rng, cones):
+    parts = []
+    for kind, d in cones:
+        if kind == "nn":
+            parts.append(rng.uniform(0.1, 3.0, d))
+        elif kind == "soc":
+            v = rng.standard_normal(d); v[0] = np.linalg.norm(v[1:]) + rng.uniform(0.1, 2)
+            parts.append(v)
+        else:
+            a = rng.standard_normal((d, d)); parts.append(svec(a @ a.T + 0.1 * np.eye(d)))
+    return np.concatenate(parts)
+
 
 class TestScalingIdentities:
-    @pytest.mark.parametrize("cone", [("nn", 5), ("soc", 4), ("psd", 3)])
+    # each case is a layout: one block of each kind, then all three mixed
+    @pytest.mark.parametrize("cone", [(("nn", 5),), (("soc", 4),), (("psd", 3),),
+                                      (("nn", 3), ("soc", 4), ("psd", 3))])
     def test_nt_properties(self, cone):
         rng = np.random.default_rng(3)
-        layout = _Layout((cone,))
+        layout = _Layout(cone)
+        eye = np.eye(layout.m)
         for _ in range(25):
-            if cone[0] == "nn":
-                s = rng.uniform(0.1, 3.0, 5)
-                z = rng.uniform(0.1, 3.0, 5)
-            elif cone[0] == "soc":
-                s = rng.standard_normal(4); s[0] = np.linalg.norm(s[1:]) + rng.uniform(0.1, 2)
-                z = rng.standard_normal(4); z[0] = np.linalg.norm(z[1:]) + rng.uniform(0.1, 2)
-            else:
-                a = rng.standard_normal((3, 3)); s = svec(a @ a.T + 0.1 * np.eye(3))
-                a = rng.standard_normal((3, 3)); z = svec(a @ a.T + 0.1 * np.eye(3))
+            s = _interior_point(rng, cone)
+            z = _interior_point(rng, cone)
             sc = _Scaling(layout, s, z)
-            lam_z = sc.W @ z
-            lam_s = sc.Winv.T @ s
+            lam_z = sc.W(z)
+            lam_s = sc.Winvt(s)
             assert np.allclose(lam_z, lam_s, atol=1e-9), "W z == inv(W).T s"
-            assert np.allclose(sc.Winv @ sc.W, np.eye(layout.m), atol=1e-9)
+            assert np.allclose(sc.Winv(sc.W(eye)), eye, atol=1e-9)
             assert layout.margin(lam_z) > 0
             # scaled point carries the duality gap
             assert lam_z @ lam_z == pytest.approx(s @ z, rel=1e-9)
+            # transposed and Gram operators match the block operators
+            W = sc.W(eye)
+            assert np.allclose(sc.Wt(eye), W.T, atol=1e-9)
+            assert np.allclose(sc.Winvt(eye), sc.Winv(eye).T, atol=1e-9)
+            assert np.allclose(_blockwise(sc.gram(), eye), W.T @ W, atol=1e-9)
+
+
+class TestSvecCongruence:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_batched_equals_per_column_build(self, n):
+        rng = np.random.default_rng(n)
+        R = rng.standard_normal((n, n))
+        dim = svec_dim(n)
+        loop = np.empty((dim, dim))
+        for j, e in enumerate(np.eye(dim)):
+            loop[:, j] = svec(R.T @ smat(e, n) @ R)
+        # bitwise: the path tests' 1e-9 monotonicity slack cannot absorb a
+        # rewrite of this product that is only equal to rounding
+        assert np.array_equal(_svec_congruence(R), loop)
 
 
 class TestJordanOps:

@@ -61,6 +61,16 @@ class TestSolveSocp:
         assert res.report.status is Status.OPTIMAL
         assert res.value == pytest.approx(1.0, abs=1e-7)
 
+    def test_report_carries_engine_residuals(self, monkeypatch):
+        seen = []
+        engine = sv.solve_cone_program
+        monkeypatch.setattr(sv, "solve_cone_program",
+                            lambda *a, **k: seen.append(engine(*a, **k)) or seen[-1])
+        report = sv.solve_socp(rd.to_socp_rank1(c_opt_instance())).report
+        (res,) = seen
+        assert (report.pres, report.dres, report.relgap) == \
+            (res.pres, res.dres, res.relgap)
+
     def test_estimation_socp_value(self):
         socp = rd.to_socp_rank1(c_opt_instance())
         res = sv.solve_socp(socp)
@@ -317,6 +327,28 @@ class TestCombined:
 
 
 class TestPathChecks:
+    @pytest.mark.parametrize("seed, n, rank_c",
+                             [(0, 8, 2), (1, 10, 3), (2, 12, 2), (3, 12, 3)])
+    def test_eps_path_stages_reach_path_tolerance(self, seed, n, rank_c,
+                                                  monkeypatch):
+        stages = []
+        engine = sv.solve_cone_program
+
+        def tap(prog, **kw):
+            res = engine(prog, **kw)
+            if kw.get("reltol") == sv._PATH_RELTOL:
+                stages.append(res)
+            return res
+
+        monkeypatch.setattr(sv, "solve_cone_program", tap)
+        prob = bounded_packing(np.random.default_rng(seed), n, 10, rank_c)
+        sol = sv.solve_packing_lowrank(prob)
+        assert sol.route == "eps-path"
+        assert len(stages) == len(sv.SolveOptions().eps_schedule)
+        for res in stages:
+            assert res.status == "optimal"
+            assert res.relgap <= sv._PATH_RELTOL
+
     @pytest.mark.parametrize("error", [PathDiverged, PathNotMonotone])
     def test_decrease_raises(self, error):
         with pytest.raises(error, match="test path values decreased"):

@@ -15,8 +15,11 @@ The algorithm is a homogeneous self-dual embedding with Nesterov-Todd
 scaling and a Mehrotra-style predictor-corrector; infeasibility and
 unboundedness come out as certificates of the embedding.  The scaling is
 kept per cone block (a diagonal for nn blocks, a d x d matrix for soc
-blocks, the svec-space congruence by the scaling matrix for psd blocks)
-and applied block by block.  A dense LU of the scaled augmented system
+blocks, the svec-space congruence by the scaling matrix for psd blocks).
+Consecutive blocks of one kind and order form a run: the scaling of a run
+is stored and applied as one stacked operator, and for nn and soc runs it
+is also built, and the Jordan-algebra operations and step lengths
+computed, for the whole run at once.  A dense LU of the scaled augmented system
 with iterative refinement keeps the search directions accurate enough to
 push relative gaps to ~1e-11 on desk-scale problems, which the
 path-following solvers need for their monotonicity checks.
@@ -121,6 +124,11 @@ class ConeProgram:
         object.__setattr__(self, "G", np.atleast_2d(np.asarray(self.G, dtype=float)))
         object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
         object.__setattr__(self, "cones", tuple((str(k), int(d)) for k, d in self.cones))
+        for kind, d in self.cones:
+            if kind not in ("nn", "soc", "psd"):
+                raise InvalidInput(f"unknown cone kind {kind!r}")
+            if d < 0:
+                raise InvalidInput(f"cone {kind!r} has negative order {d}")
         if self.A is not None:
             object.__setattr__(self, "A", np.atleast_2d(np.asarray(self.A, dtype=float)))
             object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
@@ -144,13 +152,22 @@ class _Block:
         self.sl = slice(start, start + self.dim)
 
 
+def _rows(v: np.ndarray, sl: slice, blocks: list[_Block]) -> np.ndarray:
+    """The rows ``sl`` of ``v`` viewed as ``(k, d)``: one row per block of a
+    run of ``k`` blocks of dimension ``d``."""
+    return v[sl].reshape(len(blocks), blocks[0].dim)
+
+
 class _Layout:
+    """Cone blocks in row order, grouped into maximal runs of consecutive
+    blocks of one kind and order.  The Jordan-algebra operations work run
+    by run: an nn or soc run is one ``(k, d)`` view of the vector with the
+    block formulas computed along its rows; psd blocks go one at a time."""
+
     def __init__(self, cones):
         self.blocks: list[_Block] = []
         pos = 0
         for kind, d in cones:
-            if kind not in ("nn", "soc", "psd"):
-                raise InvalidInput(f"unknown cone kind {kind!r}")
             if d <= 0:
                 continue
             blk = _Block(kind, d, pos)
@@ -158,8 +175,6 @@ class _Layout:
             self.blocks.append(blk)
         self.m = pos
         self.deg = sum(b.order if b.kind in ("nn", "psd") else 1 for b in self.blocks)
-        # maximal runs of consecutive blocks of one kind and order, which the
-        # scaling stores and applies as one stacked operator
         self.runs: list[tuple[str, slice, list[_Block]]] = []
         for (kind, _), group in itertools.groupby(self.blocks,
                                                   key=lambda b: (b.kind, b.order)):
@@ -169,107 +184,129 @@ class _Layout:
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.m)
-        for b in self.blocks:
-            if b.kind == "nn":
-                e[b.sl] = 1.0
-            elif b.kind == "soc":
-                e[b.sl.start] = 1.0
+        for kind, sl, blocks in self.runs:
+            if kind == "nn":
+                e[sl] = 1.0
+            elif kind == "soc":
+                _rows(e, sl, blocks)[:, 0] = 1.0
             else:
-                e[b.sl] = svec(np.eye(b.order))
+                for b in blocks:
+                    e[b.sl] = svec(np.eye(b.order))
         return e
 
-    def margin(self, v: np.ndarray) -> float:
-        """Smallest cone eigenvalue across blocks (>= 0 iff ``v`` in K)."""
-        out = math.inf
-        for b in self.blocks:
-            u = v[b.sl]
-            if b.kind == "nn":
-                out = min(out, float(np.min(u)))
-            elif b.kind == "soc":
-                out = min(out, float(u[0] - np.linalg.norm(u[1:])))
+    def _block_margins(self, v: np.ndarray):
+        """Per-run arrays of each block's smallest cone eigenvalue."""
+        for kind, sl, blocks in self.runs:
+            if kind == "nn":
+                yield _rows(v, sl, blocks).min(axis=1)
+            elif kind == "soc":
+                U = _rows(v, sl, blocks)
+                yield U[:, 0] - np.linalg.norm(U[:, 1:], axis=1)
             else:
-                out = min(out, float(np.linalg.eigvalsh(smat(u, b.order))[0]))
-        return out
+                yield np.array([np.linalg.eigvalsh(smat(v[b.sl], b.order))[0]
+                                for b in blocks])
+
+    def margin(self, v: np.ndarray) -> float:
+        """Smallest cone eigenvalue across blocks (>= 0 iff ``v`` in K; nan
+        if any block holds a nan)."""
+        margins = list(self._block_margins(v))
+        return float(np.min(np.concatenate(margins))) if margins else math.inf
 
     def circ(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.empty(self.m)
-        for b in self.blocks:
-            ub, vb = u[b.sl], v[b.sl]
-            if b.kind == "nn":
-                out[b.sl] = ub * vb
-            elif b.kind == "soc":
-                out[b.sl.start] = ub @ vb
-                out[b.sl.start + 1:b.sl.stop] = ub[0] * vb[1:] + vb[0] * ub[1:]
+        for kind, sl, blocks in self.runs:
+            if kind == "nn":
+                out[sl] = u[sl] * v[sl]
+            elif kind == "soc":
+                U, V = _rows(u, sl, blocks), _rows(v, sl, blocks)
+                O = _rows(out, sl, blocks)
+                O[:, 0] = np.einsum("ij,ij->i", U, V)
+                O[:, 1:] = U[:, :1] * V[:, 1:] + V[:, :1] * U[:, 1:]
             else:
-                U, V = smat(ub, b.order), smat(vb, b.order)
-                out[b.sl] = svec(0.5 * (U @ V + V @ U))
+                for b in blocks:
+                    U, V = smat(u[b.sl], b.order), smat(v[b.sl], b.order)
+                    out[b.sl] = svec(0.5 * (U @ V + V @ U))
         return out
 
     def circ_solve(self, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Solve ``lam o u = v`` for ``u`` (``lam`` interior)."""
         out = np.empty(self.m)
-        for b in self.blocks:
-            lb, vb = lam[b.sl], v[b.sl]
-            if b.kind == "nn":
-                out[b.sl] = vb / lb
-            elif b.kind == "soc":
-                a = lb[0] ** 2 - lb[1:] @ lb[1:]
-                u0 = (lb[0] * vb[0] - lb[1:] @ vb[1:]) / a
-                out[b.sl.start] = u0
-                out[b.sl.start + 1:b.sl.stop] = (vb[1:] - u0 * lb[1:]) / lb[0]
+        for kind, sl, blocks in self.runs:
+            if kind == "nn":
+                out[sl] = v[sl] / lam[sl]
+            elif kind == "soc":
+                L, V = _rows(lam, sl, blocks), _rows(v, sl, blocks)
+                O = _rows(out, sl, blocks)
+                a = L[:, 0] ** 2 - np.einsum("ij,ij->i", L[:, 1:], L[:, 1:])
+                u0 = (L[:, 0] * V[:, 0]
+                      - np.einsum("ij,ij->i", L[:, 1:], V[:, 1:])) / a
+                O[:, 0] = u0
+                O[:, 1:] = (V[:, 1:] - u0[:, None] * L[:, 1:]) / L[:, :1]
             else:
-                L = smat(lb, b.order)
-                d = np.diag(L)
-                if np.allclose(L, np.diag(d)):
-                    # scaled points are diagonal by construction
-                    V = smat(vb, b.order)
-                    out[b.sl] = svec(2.0 * V / np.add.outer(d, d))
-                else:
-                    w, Q = np.linalg.eigh(L)
-                    V = Q.T @ smat(vb, b.order) @ Q
-                    out[b.sl] = svec(Q @ (2.0 * V / np.add.outer(w, w)) @ Q.T)
+                for b in blocks:
+                    out[b.sl] = _psd_circ_solve(lam[b.sl], v[b.sl], b.order)
         return out
 
     def max_step(self, lam: np.ndarray, d: np.ndarray) -> float:
         """Largest ``a`` with ``lam + t d`` in K for all ``t in [0, a]``."""
         out = math.inf
-        for b in self.blocks:
-            lb, db = lam[b.sl], d[b.sl]
-            if b.kind == "nn":
+        for kind, sl, blocks in self.runs:
+            if kind == "nn":
+                lb, db = lam[sl], d[sl]
                 neg = db < 0
                 if np.any(neg):
                     out = min(out, float(np.min(-lb[neg] / db[neg])))
-            elif b.kind == "soc":
-                # roots of |lb1 + a db1|^2 = (lb0 + a db0)^2
-                p2 = db[1:] @ db[1:] - db[0] ** 2
-                p1 = 2.0 * (lb[1:] @ db[1:] - lb[0] * db[0])
-                p0 = lb[1:] @ lb[1:] - lb[0] ** 2  # <= 0 inside
-                out = min(out, _smallest_positive_root(p2, p1, p0))
+            elif kind == "soc":
+                # roots of |l1 + a d1|^2 = (l0 + a d0)^2, block by block
+                L, D = _rows(lam, sl, blocks), _rows(d, sl, blocks)
+                p2 = np.einsum("ij,ij->i", D[:, 1:], D[:, 1:]) - D[:, 0] ** 2
+                p1 = 2.0 * (np.einsum("ij,ij->i", L[:, 1:], D[:, 1:])
+                            - L[:, 0] * D[:, 0])
+                # <= 0 inside
+                p0 = np.einsum("ij,ij->i", L[:, 1:], L[:, 1:]) - L[:, 0] ** 2
+                out = min(out, float(np.min(_smallest_positive_root(p2, p1, p0))))
             else:
-                L = smat(lb, b.order)
-                w, Q = np.linalg.eigh(L)
-                w = np.maximum(w, 1e-300)
-                scale = Q / np.sqrt(w)[None, :]
-                Dm = scale.T @ smat(db, b.order) @ scale
-                lo = float(np.linalg.eigvalsh(Dm)[0])
-                if lo < 0:
-                    out = min(out, -1.0 / lo)
+                for b in blocks:
+                    L = smat(lam[b.sl], b.order)
+                    w, Q = np.linalg.eigh(L)
+                    w = np.maximum(w, 1e-300)
+                    scale = Q / np.sqrt(w)[None, :]
+                    Dm = scale.T @ smat(d[b.sl], b.order) @ scale
+                    lo = float(np.linalg.eigvalsh(Dm)[0])
+                    if lo < 0:
+                        out = min(out, -1.0 / lo)
         return out
 
 
-def _smallest_positive_root(p2: float, p1: float, p0: float) -> float:
-    """Smallest positive root of ``p2 a^2 + p1 a + p0 = 0`` (inf if none)."""
-    if abs(p2) < 1e-300:
-        if p1 > 0 and p0 < 0:
-            return -p0 / p1
-        return math.inf
-    disc = p1 * p1 - 4.0 * p2 * p0
-    if disc < 0:
-        return math.inf
-    sq = math.sqrt(disc)
-    roots = [(-p1 - sq) / (2 * p2), (-p1 + sq) / (2 * p2)]
-    pos = [r for r in roots if r > 0]
-    return min(pos) if pos else math.inf
+def _psd_circ_solve(lb: np.ndarray, vb: np.ndarray, n: int) -> np.ndarray:
+    """Solve ``lam o u = v`` on one psd block of order ``n``."""
+    L = smat(lb, n)
+    d = np.diag(L)
+    if np.allclose(L, np.diag(d)):
+        # scaled points are diagonal by construction
+        return svec(2.0 * smat(vb, n) / np.add.outer(d, d))
+    w, Q = np.linalg.eigh(L)
+    V = Q.T @ smat(vb, n) @ Q
+    return svec(Q @ (2.0 * V / np.add.outer(w, w)) @ Q.T)
+
+
+def _smallest_positive_root(p2: np.ndarray, p1: np.ndarray,
+                            p0: np.ndarray) -> np.ndarray:
+    """Smallest positive root of ``p2 a^2 + p1 a + p0 = 0``, entry by entry
+    (inf where there is none)."""
+    out = np.full(p2.shape, math.inf)
+    # overflowing or nan coefficients end as inf or are skipped, silently
+    with np.errstate(all="ignore"):
+        linear = np.abs(p2) < 1e-300
+        hit = linear & (p1 > 0) & (p0 < 0)
+        out[hit] = -p0[hit] / p1[hit]
+        disc = p1 * p1 - 4.0 * p2 * p0
+        quad = ~linear & ~(disc < 0)
+        sq = np.sqrt(disc[quad])
+        a, b = -p1[quad], 2.0 * p2[quad]
+        roots = np.stack([(a - sq) / b, (a + sq) / b])
+        out[quad] = np.where(roots > 0, roots, math.inf).min(axis=0)
+    return out
 
 
 def _blockwise(ops, v: np.ndarray) -> np.ndarray:
@@ -290,36 +327,30 @@ def _blockwise(ops, v: np.ndarray) -> np.ndarray:
 
 
 class _Scaling:
-    """Nesterov-Todd scaling kept as one operator per cone block.
+    """Nesterov-Todd scaling kept as one stacked operator per run of blocks.
 
-    ``lam = W z = W^{-T} s`` is the scaled point.  Each block has its own
-    ``W`` and ``W^{-1}``: the diagonal as a vector for nn blocks, the
-    symmetric hyperbolic Householder matrix for soc blocks, and for psd
-    blocks the svec-space matrix of ``V -> R.T V R``, which is not
-    symmetric, so its transposes are kept as views.  Consecutive blocks of
-    one kind and order are stacked and applied together; ``W`` is never
-    formed as an m x m matrix.
+    ``lam = W z = W^{-T} s`` is the scaled point.  Each run of consecutive
+    blocks of one kind and order has its own ``W`` and ``W^{-1}``: the
+    diagonal as a vector for an nn run, ``(k, d, d)`` symmetric hyperbolic
+    Householder matrices for a soc run, built for the whole run at once, and
+    for a psd run the stacked svec-space matrices of ``V -> R.T V R``, which
+    are not symmetric, so their transposes are kept as views.  Each run is
+    applied by one batched product; ``W`` is never formed as an m x m matrix.
     """
 
     def __init__(self, layout: _Layout, s: np.ndarray, z: np.ndarray):
         self.lam = np.zeros(layout.m)
         self._W, self._Wt, self._Winv, self._Winvt = [], [], [], []
         for kind, run, blocks in layout.runs:
-            Ws, Wis = [], []
-            for b in blocks:
-                sb, zb = s[b.sl], z[b.sl]
-                if kind == "nn":
-                    w = np.sqrt(sb / zb)
-                    Wb, Wib, lb = w, 1.0 / w, np.sqrt(sb * zb)
-                elif kind == "soc":
-                    Wb, Wib, lb = _soc_scaling(sb, zb)
-                else:
-                    Wb, Wib, lb = _psd_scaling(sb, zb, b.order)
-                Ws.append(Wb)
-                Wis.append(Wib)
-                self.lam[b.sl] = lb
-            join = np.concatenate if kind == "nn" else np.stack
-            W, Wi = join(Ws), join(Wis)
+            if kind == "nn":
+                w = np.sqrt(s[run] / z[run])
+                W, Wi, lam = w, 1.0 / w, np.sqrt(s[run] * z[run])
+            elif kind == "soc":
+                W, Wi, lam = _soc_scaling(_rows(s, run, blocks), _rows(z, run, blocks))
+            else:
+                parts = [_psd_scaling(s[b.sl], z[b.sl], b.order) for b in blocks]
+                W, Wi, lam = (np.stack(a) for a in zip(*parts))
+            self.lam[run] = lam.ravel()
             symmetric = kind != "psd"
             self._W.append((run, W))
             self._Wt.append((run, W if symmetric else W.transpose(0, 2, 1)))
@@ -345,23 +376,30 @@ class _Scaling:
 
 
 def _soc_scaling(s: np.ndarray, z: np.ndarray):
-    J = np.diag(np.r_[1.0, -np.ones(s.shape[0] - 1)])
+    """NT scaling of ``k`` soc blocks of order ``d`` at once: ``s`` and ``z``
+    are ``(k, d)``; returns ``W`` and ``W^{-1}`` as ``(k, d, d)`` and
+    ``lam = W z`` as ``(k, d)``."""
+    J = np.diag(np.r_[1.0, -np.ones(s.shape[1] - 1)])
+    s0, z0 = s[:, 0], z[:, 0]
     # relative floors keep the scaling finite when an iterate touches the
     # boundary; the solver then stops on its stall test instead of overflowing
-    rho_s = math.sqrt(max(s[0] ** 2 - s[1:] @ s[1:], (1e-15 * s[0]) ** 2, 1e-300))
-    rho_z = math.sqrt(max(z[0] ** 2 - z[1:] @ z[1:], (1e-15 * z[0]) ** 2, 1e-300))
-    sb, zb = s / rho_s, z / rho_z
-    gamma = math.sqrt(max((1.0 + sb @ zb) / 2.0, 1e-300))
-    wbar = np.r_[sb[0] + zb[0], sb[1:] - zb[1:]] / (2.0 * gamma)
+    rho_s = np.sqrt(np.maximum(np.maximum(
+        s0 ** 2 - np.einsum("ij,ij->i", s[:, 1:], s[:, 1:]), (1e-15 * s0) ** 2), 1e-300))
+    rho_z = np.sqrt(np.maximum(np.maximum(
+        z0 ** 2 - np.einsum("ij,ij->i", z[:, 1:], z[:, 1:]), (1e-15 * z0) ** 2), 1e-300))
+    sb, zb = s / rho_s[:, None], z / rho_z[:, None]
+    gamma = np.sqrt(np.maximum((1.0 + np.einsum("ij,ij->i", sb, zb)) / 2.0, 1e-300))
+    wbar = np.concatenate([sb[:, :1] + zb[:, :1], sb[:, 1:] - zb[:, 1:]],
+                          axis=1) / (2.0 * gamma)[:, None]
     # hyperbolic Householder point: the Jordan square root of wbar
     v = wbar.copy()
-    v[0] += 1.0
-    v /= math.sqrt(2.0 * (wbar[0] + 1.0))
-    eta = math.sqrt(rho_s / rho_z)
-    W = eta * (2.0 * np.outer(v, v) - J)
-    jv = J @ v
-    Winv = (2.0 * np.outer(jv, jv) - J) / eta
-    return W, Winv, W @ z
+    v[:, 0] += 1.0
+    v /= np.sqrt(2.0 * (wbar[:, 0] + 1.0))[:, None]
+    eta = np.sqrt(rho_s / rho_z)[:, None, None]
+    W = eta * (2.0 * v[:, :, None] * v[:, None, :] - J)
+    jv = v @ J
+    Winv = (2.0 * jv[:, :, None] * jv[:, None, :] - J) / eta
+    return W, Winv, np.einsum("kij,kj->ki", W, z)
 
 
 def _chol_or_eig(S: np.ndarray) -> np.ndarray:
@@ -652,21 +690,18 @@ def _push_interior(layout: _Layout, v: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Shift a warm-start cone point into the interior, block by block,
     so that each block keeps a margin proportional to its own scale."""
     out = v.copy()
-    for b in layout.blocks:
-        u = out[b.sl]
-        if b.kind == "nn":
-            mean = float(np.mean(np.abs(u)))
-            margin = float(np.min(u))
-        elif b.kind == "soc":
-            mean = abs(float(u[0]))
-            margin = float(u[0] - np.linalg.norm(u[1:]))
+    for (kind, sl, blocks), margin in zip(layout.runs, layout._block_margins(v)):
+        U = _rows(out, sl, blocks)
+        if kind == "nn":
+            mean = np.mean(np.abs(U), axis=1)
+        elif kind == "soc":
+            mean = np.abs(U[:, 0])
         else:
-            S = smat(u, b.order)
-            mean = float(np.trace(S)) / b.order
-            margin = float(np.linalg.eigvalsh(S)[0])
-        target = 0.05 * (abs(mean) + 1.0)
-        if margin < target:
-            out[b.sl] = u + (target - margin) * e[b.sl]
+            r, c, _ = _svec_index(blocks[0].order)
+            mean = U[:, r == c].sum(axis=1) / blocks[0].order
+        target = 0.05 * (np.abs(mean) + 1.0)
+        low = margin < target
+        U[low] += (target - margin)[low, None] * _rows(e, sl, blocks)[low]
     return out
 
 

@@ -185,8 +185,7 @@ def solve_socp(socp: reduction.SocpProblem,
                           eq_duals=np.zeros(0),
                           report=_report_from_cone(res, Status.UNBOUNDED,
                                                    socp.sense),
-                          ray=res.ray if socp.sense == "min" else
-                          (None if res.ray is None else res.ray.copy()))
+                          ray=res.ray)
     if res.status == "near_unattained":
         status = Status.NEAR_UNATTAINED
     elif res.status == "optimal":

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import linprog
 
-from sdpack.conelp import (ConeProgram, _blockwise, _Layout, _Scaling,
-                           _svec_congruence, smat, solve_cone_program, svec,
-                           svec_dim)
+from sdpack.conelp import (ConeProgram, _blockwise, _Layout, _push_interior,
+                           _Scaling, _smallest_positive_root, _svec_congruence, smat,
+                           solve_cone_program, svec, svec_dim)
 from sdpack.errors import InvalidInput
 
 
@@ -42,10 +43,16 @@ def _interior_point(rng, cones):
     return np.concatenate(parts)
 
 
+# several soc runs, a run of one block, the degenerate order-1 cone and an nn
+# block between two runs of the same order
+SOC_RUNS = ((("soc", 3),) * 3 + (("soc", 1),) + (("soc", 4),) * 2 + (("nn", 2),)
+            + (("soc", 3),) * 2)
+
+
 class TestScalingIdentities:
     # each case is a layout: one block of each kind, then all three mixed
     @pytest.mark.parametrize("cone", [(("nn", 5),), (("soc", 4),), (("psd", 3),),
-                                      (("nn", 3), ("soc", 4), ("psd", 3))])
+                                      (("nn", 3), ("soc", 4), ("psd", 3)), SOC_RUNS])
     def test_nt_properties(self, cone):
         rng = np.random.default_rng(3)
         layout = _Layout(cone)
@@ -66,6 +73,85 @@ class TestScalingIdentities:
             assert np.allclose(sc.Wt(eye), W.T, atol=1e-9)
             assert np.allclose(sc.Winvt(eye), sc.Winv(eye).T, atol=1e-9)
             assert np.allclose(_blockwise(sc.gram(), eye), W.T @ W, atol=1e-9)
+
+
+class TestRunWideOps:
+    """Each run-wide operation equals the same operation on one single-block
+    layout per block."""
+
+    def test_runs(self):
+        layout = _Layout(SOC_RUNS)
+        assert [(kind, len(blocks)) for kind, _, blocks in layout.runs] == [
+            ("soc", 3), ("soc", 1), ("soc", 2), ("nn", 1), ("soc", 2)]
+
+    def test_matches_single_blocks(self):
+        rng = np.random.default_rng(6)
+        layout = _Layout(SOC_RUNS)
+        singles = [(b.sl, _Layout(((b.kind, b.order),))) for b in layout.blocks]
+        eye = np.eye(layout.m)
+        for _ in range(20):
+            s = _interior_point(rng, SOC_RUNS)
+            z = _interior_point(rng, SOC_RUNS)
+            v = rng.standard_normal(layout.m)
+            sc = _Scaling(layout, s, z)
+            lam = sc.lam
+            one_sc = [_Scaling(one, s[sl], z[sl]) for sl, one in singles]
+            np.testing.assert_allclose(lam, np.concatenate([o.lam for o in one_sc]),
+                                       rtol=1e-13)
+            for op in ("W", "Winv"):
+                blocks = [getattr(o, op)(np.eye(one.m))
+                          for o, (_, one) in zip(one_sc, singles)]
+                np.testing.assert_allclose(getattr(sc, op)(eye),
+                                           scipy.linalg.block_diag(*blocks), rtol=1e-13)
+            for name, args in (("circ", (s, v)), ("circ_solve", (lam, v))):
+                want = np.concatenate([getattr(one, name)(*(a[sl] for a in args))
+                                       for sl, one in singles])
+                np.testing.assert_allclose(getattr(layout, name)(*args), want,
+                                           rtol=1e-13)
+            for name, args in (("max_step", (lam, v)), ("margin", (v,))):
+                want = min(getattr(one, name)(*(a[sl] for a in args))
+                           for sl, one in singles)
+                assert getattr(layout, name)(*args) == pytest.approx(want, rel=1e-13)
+
+    def test_identity_and_push_interior(self):
+        layout = _Layout(SOC_RUNS)
+        e = layout.identity()
+        assert np.array_equal(e, np.concatenate([_Layout((c,)).identity()
+                                                 for c in SOC_RUNS]))
+        assert np.array_equal(layout.circ(e, e), e)
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal(layout.m)
+        pushed = _push_interior(layout, v, e)
+        for b in layout.blocks:
+            one = _Layout(((b.kind, b.order),))
+            np.testing.assert_allclose(pushed[b.sl],
+                                       _push_interior(one, v[b.sl], e[b.sl]),
+                                       rtol=1e-13)
+        assert layout.margin(pushed) > 0
+
+
+class TestSmallestPositiveRoot:
+    @pytest.mark.parametrize("p2, p1, p0, root", [
+        (0.0, 2.0, -3.0, 1.5),          # linear with a positive root
+        (0.0, -2.0, -3.0, np.inf),      # linear, root negative
+        (1e-301, 2.0, -3.0, 1.5),       # treated as linear
+        (1.0, 0.0, 1.0, np.inf),        # negative discriminant
+        (1.0, 3.0, 2.0, np.inf),        # roots -1 and -2: none positive
+        (1.0, -3.0, 2.0, 1.0),          # roots 1 and 2
+        (-1.0, 0.0, 4.0, 2.0),          # roots -2 and 2
+        (1.0, 1.0, 0.0, np.inf),        # roots 0 and -1: zero is not positive
+    ])
+    def test_cases(self, p2, p1, p0, root):
+        got = _smallest_positive_root(np.array([p2]), np.array([p1]), np.array([p0]))
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(root)
+
+    def test_vectorized(self):
+        p2 = np.array([0.0, 1.0, 1.0, 1.0])
+        p1 = np.array([2.0, 0.0, 3.0, -3.0])
+        p0 = np.array([-3.0, 1.0, 2.0, 2.0])
+        np.testing.assert_array_equal(_smallest_positive_root(p2, p1, p0),
+                                      [1.5, np.inf, np.inf, 1.0])
 
 
 class TestSvecCongruence:
@@ -96,6 +182,13 @@ class TestJordanOps:
             u = layout.circ_solve(lam, v)
             assert np.allclose(layout.circ(lam, u), v, atol=1e-8)
 
+    def test_margin_nan_in_any_block(self):
+        layout = _Layout((("nn", 1), ("soc", 2), ("soc", 2)))
+        for i in range(layout.m):
+            v = layout.identity()
+            v[i] = np.nan
+            assert np.isnan(layout.margin(v))
+
     def test_max_step_hits_boundary(self):
         rng = np.random.default_rng(5)
         layout = _Layout((("nn", 2), ("soc", 3), ("psd", 2)))
@@ -108,6 +201,24 @@ class TestJordanOps:
                 continue
             assert layout.margin(e + 0.999 * a * d) >= -1e-9
             assert layout.margin(e + 1.01 * a * d + 0.001 * d) <= 1e-9
+
+
+class TestConeProgramValidation:
+    G, h, c = np.vstack([np.eye(2), -np.ones((1, 2))]), np.ones(3), np.ones(2)
+
+    @pytest.mark.parametrize("cones", [[("nn", 2), ("psd", -2)],
+                                       [("nn", 3), ("psd", -1)],
+                                       [("nn", 4), ("soc", -1)],
+                                       [("nn", 2), ("exp", 1)]])
+    def test_rejected_at_construction(self, cones):
+        # each list covers the three rows of G, so only the cone check fails
+        with pytest.raises(InvalidInput):
+            ConeProgram(c=self.c, G=self.G, h=self.h, cones=cones)
+
+    def test_zero_order_blocks_allowed(self):
+        prog = ConeProgram(c=self.c, G=self.G, h=self.h,
+                           cones=[("soc", 0), ("nn", 3), ("psd", 0)])
+        assert solve_cone_program(prog).optimal
 
 
 class TestSolver:

@@ -10,7 +10,8 @@ Subcommands (all read the JSON problem documents of :mod:`sdpack.model`):
 * ``gap-bound``  -- guaranteed-rank and rank-one-gap numbers only
 
 Exit codes: 0 ok, 2 bad input, 3 unbounded, 4 infeasible, 5 numerical
-failure.  ``SDPACK_TOL`` overrides the default tolerance; reports are JSON
+failure.  ``SDPACK_TOL`` overrides the default tolerance; a tolerance that
+is not positive and finite exits 2 for every subcommand.  Reports are JSON
 by default (``--report text`` rounds to 9 significant digits).
 """
 
@@ -49,22 +50,22 @@ def _num(v):
     return v if math.isfinite(v) else None
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("SDPACK_TOL")
+def _tolerance(args) -> float:
+    """``--tol``, else ``SDPACK_TOL``, else 1e-8; positive and finite."""
+    raw, source = args.tol, "--tol"
     if raw is None:
-        return 1e-8
+        raw, source = os.environ.get("SDPACK_TOL", "1e-8"), "SDPACK_TOL"
     try:
         tol = float(raw)
     except ValueError:
-        raise SchemaError(f"SDPACK_TOL is not a number: {raw!r}")
-    if tol <= 0:
-        raise SchemaError(f"SDPACK_TOL must be positive: {raw!r}")
+        raise SchemaError(f"{source} is not a number: {raw!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise SchemaError(f"{source} must be positive and finite: {raw!r}")
     return tol
 
 
 def _options(args) -> solving.SolveOptions:
-    tol = args.tol if args.tol is not None else _default_tol()
-    return solving.SolveOptions(tol=tol, max_iter=args.max_iter)
+    return solving.SolveOptions(tol=args.tol, max_iter=args.max_iter)
 
 
 def _load_problem(path: str):
@@ -74,13 +75,6 @@ def _load_problem(path: str):
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}")
     return model.parse_problem(text)
-
-
-def _kkt_doc(k: model.KktResiduals | None):
-    if k is None:
-        return None
-    return {"primal": k.primal, "dual": k.dual,
-            "complementarity": k.complementarity}
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +137,7 @@ def cmd_solve(path: str, args) -> dict:
             "file": path,
             "status": sol.status.value,
             "objective": _num(sol.objective),
-            "rank": linalg.rank_tol(sol.X, opts.rank_threshold)
+            "rank": linalg.rank_tol(sol.X, solving._RANK_THRESHOLD)
             if sol.X.size else 0,
             "lambda": model._vec(sol.lam),
             "gamma": [float(g) for g in sol.gamma],
@@ -159,7 +153,7 @@ def cmd_solve(path: str, args) -> dict:
         "objective": _num(sol.objective),
         "rank": sol.numerical_rank,
         "mu": model._vec(sol.mu),
-        "kkt": _kkt_doc(sol.kkt_residuals),
+        "kkt": model._kkt_doc(sol.kkt_residuals),
         "route": sol.route,
         "path_values": [float(v) for v in sol.path_values],
     }
@@ -212,7 +206,7 @@ def cmd_design(path: str, args) -> dict:
         "criterion_value": _num(sol.objective),
         "solution_rank": sol.numerical_rank,
         "route": sol.route,
-        "kkt": _kkt_doc(sol.kkt_residuals),
+        "kkt": model._kkt_doc(sol.kkt_residuals),
     }
 
 
@@ -227,15 +221,14 @@ def cmd_verify(problem_path: str, solution_path: str, args) -> dict:
         raise SchemaError(f"cannot read {solution_path}: {exc}")
     if not isinstance(sol, model.Solution):
         raise SchemaError(f"{solution_path}: expected a packing solution")
-    tol = args.tol if args.tol is not None else _default_tol()
-    res, passed = solving.kkt_check(prob, sol.X, sol.mu, tol)
+    res, passed = solving.kkt_check(prob, sol.X, sol.mu, args.tol)
     worst = max(("primal", res.primal), ("dual", res.dual),
                 ("complementarity", res.complementarity), key=lambda kv: kv[1])
     return {
         "problem": problem_path,
         "solution": solution_path,
-        "residuals": _kkt_doc(res),
-        "tol": tol,
+        "residuals": model._kkt_doc(res),
+        "tol": args.tol,
         "scale": solving.kkt_scale(prob, sol.X, sol.mu),
         "pass": passed,
         "worst_block": worst[0],
@@ -358,6 +351,7 @@ def main(argv=None) -> int:
         "gap-bound": cmd_gap_bound,
     }
     try:
+        args.tol = _tolerance(args)
         if args.command == "verify":
             _emit(cmd_verify(args.problem, args.solution, args), args)
             return EXIT_OK

@@ -13,7 +13,12 @@ product of the matrices.
 
 The algorithm is a homogeneous self-dual embedding with Nesterov-Todd
 scaling and a Mehrotra-style predictor-corrector; infeasibility and
-unboundedness come out as certificates of the embedding.  The scaling is
+unboundedness come out as certificates of the embedding.  The engine
+reports only what it measured: ``optimal``, ``primal_infeasible``,
+``dual_infeasible``, or ``max_iterations`` with the best iterate seen when
+the iteration limit, a stall or a breakdown stops it first.  Judging such
+a stop (close enough, or an optimum no finite point attains) is left to
+the callers in ``sdpack.solve``.  The scaling is
 kept per cone block (a diagonal for nn blocks, a d x d matrix for soc
 blocks, the svec-space congruence by the scaling matrix for psd blocks).
 Consecutive blocks of one kind and order form a run: the scaling of a run
@@ -440,7 +445,7 @@ def _svec_congruence(R: np.ndarray) -> np.ndarray:
 @dataclass
 class ConeResult:
     status: str                    # optimal | primal_infeasible | dual_infeasible |
-                                   # near_unattained | max_iterations | numerical_failure
+                                   # max_iterations (the best iterate seen)
     x: np.ndarray | None = None
     y: np.ndarray | None = None
     z: np.ndarray | None = None
@@ -471,7 +476,8 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
     """Run the interior-point iteration on ``prog``.
 
     ``warm`` may carry ``(x, y, s, z)`` from a related solve; the pair is
-    pushed back into the cone interior before use.
+    pushed back into the cone interior before use.  Returns an ``optimal``
+    or certificate result, else the best iterate as ``max_iterations``.
     """
     layout = _Layout(prog.cones)
     if feastol is None:
@@ -581,14 +587,6 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
                                   pres=pres, dres=dres, gap=gap, relgap=relgap,
                                   cone_slices=slices)
 
-        # unattained-supremum heuristic: gap closing but iterates diverging
-        if (relgap <= 1e3 * reltol and pres <= 1e2 * feastol and dres <= 1e2 * feastol
-                and np.linalg.norm(xt, np.inf) > 1e8 * (norm_b + norm_h)):
-            res = best if best is not None else ConeResult(status="near_unattained")
-            res.status = "near_unattained"
-            res.iterations = it
-            return res
-
         if it == max_iter:
             break
         if mu > 0.9 * last_mu:
@@ -678,11 +676,6 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
 
     if best is None:
         raise NumericalFailure("interior-point iteration produced no iterate")
-    # classify the stopped iterate
-    if best.relgap <= 1e3 * reltol and best.pres <= 1e2 * feastol \
-            and best.dres <= 1e2 * feastol \
-            and np.linalg.norm(best.x, np.inf) > 1e6 * (norm_b + norm_h):
-        best.status = "near_unattained"
     return best
 
 

@@ -285,12 +285,14 @@ def _parse_combined(doc: dict) -> CombinedProblem:
     h0 = _as_vector(doc.get("h0", []), "h0")
     q = h0.shape[0]
     hs_doc = doc.get("h")
-    if hs_doc is None and doc.get("H") is not None:
+    H_doc = None
+    if doc.get("H") is not None:
         H_doc = _as_matrix(doc["H"], "H") if len(doc["H"]) else np.zeros((q, l))
         if H_doc.shape != (q, l):
             raise ValidationError(f"H: shape {H_doc.shape} != ({q}, {l})",
                                   witness=(H_doc.shape, (q, l)))
-        hs_doc = [list(H_doc[:, j]) for j in range(l)]
+        if hs_doc is None:
+            hs_doc = [list(H_doc[:, j]) for j in range(l)]
     if hs_doc is None:
         hs = tuple(np.zeros(q) for _ in range(l))
     else:
@@ -307,14 +309,9 @@ def _parse_combined(doc: dict) -> CombinedProblem:
         hs = tuple(hs)
 
     H = np.column_stack(hs) if l and q else np.zeros((q, l))
-    if doc.get("H") is not None:
-        H_doc = _as_matrix(doc["H"], "H") if len(doc["H"]) else np.zeros((q, l))
-        if H_doc.shape != (q, l):
-            raise ValidationError(f"H: shape {H_doc.shape} != ({q}, {l})",
-                                  witness=(H_doc.shape, (q, l)))
-        if not np.array_equal(H_doc, H):
-            j = int(np.argmax(np.any(H_doc != H, axis=0)))
-            raise ValidationError(f"H column {j} does not equal h[{j}]", witness=j)
+    if H_doc is not None and not np.array_equal(H_doc, H):
+        j = int(np.argmax(np.any(H_doc != H, axis=0)))
+        raise ValidationError(f"H column {j} does not equal h[{j}]", witness=j)
     return CombinedProblem(C=C, mats=mats, b=b, R0=R0, Rs=Rs, h0=h0, hs=hs, H=H)
 
 
@@ -466,6 +463,13 @@ def _vec(a: np.ndarray) -> list:
     return [float(v) for v in np.asarray(a)]
 
 
+def _kkt_doc(k: KktResiduals | None) -> dict | None:
+    if k is None:
+        return None
+    return {"primal": k.primal, "dual": k.dual,
+            "complementarity": k.complementarity}
+
+
 def to_document(obj) -> dict:
     """Convert a problem or solution to a JSON-ready dict."""
     if isinstance(obj, PackingProblem):
@@ -510,11 +514,7 @@ def to_document(obj) -> dict:
             "status": obj.status.value,
         }
         if obj.kkt_residuals is not None:
-            doc["kkt_residuals"] = {
-                "primal": obj.kkt_residuals.primal,
-                "dual": obj.kkt_residuals.dual,
-                "complementarity": obj.kkt_residuals.complementarity,
-            }
+            doc["kkt_residuals"] = _kkt_doc(obj.kkt_residuals)
         return doc
     if isinstance(obj, CombinedSolution):
         return {

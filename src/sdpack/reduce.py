@@ -318,7 +318,7 @@ def combined_dual_phase1(cmb: CombinedProblem) -> tuple[bool, np.ndarray, float]
     beq = -cmb.h0 if q else None
     res = solve_cone_program(ConeProgram(c=c, G=G, h=h, cones=cones, A=A, b=beq),
                              reltol=1e-9)
-    if res.status == "primal_infeasible" or res.x is None:
+    if res.x is None:
         return False, np.zeros(l), math.inf
     t = float(res.x[-1])
     tol = 1e-7 * max(1.0, float(np.linalg.norm(cmb.C)))

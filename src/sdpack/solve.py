@@ -37,9 +37,13 @@ _PATH_RELTOL = 1e-11
 _PATH_FEASTOL = 1e-9
 _MONOTONE_SLACK = 1e-9
 
-
-def _geometric(start: float, stop: float, count: int) -> tuple[float, ...]:
-    return tuple(float(v) for v in np.geomspace(start, stop, count))
+# perturbation sizes of the eps-path, trace caps of the eta-path (both
+# strictly decreasing), and the two caps of the dual extrapolation
+_EPS_SCHEDULE = tuple(np.geomspace(1e-2, 1e-8, 7).tolist())
+_ETA_SCHEDULE = tuple(np.geomspace(1.0, 1e-6, 7).tolist())
+_DUAL_CAPS = (2e-5, 1e-5)
+# eigenvalues below this fraction of the largest count as zero
+_RANK_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -48,19 +52,11 @@ class SolveOptions:
 
     tol: float = 1e-8
     max_iter: int = 200
-    eps_schedule: tuple[float, ...] = _geometric(1e-2, 1e-8, 7)
-    eta_schedule: tuple[float, ...] = _geometric(1.0, 1e-6, 7)
-    rank_threshold: float = 1e-6
 
     def __post_init__(self):
-        for name in ("eps_schedule", "eta_schedule"):
-            sched = np.asarray(getattr(self, name), dtype=float)
-            if sched.size == 0 or np.any(sched <= 0) \
-                    or np.any(np.diff(sched) >= 0):
-                raise InvalidInput(f"{name} must be strictly decreasing and "
-                                   "positive")
-        if self.tol <= 0 or self.rank_threshold <= 0 or self.max_iter < 1:
-            raise InvalidInput("tol, rank_threshold, max_iter must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0) or self.max_iter < 1:
+            raise InvalidInput("tol must be positive and finite, max_iter "
+                               "positive")
 
 
 @dataclass(frozen=True)
@@ -152,6 +148,33 @@ def _socp_to_cone_program(socp: reduction.SocpProblem) -> tuple[ConeProgram, int
     return prog, n_ineq
 
 
+_ENGINE_STATUS = {"optimal": Status.OPTIMAL,
+                  "primal_infeasible": Status.INFEASIBLE,
+                  "dual_infeasible": Status.UNBOUNDED}
+
+
+def _classify(res: ConeResult, prog: ConeProgram, tol: float, best) -> Status:
+    """Status of an engine result.  Certificates map to infeasible or
+    unbounded.  A ``max_iterations`` stop whose iterate diverged while its
+    residuals and gap are clean is a bounded value that no finite point
+    attains (near-unattained); a stop within ``1e3 * tol`` of the target
+    is reported as ``MAX_ITERATIONS``; anything further off raises
+    ``MaxIterations`` carrying ``best(Status.MAX_ITERATIONS)``."""
+    if res.status != "max_iterations":
+        return _ENGINE_STATUS[res.status]
+    scale = 1.0 + float(np.linalg.norm(prog.h)) \
+        + (float(np.linalg.norm(prog.b)) if prog.b is not None else 0.0)
+    diverged = float(np.linalg.norm(res.x, np.inf)) > 1e4 * scale
+    clean = (res.relgap <= 1e3 * tol and res.pres <= 1e2 * tol
+             and res.dres <= 1e2 * tol)
+    if diverged and clean:
+        return Status.NEAR_UNATTAINED
+    if max(res.pres, res.dres, res.relgap) <= 1e3 * tol:
+        return Status.MAX_ITERATIONS
+    raise MaxIterations("iteration limit before convergence",
+                        best=best(Status.MAX_ITERATIONS))
+
+
 def _report_from_cone(res: ConeResult, status: Status, sense: str) -> SolveReport:
     sign = -1.0 if sense == "max" else 1.0
     return SolveReport(primal=sign * res.pcost, dual=sign * res.dcost,
@@ -163,50 +186,25 @@ def solve_socp(socp: reduction.SocpProblem,
                opts: SolveOptions | None = None) -> SocpResult:
     """Solve a second-order cone problem.
 
-    Statuses: optimal (gap below ``opts.tol``), unbounded (with an improving
-    ray), infeasible, or near-unattained (bounded value whose supremum the
-    iterates cannot reach).  Iteration-limit and breakdown cases raise
-    ``MaxIterations`` / ``NumericalFailure``.
+    Statuses (see :func:`_classify`): optimal (gap below ``opts.tol``),
+    unbounded (with an improving ray), infeasible, near-unattained (bounded
+    value whose supremum the iterates cannot reach), or max-iterations (the
+    best iterate of a stop close to the target).  A stop further off raises
+    ``MaxIterations`` with that iterate as ``best``.
     """
     opts = opts or SolveOptions()
     prog, n_ineq = _socp_to_cone_program(socp)
     res = solve_cone_program(prog, reltol=opts.tol, max_iter=opts.max_iter)
-    sign = -1.0 if socp.sense == "max" else 1.0
-
-    if res.status == "primal_infeasible":
-        return SocpResult(x=np.zeros(socp.nvars), value=math.nan,
+    status = _classify(res, prog, opts.tol,
+                       lambda st: _socp_result(socp, res, n_ineq, st))
+    if status in (Status.INFEASIBLE, Status.UNBOUNDED):
+        unbounded = status is Status.UNBOUNDED
+        return SocpResult(x=np.zeros(socp.nvars),
+                          value=math.inf if unbounded else math.nan,
                           cone_duals=(), ineq_duals=np.zeros(n_ineq),
                           eq_duals=np.zeros(0),
-                          report=_report_from_cone(res, Status.INFEASIBLE,
-                                                   socp.sense))
-    if res.status == "dual_infeasible":
-        return SocpResult(x=np.zeros(socp.nvars), value=math.inf,
-                          cone_duals=(), ineq_duals=np.zeros(n_ineq),
-                          eq_duals=np.zeros(0),
-                          report=_report_from_cone(res, Status.UNBOUNDED,
-                                                   socp.sense),
+                          report=_report_from_cone(res, status, socp.sense),
                           ray=res.ray)
-    if res.status == "near_unattained":
-        status = Status.NEAR_UNATTAINED
-    elif res.status == "optimal":
-        status = Status.OPTIMAL
-    elif res.status == "max_iterations":
-        # bounded value but diverging iterates with an otherwise-clean stop
-        # means the supremum is not attained by any finite point
-        scale = 1.0 + float(np.linalg.norm(prog.h)) \
-            + (float(np.linalg.norm(prog.b)) if prog.b is not None else 0.0)
-        diverged = (res.x is not None
-                    and float(np.linalg.norm(res.x, np.inf)) > 1e4 * scale)
-        clean = (res.relgap <= 1e3 * opts.tol and res.pres <= 1e2 * opts.tol
-                 and res.dres <= 1e2 * opts.tol)
-        if diverged and clean:
-            status = Status.NEAR_UNATTAINED
-        else:
-            raise MaxIterations("iteration limit before convergence",
-                                best=_socp_result(socp, res, n_ineq,
-                                                  Status.MAX_ITERATIONS))
-    else:
-        raise NumericalFailure("interior-point breakdown in the cone solver")
     return _socp_result(socp, res, n_ineq, status)
 
 
@@ -251,7 +249,7 @@ def solve_dual_packing(problem: PackingProblem,
     prog = ConeProgram(c=problem.b.copy(), G=G, h=h,
                        cones=[("nn", l), ("psd", n)])
     res = solve_cone_program(prog, reltol=opts.tol, max_iter=opts.max_iter)
-    if res.status not in ("optimal", "max_iterations") or res.x is None:
+    if res.x is None:
         raise NumericalFailure(f"dual solve ended with {res.status}")
     return np.clip(res.x, 0.0, None), float(res.pcost)
 
@@ -263,9 +261,15 @@ def solve_sdp(problem, opts: SolveOptions | None = None):
     one sweep, returning a full :class:`Solution`; infeasibility and
     unboundedness are decided by the exact certificates first.  When the
     constraint sum is rank deficient the solve runs in a rotated basis of
-    its range (an exact transformation that restores dual interiority).  A
-    raw :class:`~sdpack.conelp.ConeProgram` is passed straight to the
-    engine and the engine result returned.
+    its range (an exact transformation that restores dual interiority).
+    The engine's stop is judged by :func:`_classify`: optimal,
+    near-unattained or max-iterations, or ``MaxIterations`` raised with
+    the best iterate.  A raw :class:`~sdpack.conelp.ConeProgram` is passed
+    straight to the engine and the engine result returned.
+
+    This solve stays independent of :func:`~sdpack.reduce.project_packing`
+    on purpose: it is the reference the low-rank pipeline is checked
+    against.
     """
     opts = opts or SolveOptions()
     if isinstance(problem, ConeProgram):
@@ -306,28 +310,13 @@ def solve_sdp(problem, opts: SolveOptions | None = None):
         X = linalg.symmetrize(U @ X @ U.T)
     mu = np.clip(res.z[:problem.l], 0.0, None)
 
-    if res.status == "near_unattained":
-        status = Status.NEAR_UNATTAINED
-    elif res.status == "optimal":
-        status = Status.OPTIMAL
-    elif res.status == "max_iterations" \
-            and max(res.pres, res.dres, res.relgap) <= 1e3 * opts.tol:
-        # stalled short of target but close; report honestly, do not raise
-        status = Status.MAX_ITERATIONS
-    elif res.status == "max_iterations":
+    def solution(status: Status) -> Solution:
         kkt, _ = kkt_check(problem, X, mu, opts.tol)
-        raise MaxIterations(
-            "iteration limit before convergence",
-            best=Solution(X=X, objective=float(np.trace(problem.C @ X)),
-                          numerical_rank=linalg.rank_tol(X, opts.rank_threshold),
-                          mu=mu, status=Status.MAX_ITERATIONS,
-                          kkt_residuals=kkt))
-    else:
-        raise NumericalFailure("interior-point breakdown in the dense oracle")
-    kkt, _ = kkt_check(problem, X, mu, opts.tol)
-    return Solution(X=X, objective=float(np.trace(problem.C @ X)),
-                    numerical_rank=linalg.rank_tol(X, opts.rank_threshold),
-                    mu=mu, status=status, kkt_residuals=kkt, route="direct")
+        return Solution(X=X, objective=float(np.trace(problem.C @ X)),
+                        numerical_rank=linalg.rank_tol(X, _RANK_THRESHOLD),
+                        mu=mu, status=status, kkt_residuals=kkt, route="direct")
+
+    return solution(_classify(res, prog, opts.tol, solution))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +406,7 @@ def solve_packing_lowrank(problem: PackingProblem,
         if kkt_new.max() < kkt.max():
             X, mu, kkt = Xp, mu_new, kkt_new
     return Solution(X=X, objective=float(np.trace(problem.C @ X)),
-                    numerical_rank=linalg.rank_tol(X, opts.rank_threshold),
+                    numerical_rank=linalg.rank_tol(X, _RANK_THRESHOLD),
                     mu=mu, status=Status.OPTIMAL, kkt_residuals=kkt,
                     route=route, path_values=tuple(path))
 
@@ -528,18 +517,19 @@ def _rank_one_route(inner: PackingProblem, opts: SolveOptions):
     return X_red, np.clip(mu_red, 0.0, None), ()
 
 
-def _follow_path(build, schedule, max_iter: int, accept: tuple[str, ...],
-                 what: str, warm_start: bool = True) -> list[ConeResult]:
+def _follow_path(build, schedule, max_iter: int, what: str,
+                 warm_start: bool = True) -> list[ConeResult]:
     """Solve ``build(v)`` for each ``v`` in ``schedule`` at the path
     tolerances, each stage warm-started from the previous one unless
-    ``warm_start`` is off.  A stage whose engine status is not in
-    ``accept`` raises ``NumericalFailure`` naming ``what`` and ``v``."""
+    ``warm_start`` is off.  A stage that returns a certificate instead of
+    an iterate raises ``NumericalFailure`` naming ``what`` and ``v``; an
+    optimal or ``max_iterations`` stage is kept."""
     warm, results = None, []
     for v in schedule:
         res = solve_cone_program(build(v), reltol=_PATH_RELTOL,
                                  feastol=_PATH_FEASTOL, max_iter=max_iter,
                                  warm=warm)
-        if res.status not in accept or res.x is None:
+        if res.x is None:
             raise NumericalFailure(f"{what}={v:g} ended with {res.status}")
         if warm_start:
             warm = (res.x, res.y, res.s, res.z)
@@ -559,13 +549,12 @@ def _check_monotone(values, error: type[Exception], what: str) -> None:
 def _eps_path_route(inner: PackingProblem, opts: SolveOptions):
     results = _follow_path(
         lambda eps: _packing_cone_program(inner.C, inner.mats, inner.b, eps=eps),
-        opts.eps_schedule, opts.max_iter, ("optimal", "max_iterations"),
-        "perturbed solve at eps")
+        _EPS_SCHEDULE, opts.max_iter, "perturbed solve at eps")
     values = [-res.pcost for res in results]
     _check_monotone(values, PathDiverged, "perturbation-path")
     final = results[-1]
     X = linalg.symmetrize(smat(final.x, inner.n))
-    X = _truncate_feasible(inner, X, opts.rank_threshold)
+    X = _truncate_feasible(inner, X, _RANK_THRESHOLD)
     mu = np.clip(final.z[:inner.l], 0.0, None)
     return X, mu, values
 
@@ -639,17 +628,15 @@ def solve_combined_eta(cmb: CombinedProblem,
     eps = 1e-9 * mat_scale
 
     results = _follow_path(lambda cap: _combined_cone_program(cmb, cap, eps),
-                           opts.eta_schedule, opts.max_iter,
-                           ("optimal", "max_iterations", "near_unattained"),
-                           "trace-cap solve at cap")
+                           _ETA_SCHEDULE, opts.max_iter, "trace-cap solve at cap")
     gammas = [-res.pcost for res in results]
     _check_monotone(gammas, PathNotMonotone, "trace-cap path")
 
     norms, ranks = [], []
     for res in results:
         X, Y, lam = _split_combined(res.x, cmb)
-        Xt = truncate_psd(X, opts.rank_threshold)
-        ranks.append(linalg.rank_tol(Xt, opts.rank_threshold))
+        Xt = truncate_psd(X, _RANK_THRESHOLD)
+        ranks.append(linalg.rank_tol(Xt, _RANK_THRESHOLD))
         norms.append(float(np.trace(X)) + (float(np.trace(Y)) if cmb.p else 0.0)
                      + float(np.linalg.norm(lam, 1)))
     scale = max(1.0, float(np.max(np.abs(gammas))))
@@ -675,7 +662,6 @@ def _split_combined(x: np.ndarray, cmb: CombinedProblem):
 
 def solve_combined_dual(cmb: CombinedProblem,
                         opts: SolveOptions | None = None,
-                        caps: tuple[float, float] = (2e-5, 1e-5),
                         ) -> tuple[np.ndarray, float]:
     """Optimal multipliers and value of the dual of a combined problem.
 
@@ -692,12 +678,12 @@ def solve_combined_dual(cmb: CombinedProblem,
     # cold starts: these solves need full accuracy and the warm point sits
     # too close to the boundary to help
     results = _follow_path(lambda cap: _combined_cone_program(cmb, cap, eps=0.0),
-                           caps, opts.max_iter, ("optimal", "max_iterations"),
-                           "capped solve at cap", warm_start=False)
+                           _DUAL_CAPS, opts.max_iter, "capped solve at cap",
+                           warm_start=False)
     mu_last = np.clip(results[-1].z[:cmb.l], 0.0, None)
     # value is linear in the cap while the cap binds; extrapolate to zero
     v1, v2 = (-res.pcost for res in results)
-    ratio = caps[0] / caps[1]
+    ratio = _DUAL_CAPS[0] / _DUAL_CAPS[1]
     value = v2 + (v2 - v1) / (ratio - 1.0)
     scale = max(1.0, abs(v2))
     if abs(v2 - v1) <= 10.0 * _PATH_RELTOL * scale:

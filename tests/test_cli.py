@@ -219,6 +219,20 @@ class TestVerify:
         assert doc["pass"] is False
         assert doc["worst_block"] == "dual"
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nonfinite_tol_rejected(self, capsys, tmp_path, tol):
+        # the multiplier is off by 0.5: no finite tolerance below that passes
+        prob = write(tmp_path, "p.json", {
+            "kind": "packing", "C": [[1.0, 0.0], [0.0, 0.0]],
+            "constraints": [{"M": [[1.0, 0.0], [0.0, 1.0]], "b": 1.0}]})
+        sol = write(tmp_path, "s.json", {
+            "kind": "solution", "X": [[1.0, 0.0], [0.0, 0.0]],
+            "objective": 1.0, "numerical_rank": 1, "mu": [0.5],
+            "status": "optimal"})
+        code, doc = run(capsys, ["verify", prob, sol, "--tol", tol])
+        assert code == 2
+        assert "pass" not in doc
+
     def test_dimension_mismatch_exit_2(self, capsys, tmp_path):
         prob = write(tmp_path, "p.json", {
             "kind": "packing", "C": [[1.0, 0.0], [0.0, 0.0]],
@@ -257,9 +271,19 @@ class TestEnvAndFormats:
         assert code == 0
 
     def test_bad_env_tolerance(self, capsys, rank1_file, monkeypatch):
-        monkeypatch.setenv("SDPACK_TOL", "banana")
-        code, doc = run(capsys, ["solve", rank1_file])
+        for raw in ("banana", "nan", "inf", "0", "-1e-8"):
+            monkeypatch.setenv("SDPACK_TOL", raw)
+            code, doc = run(capsys, ["solve", rank1_file])
+            assert code == 2, raw
+            assert "SDPACK_TOL" in doc["message"]
+
+    @pytest.mark.parametrize("command", ["analyze", "reduce", "solve", "design",
+                                         "gap-bound"])
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nonfinite_flag_tolerance(self, capsys, rank1_file, command, tol):
+        code, doc = run(capsys, [command, rank1_file, "--tol", tol])
         assert code == 2
+        assert "--tol" in doc["message"]
 
     def test_text_report(self, capsys, rank1_file):
         code = cli.main(["analyze", rank1_file, "--report", "text"])

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from instances import bounded_packing, packing, subspace_packing
@@ -5,9 +8,10 @@ from instances import bounded_packing, packing, subspace_packing
 from sdpack import reduce as rd
 from sdpack import solve as sv
 from sdpack.analysis import check_bounded
+from sdpack.conelp import ConeProgram, ConeResult
 from sdpack.errors import (InfeasibleInput, InfeasiblePrimal, InvalidInput,
-                           PathDiverged, PathNotMonotone, UnboundedInput,
-                           ZeroDual)
+                           MaxIterations, NumericalFailure, PathDiverged,
+                           PathNotMonotone, UnboundedInput, ZeroDual)
 from sdpack.model import Status, parse_problem
 
 
@@ -36,19 +40,112 @@ def tangent_combined():
 class TestOptions:
     def test_defaults_valid(self):
         opts = sv.SolveOptions()
-        assert opts.eps_schedule[0] == pytest.approx(1e-2)
-        assert opts.eps_schedule[-1] == pytest.approx(1e-8)
-        assert len(opts.eps_schedule) == 7
-        assert opts.eta_schedule[0] == pytest.approx(1.0)
-        assert opts.eta_schedule[-1] == pytest.approx(1e-6)
+        assert (opts.tol, opts.max_iter) == (1e-8, 200)
+        assert sv._EPS_SCHEDULE[0] == pytest.approx(1e-2)
+        assert sv._EPS_SCHEDULE[-1] == pytest.approx(1e-8)
+        assert len(sv._EPS_SCHEDULE) == 7
+        assert sv._ETA_SCHEDULE[0] == pytest.approx(1.0)
+        assert sv._ETA_SCHEDULE[-1] == pytest.approx(1e-6)
+        for sched in (sv._EPS_SCHEDULE, sv._ETA_SCHEDULE, sv._DUAL_CAPS):
+            assert all(a > b > 0 for a, b in zip(sched, sched[1:]))
 
-    def test_increasing_schedule_rejected(self):
+    @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": -1e-8},
+                                    {"tol": math.nan}, {"tol": math.inf},
+                                    {"max_iter": 0}])
+    def test_bad_values_rejected(self, kw):
         with pytest.raises(InvalidInput):
-            sv.SolveOptions(eps_schedule=(1e-8, 1e-2))
+            sv.SolveOptions(**kw)
 
-    def test_nonpositive_schedule_rejected(self):
-        with pytest.raises(InvalidInput):
-            sv.SolveOptions(eta_schedule=(1.0, 0.0))
+
+# one variable, h = 0: the divergence scale of the triage is 1
+_TINY = ConeProgram(c=np.array([1.0]), G=np.array([[-1.0]]), h=np.zeros(1),
+                    cones=[("nn", 1)])
+
+
+def _stop(x_norm, resid):
+    return ConeResult(status="max_iterations", x=np.array([x_norm]),
+                      pres=resid, dres=resid, relgap=resid)
+
+
+class TestClassify:
+    @pytest.mark.parametrize("res, status", [
+        (ConeResult(status="optimal", x=np.ones(1)), Status.OPTIMAL),
+        (ConeResult(status="primal_infeasible"), Status.INFEASIBLE),
+        (ConeResult(status="dual_infeasible", ray=np.ones(1)), Status.UNBOUNDED),
+        # diverged (above 1e4 x scale) with residuals and gap clean
+        (_stop(1e5, 1e-10), Status.NEAR_UNATTAINED),
+        # close: every measure within 1e3 x tol
+        (_stop(1.0, 1e-6), Status.MAX_ITERATIONS),
+        # diverged but not clean is only a close stop
+        (_stop(1e5, 5e-6), Status.MAX_ITERATIONS),
+    ])
+    def test_status(self, res, status):
+        assert sv._classify(res, _TINY, 1e-8, self._no_best) is status
+
+    @staticmethod
+    def _no_best(status):
+        raise AssertionError("best iterate built for a returned status")
+
+    @pytest.mark.parametrize("x_norm", [1.0, 1e5])
+    def test_far_stop_raises_with_best(self, x_norm):
+        with pytest.raises(MaxIterations) as exc:
+            sv._classify(_stop(x_norm, 1e-3), _TINY, 1e-8, lambda st: ("best", st))
+        assert exc.value.best == ("best", Status.MAX_ITERATIONS)
+
+
+def _stopped_engine(monkeypatch, resid, x_scale=1.0):
+    """Make the engine end every solve as a ``max_iterations`` stop at its
+    real answer, with the given residuals and the iterate scaled."""
+    engine = sv.solve_cone_program
+
+    def stopped(*args, **kw):
+        res = engine(*args, **kw)
+        return dataclasses.replace(res, status="max_iterations",
+                                   x=x_scale * res.x, pres=resid, dres=resid,
+                                   relgap=resid)
+
+    monkeypatch.setattr(sv, "solve_cone_program", stopped)
+
+
+class TestStoppedSolves:
+    def test_socp_close_stop_returns_max_iterations(self, monkeypatch):
+        _stopped_engine(monkeypatch, 1e-6)
+        res = sv.solve_socp(rd.to_socp_rank1(c_opt_instance()))
+        assert res.report.status is Status.MAX_ITERATIONS
+        assert res.value == pytest.approx(2.0, abs=1e-6)
+
+    def test_socp_far_stop_raises_with_best(self, monkeypatch):
+        _stopped_engine(monkeypatch, 1e-3)
+        with pytest.raises(MaxIterations) as exc:
+            sv.solve_socp(rd.to_socp_rank1(c_opt_instance()))
+        assert exc.value.best.report.status is Status.MAX_ITERATIONS
+        assert exc.value.best.value == pytest.approx(2.0, abs=1e-6)
+
+    def test_sdp_close_stop_returns_max_iterations(self, monkeypatch):
+        _stopped_engine(monkeypatch, 1e-6)
+        sol = sv.solve_sdp(c_opt_instance())
+        assert sol.status is Status.MAX_ITERATIONS
+        assert sol.objective == pytest.approx(4.0, abs=1e-6)
+
+    def test_sdp_far_stop_raises_with_best(self, monkeypatch):
+        _stopped_engine(monkeypatch, 1e-3)
+        with pytest.raises(MaxIterations) as exc:
+            sv.solve_sdp(c_opt_instance())
+        assert exc.value.best.status is Status.MAX_ITERATIONS
+        assert exc.value.best.objective == pytest.approx(4.0, abs=1e-6)
+
+    def test_sdp_diverged_clean_stop_is_near_unattained(self, monkeypatch):
+        # an iterate 1e5 x the optimum is past the triage's 1e4 bound
+        _stopped_engine(monkeypatch, 1e-10, x_scale=1e5)
+        sol = sv.solve_sdp(c_opt_instance())
+        assert sol.status is Status.NEAR_UNATTAINED
+
+    def test_path_stage_without_iterate_names_the_stage(self, monkeypatch):
+        monkeypatch.setattr(sv, "solve_cone_program",
+                            lambda *a, **k: ConeResult(status="primal_infeasible"))
+        with pytest.raises(NumericalFailure,
+                           match=r"test stage at v=0\.5 ended with primal_infeasible"):
+            sv._follow_path(lambda v: None, (0.5, 0.25), 10, "test stage at v")
 
 
 class TestSolveSocp:
@@ -344,7 +441,7 @@ class TestPathChecks:
         prob = bounded_packing(np.random.default_rng(seed), n, 10, rank_c)
         sol = sv.solve_packing_lowrank(prob)
         assert sol.route == "eps-path"
-        assert len(stages) == len(sv.SolveOptions().eps_schedule)
+        assert len(stages) == len(sv._EPS_SCHEDULE)
         for res in stages:
             assert res.status == "optimal"
             assert res.relgap <= sv._PATH_RELTOL

@@ -10,7 +10,9 @@ Subcommands (all read the JSON problem documents of :mod:`sdpack.model`):
 * ``gap-bound``  -- guaranteed-rank and rank-one-gap numbers only
 
 Exit codes: 0 ok, 2 bad input, 3 unbounded, 4 infeasible, 5 numerical
-failure.  ``SDPACK_TOL`` overrides the default tolerance; a tolerance that
+failure, or a report whose status is not an answer (anything but
+``optimal`` and ``asymptotic_sup``, e.g. a ``max_iterations`` stop close to
+the target).  ``SDPACK_TOL`` overrides the default tolerance; a tolerance that
 is not positive and finite exits 2 for every subcommand.  Reports are JSON
 by default (``--report text`` rounds to 9 significant digits).
 """
@@ -43,6 +45,8 @@ _INFEASIBLE_ERRORS = (InfeasibleInput, InfeasibleDesign, InfeasiblePrimal,
                       InfeasibleDual)
 _NUMERICAL_ERRORS = (NumericalFailure, MaxIterations, PathDiverged,
                      PathNotMonotone)
+# report statuses that exit 0; any other status in a report exits 5
+_ANSWER_STATUSES = (model.Status.OPTIMAL.value, model.Status.ASYMPTOTIC_SUP.value)
 
 
 def _num(v):
@@ -177,11 +181,15 @@ def cmd_design(path: str, args) -> dict:
         t = float(dres.x[pair.l])
         w = solving.recover_design(mu, mode="resource", t=t)
         slack = prob.resource.d - prob.resource.P @ w
+        # the primal's status unless only the dual's falls short of optimal
+        status = next((r.report.status for r in (pres, dres)
+                       if r.report.status is not model.Status.OPTIMAL),
+                      model.Status.OPTIMAL)
         return {
             "file": path,
             "criterion": prob.criterion.value,
             "formulation": "resource-socp",
-            "status": pres.report.status.value,
+            "status": status.value,
             "weights": model._vec(w),
             "criterion_value": _num(pres.value ** 2),
             "primal_value": _num(pres.value),
@@ -359,7 +367,11 @@ def main(argv=None) -> int:
         reports, code = [], EXIT_OK
         for path in args.inputs:
             try:
-                reports.append(handler(path, args))
+                report = handler(path, args)
+                reports.append(report)
+                if report.get("status", model.Status.OPTIMAL.value) \
+                        not in _ANSWER_STATUSES:
+                    code = max(code, EXIT_NUMERICAL)
             except SdpackError as exc:
                 reports.append(_error_doc(exc))
                 code = max(code, _exit_code(exc))

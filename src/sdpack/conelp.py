@@ -24,10 +24,21 @@ blocks, the svec-space congruence by the scaling matrix for psd blocks).
 Consecutive blocks of one kind and order form a run: the scaling of a run
 is stored and applied as one stacked operator, and for nn and soc runs it
 is also built, and the Jordan-algebra operations and step lengths
-computed, for the whole run at once.  A dense LU of the scaled augmented system
-with iterative refinement keeps the search directions accurate enough to
-push relative gaps to ~1e-11 on desk-scale problems, which the
-path-following solvers need for their monotonicity checks.
+computed, for the whole run at once.
+
+Each search direction solves the Newton system reduced through the scaled
+rows ``inv(W).T G``, with iterative refinement against the unreduced
+equations, accurate enough to push relative gaps to ~1e-11 on desk-scale
+problems, which the path-following solvers need for their monotonicity
+checks.  The factorization is chosen once per solve from the cone layout:
+
+* no psd block (LPs, SOCPs, the rank-one and design programs): QR factors
+  of the stacked scaled rows and of the equality rows, order ``nx`` and
+  ``p``, with residuals in double;
+* a psd block: a dense LU of the scaled augmented system of order
+  ``nx + p + m``, with residuals in ``longdouble``.  Psd programs keep it
+  because the Schur-complement solves tried on them (QR, Cholesky) stall
+  short of the eps-path's 1e-11 gaps or of the dense oracle's accuracy.
 
 This is an internal engine; the user-facing entry points are in
 ``sdpack.solve``.
@@ -521,6 +532,7 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
     last_mu = math.inf
 
     slices = tuple((blk.kind, blk.sl) for blk in layout.blocks)
+    factor = _kkt_factory(G, A, layout)
 
     for it in range(max_iter + 1):
         # residuals of the embedding
@@ -600,7 +612,7 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
         # scaling and KKT factorization
         try:
             sc = _Scaling(layout, s, z)
-            kkt = _KktFactor(G, A, sc)
+            kkt = factor(sc)
             dx1, dy1, dz1 = kkt.solve(-c, b, h)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError,
                 ValueError):
@@ -699,8 +711,7 @@ def _push_interior(layout: _Layout, v: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 class _KktFactor:
-    """Factorization of the reduced Newton system with mixed-precision
-    iterative refinement.
+    """Factorization of the reduced Newton system with iterative refinement.
 
     Solves::
 
@@ -708,71 +719,24 @@ class _KktFactor:
         [A   0    0   ] [uy] = [ry]
         [G   0   -WtW ] [uz]   [rz]
 
-    through the scaled rows ``Gs = inv(W).T G`` (so the (1,1) Schur block is
-    the Gram matrix ``Gs.T Gs``, formed stably), then refines against the
-    unreduced equations with residuals accumulated in extended precision.
-    The scaled system loses roughly half the conditioning of the explicit
-    ``G.T inv(WtW) G`` form, which is what lets path solves reach relative
-    gaps near 1e-11.  ``Gs``, the scaled right-hand sides and the ``WtW``
-    term of the residual all go through the scaling's block operators.
+    through the scaled rows ``Gs = inv(W).T G``: with ``v = W uz`` the cone
+    rows read ``Gs ux - v = inv(W).T rz``, so the (1,1) Schur block is the
+    Gram matrix ``Gs.T Gs``, regularized by ``1e-14 I``.  Two factorizations
+    share the refinement loop of :meth:`solve`, which refines against the
+    unreduced equations and keeps the best of its rounds:
+
+    * :class:`_QrKkt`, for programs with no psd block: a QR factor of the
+      stacked ``[Gs; 1e-7 I]`` gives ``R.T R = Gs.T Gs + 1e-14 I`` without
+      forming the Gram matrix, and a second QR handles the equality rows.
+      Residuals are taken in double.
+    * :class:`_LuKkt`, for programs with a psd block: a dense LU of the
+      scaled augmented system of order ``nx + p + m``, with residuals
+      accumulated in ``longdouble``.  On psd programs the Schur-complement
+      solves (Cholesky or QR) stall short of the gaps the eps-path and the
+      dense oracle need, and this one does not.
+
+    :func:`_kkt_factory` picks one per cone program from its layout.
     """
-
-    def __init__(self, G: np.ndarray, A: np.ndarray, sc: _Scaling):
-        self.sc = sc
-        self.Gs = sc.Winvt(G)
-        nx, p = G.shape[1], A.shape[0]
-        m = G.shape[0]
-        self.nx, self.p, self.m = nx, p, m
-        # scaled augmented form: substituting the scaled dual direction for
-        # uz puts -I in the cone block, so the system's conditioning grows
-        # like the scaling's (not its square)
-        N = nx + p + m
-        K = np.zeros((N, N))
-        K[:nx, :nx] = 1e-14 * np.eye(nx)
-        if p:
-            K[:nx, nx:nx + p] = A.T
-            K[nx:nx + p, :nx] = A
-        K[:nx, nx + p:] = self.Gs.T
-        K[nx + p:, :nx] = self.Gs
-        K[nx + p:, nx + p:] = -np.eye(m)
-        if not np.all(np.isfinite(K)):
-            raise np.linalg.LinAlgError("scaling overflowed")
-        with warnings.catch_warnings():
-            # a singular factorization surfaces as non-finite solves, which
-            # the refinement loop and the caller's guards handle
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            self.lu = scipy.linalg.lu_factor(K)
-        long = np.longdouble
-        self._G_l = G.astype(long)
-        self._A_l = A.astype(long) if p else None
-        self._WtW_l = [(sl, F.astype(long)) for sl, F in sc.gram()]
-
-    def _solve_once(self, rx, ry, rz):
-        rhs = np.empty(self.nx + self.p + self.m)
-        with np.errstate(all="ignore"):
-            rhs[:self.nx] = rx
-            if self.p:
-                rhs[self.nx:self.nx + self.p] = ry
-            rhs[self.nx + self.p:] = self.sc.Winvt(rz)
-            if not np.all(np.isfinite(rhs)):
-                raise np.linalg.LinAlgError("non-finite reduced right-hand side")
-            sol = scipy.linalg.lu_solve(self.lu, rhs)
-            ux = sol[:self.nx]
-            uy = sol[self.nx:self.nx + self.p]
-            uz = self.sc.Winv(sol[self.nx + self.p:])
-        return ux, uy, uz
-
-    def _residual(self, rx, ry, rz, ux, uy, uz):
-        long = np.longdouble
-        ux_l, uz_l = ux.astype(long), uz.astype(long)
-        e1 = rx.astype(long) - self._G_l.T @ uz_l
-        if self.p:
-            e1 -= self._A_l.T @ uy.astype(long)
-            e2 = ry.astype(long) - self._A_l @ ux_l
-        else:
-            e2 = np.zeros(0)
-        e3 = rz.astype(long) - (self._G_l @ ux_l - _blockwise(self._WtW_l, uz_l))
-        return e1, e2, e3
 
     def solve(self, rx, ry, rz):
         ry = np.asarray(ry, dtype=float)
@@ -804,3 +768,137 @@ class _KktFactor:
         if norm < best_norm:
             best = (ux, uy, uz)
         return best
+
+
+def _kkt_factory(G: np.ndarray, A: np.ndarray, layout: _Layout):
+    """The factorization every iteration of one solve uses, as a function
+    of the scaling: :class:`_QrKkt` when the layout has no psd run, else
+    :class:`_LuKkt` with ``G`` and ``A`` cast to ``longdouble`` once here."""
+    if all(kind != "psd" for kind, _, _ in layout.runs):
+        return functools.partial(_QrKkt, G, A)
+    long = np.longdouble
+    return functools.partial(_LuKkt, G, A, G.astype(long),
+                             A.astype(long) if A.shape[0] else None)
+
+
+def _scaled_rows(G: np.ndarray, sc: _Scaling) -> np.ndarray:
+    Gs = sc.Winvt(G)
+    if not np.all(np.isfinite(Gs)):
+        raise np.linalg.LinAlgError("scaling overflowed")
+    return Gs
+
+
+class _QrKkt(_KktFactor):
+    """QR solve of the reduced system for programs with no psd block.
+
+    ``R`` is the triangle of ``qr([Gs; 1e-7 I])``, so ``R.T R`` is the
+    regularized Schur block ``H``; ``B = inv(R).T A.T`` and the triangle
+    ``R_B`` of ``qr(B)`` give ``R_B.T R_B = A inv(H) A.T`` without forming
+    either product.  A solve is then triangular solves and products:
+    ``rzs = inv(W).T rz``, ``t = inv(R).T (rx + Gs.T rzs)``,
+    ``R_B.T R_B uy = B.T t - ry``, ``ux = inv(R) (t - B uy)`` and
+    ``uz = inv(W) (Gs ux - rzs)``.  Programs with no psd block reach the
+    engine's gaps with residuals taken in double.
+    """
+
+    def __init__(self, G: np.ndarray, A: np.ndarray, sc: _Scaling):
+        self.sc, self.G, self.A = sc, G, A
+        self.Gs = _scaled_rows(G, sc)
+        nx, self.p = G.shape[1], A.shape[0]
+        self.R = np.linalg.qr(np.concatenate([self.Gs, math.sqrt(1e-14) * np.eye(nx)]),
+                              mode="r")
+        if self.p:
+            self.B = self._tri(self.R, A.T, trans="T")
+            self.R_B = np.linalg.qr(self.B, mode="r")
+        self._WtW = sc.gram()
+
+    @staticmethod
+    def _tri(R, v, trans="N"):
+        # a zero on the diagonal raises LinAlgError
+        return scipy.linalg.solve_triangular(R, v, trans=trans, check_finite=False)
+
+    def _solve_once(self, rx, ry, rz):
+        with np.errstate(all="ignore"):
+            rzs = self.sc.Winvt(rz)
+            if not np.all(np.isfinite(rzs)):
+                raise np.linalg.LinAlgError("non-finite reduced right-hand side")
+            t = self._tri(self.R, rx + self.Gs.T @ rzs, trans="T")
+            if self.p:
+                w = self._tri(self.R_B, self.B.T @ t - ry, trans="T")
+                uy = self._tri(self.R_B, w)
+                t = t - self.B @ uy
+            else:
+                uy = np.zeros(0)
+            ux = self._tri(self.R, t)
+            uz = self.sc.Winv(self.Gs @ ux - rzs)
+        return ux, uy, uz
+
+    def _residual(self, rx, ry, rz, ux, uy, uz):
+        e1 = rx - self.G.T @ uz
+        if self.p:
+            e1 -= self.A.T @ uy
+            e2 = ry - self.A @ ux
+        else:
+            e2 = np.zeros(0)
+        e3 = rz - (self.G @ ux - _blockwise(self._WtW, uz))
+        return e1, e2, e3
+
+
+class _LuKkt(_KktFactor):
+    """Dense LU of the scaled augmented system, for programs with a psd
+    block.  Substituting the scaled dual direction ``v = W uz`` puts ``-I``
+    in the cone block, so the system's conditioning grows like the
+    scaling's (not its square); the refinement residual is accumulated in
+    ``longdouble`` against ``G_l`` and ``A_l``, the ``longdouble`` copies of
+    ``G`` and ``A`` made once per solve."""
+
+    def __init__(self, G: np.ndarray, A: np.ndarray, G_l: np.ndarray,
+                 A_l: np.ndarray | None, sc: _Scaling):
+        self.sc = sc
+        self.Gs = _scaled_rows(G, sc)
+        nx, p = G.shape[1], A.shape[0]
+        m = G.shape[0]
+        self.nx, self.p, self.m = nx, p, m
+        N = nx + p + m
+        K = np.zeros((N, N))
+        K[:nx, :nx] = 1e-14 * np.eye(nx)
+        if p:
+            K[:nx, nx:nx + p] = A.T
+            K[nx:nx + p, :nx] = A
+        K[:nx, nx + p:] = self.Gs.T
+        K[nx + p:, :nx] = self.Gs
+        K[nx + p:, nx + p:] = -np.eye(m)
+        with warnings.catch_warnings():
+            # a singular factorization surfaces as non-finite solves, which
+            # the refinement loop and the caller's guards handle
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            self.lu = scipy.linalg.lu_factor(K)
+        self._G_l, self._A_l = G_l, A_l
+        self._WtW_l = [(sl, F.astype(np.longdouble)) for sl, F in sc.gram()]
+
+    def _solve_once(self, rx, ry, rz):
+        rhs = np.empty(self.nx + self.p + self.m)
+        with np.errstate(all="ignore"):
+            rhs[:self.nx] = rx
+            if self.p:
+                rhs[self.nx:self.nx + self.p] = ry
+            rhs[self.nx + self.p:] = self.sc.Winvt(rz)
+            if not np.all(np.isfinite(rhs)):
+                raise np.linalg.LinAlgError("non-finite reduced right-hand side")
+            sol = scipy.linalg.lu_solve(self.lu, rhs)
+            ux = sol[:self.nx]
+            uy = sol[self.nx:self.nx + self.p]
+            uz = self.sc.Winv(sol[self.nx + self.p:])
+        return ux, uy, uz
+
+    def _residual(self, rx, ry, rz, ux, uy, uz):
+        long = np.longdouble
+        ux_l, uz_l = ux.astype(long), uz.astype(long)
+        e1 = rx.astype(long) - self._G_l.T @ uz_l
+        if self.p:
+            e1 -= self._A_l.T @ uy.astype(long)
+            e2 = ry.astype(long) - self._A_l @ ux_l
+        else:
+            e2 = np.zeros(0)
+        e3 = rz.astype(long) - (self._G_l @ ux_l - _blockwise(self._WtW_l, uz_l))
+        return e1, e2, e3

@@ -103,7 +103,9 @@ def kkt_check(problem: PackingProblem, X: np.ndarray, mu: np.ndarray,
               tol: float = 1e-6) -> tuple[KktResiduals, bool]:
     """Max-norm residuals of primal feasibility, dual feasibility, and
     complementary slackness; passes when all are below ``tol`` times the
-    problem scale."""
+    problem scale.  ``tol`` must be positive and finite."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInput(f"kkt_check tol must be positive and finite, got {tol!r}")
     X = linalg.symmetrize(X)
     mu = np.asarray(mu, dtype=float)
     if X.shape[0] != problem.n or mu.shape[0] != problem.l:

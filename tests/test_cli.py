@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from sdpack import cli
+from sdpack.model import Status
 
 
 def write(tmp_path, name, doc):
@@ -16,6 +18,12 @@ def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+RESOURCE_DESIGN = {
+    "kind": "design", "K": [[1.0], [1.0]], "criterion": "c",
+    "A": [[[1.0, 0.0]], [[0.0, 1.0]]],
+    "resource": {"P": [[1.0, 0.0], [0.0, 1.0]], "d": [1.0, 1.0]}}
 
 
 @pytest.fixture
@@ -180,16 +188,42 @@ class TestDesign:
         assert doc["solution_rank"] == 2
 
     def test_resource_report(self, capsys, tmp_path):
-        path = write(tmp_path, "dr.json", {
-            "kind": "design", "K": [[1.0], [1.0]], "criterion": "c",
-            "A": [[[1.0, 0.0]], [[0.0, 1.0]]],
-            "resource": {"P": [[1.0, 0.0], [0.0, 1.0]], "d": [1.0, 1.0]}})
+        path = write(tmp_path, "dr.json", RESOURCE_DESIGN)
         code, doc = run(capsys, ["design", path])
         assert code == 0
+        assert doc["status"] == "optimal"
         assert doc["formulation"] == "resource-socp"
         assert doc["criterion_value"] == pytest.approx(2.0, abs=1e-5)
         assert doc["duality_gap"] <= 1e-6
         assert doc["resource_ok"] is True
+
+    def test_resource_close_stop_exits_5(self, capsys, tmp_path):
+        # both solves stop close to the target at the iteration limit
+        path = write(tmp_path, "dr.json", RESOURCE_DESIGN)
+        code, doc = run(capsys, ["design", path, "--max-iter", "5"])
+        assert code == 5
+        assert doc["status"] == "max_iterations"
+        assert doc["formulation"] == "resource-socp"
+
+    def test_resource_reports_dual_status(self, capsys, tmp_path, monkeypatch):
+        # the primal solve is optimal, the dual one stops short
+        solve_socp = cli.solving.solve_socp
+        calls = []
+
+        def second_stops(socp, opts):
+            res = solve_socp(socp, opts)
+            calls.append(res)
+            if len(calls) == 2:
+                res = dataclasses.replace(res, report=dataclasses.replace(
+                    res.report, status=Status.NEAR_UNATTAINED))
+            return res
+
+        monkeypatch.setattr(cli.solving, "solve_socp", second_stops)
+        path = write(tmp_path, "dr.json", RESOURCE_DESIGN)
+        code, doc = run(capsys, ["design", path])
+        assert calls[0].report.status is Status.OPTIMAL
+        assert code == 5
+        assert doc["status"] == "near_unattained"
 
 
 class TestVerify:

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from sdpack.conelp import (ConeProgram, _blockwise, _Layout, _push_interior,
-                           _Scaling, _smallest_positive_root, _svec_congruence, smat,
-                           solve_cone_program, svec, svec_dim)
+from sdpack import reduce as rd
+from sdpack import solve as sv
+from sdpack.conelp import (ConeProgram, _blockwise, _kkt_factory, _Layout, _LuKkt,
+                           _push_interior, _QrKkt, _Scaling, _smallest_positive_root,
+                           _svec_congruence, smat, solve_cone_program, svec, svec_dim)
 from sdpack.errors import InvalidInput
+from sdpack.model import Criterion, DesignProblem, ResourceBlock
 
 
 class TestPackedCoordinates:
@@ -317,6 +322,19 @@ class TestSolver:
         assert res.relgap <= 1e-11
         assert res.pcost == pytest.approx(2.0 - np.sqrt(2.0), abs=1e-9)
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(c2=st.floats(1.0 - 1e-3, 1.0 + 1e-3), r=st.floats(0.7, 1.3))
+    def test_tight_tolerance_perturbed(self, c2, r):
+        # the same program with objective x1 + c2 x2 and radius r: the
+        # optimum is the centre minus r (1, c2) / |(1, c2)|, inside x >= 0
+        G = np.vstack([-np.eye(2), np.zeros((1, 2)), -np.eye(2)])
+        h = np.array([0.0, 0.0, r, -1.0, -1.0])
+        res = solve_cone_program(ConeProgram(c=np.array([1.0, c2]), G=G, h=h,
+                                             cones=[("nn", 2), ("soc", 3)]),
+                                 reltol=1e-11)
+        assert res.optimal
+        assert abs(res.pcost - (1.0 + c2 - r * np.hypot(1.0, c2))) <= 1e-9
+
     def test_warm_start_accepted(self):
         G = np.vstack([np.eye(2), -np.eye(2)])
         h = np.array([1.0, 1.0, 0.0, 0.0])
@@ -325,3 +343,44 @@ class TestSolver:
         warm = solve_cone_program(prog, warm=(cold.x, cold.y, cold.s, cold.z))
         assert warm.optimal
         assert warm.pcost == pytest.approx(cold.pcost, abs=1e-7)
+
+
+class TestKktFactorizations:
+    def test_layout_picks_the_factorization(self):
+        G, A = np.ones((6, 2)), np.ones((1, 2))
+        sc = _Scaling(_Layout([("nn", 3), ("soc", 3)]), np.ones(6), np.ones(6))
+        qr = _kkt_factory(G, A, _Layout([("nn", 3), ("soc", 3)]))
+        assert qr.func is _QrKkt
+        lu = _kkt_factory(G, A, _Layout([("nn", 3), ("psd", 2)]))
+        assert lu.func is _LuKkt
+        assert lu.args[2].dtype == np.longdouble and lu.args[3].dtype == np.longdouble
+        assert isinstance(qr(sc), _QrKkt)
+
+    def test_qr_matches_augmented_lu_on_resource_dual(self):
+        # the dual of a resource-constrained design has nn and soc blocks
+        # and equality rows; at an interior scaling both solves agree
+        rng = np.random.default_rng(11)
+        n, l, q = 3, 6, 2
+        obs = tuple(rng.standard_normal((2, n)) for _ in range(l))
+        design = DesignProblem(K=rng.standard_normal((n, 1)), criterion=Criterion.C_OPT,
+                               obs=obs, mats=tuple(a.T @ a for a in obs),
+                               resource=ResourceBlock(P=rng.uniform(0.1, 1.0, (q, l)),
+                                                      d=rng.uniform(1.0, 2.0, q)))
+        prog, _ = sv._socp_to_cone_program(rd.build_resource_constrained(design).dual)
+        G, A = prog.G, prog.A
+        assert A.shape[0] > 0
+        layout = _Layout(prog.cones)
+        long = np.longdouble
+        for _ in range(10):
+            sc = _Scaling(layout, _interior_point(rng, prog.cones),
+                          _interior_point(rng, prog.cones))
+            qr = _QrKkt(G, A, sc)
+            lu = _LuKkt(G, A, G.astype(long), A.astype(long), sc)
+            rx, ry, rz = (rng.standard_normal(k) for k in (G.shape[1], A.shape[0],
+                                                           G.shape[0]))
+            for u_qr, u_lu in zip(qr.solve(rx, ry, rz), lu.solve(rx, ry, rz)):
+                assert np.allclose(u_qr, u_lu, rtol=1e-10, atol=1e-10)
+            ux, uy, uz = qr.solve(rx, ry, rz)
+            assert np.allclose(G.T @ uz + A.T @ uy, rx, atol=1e-10)
+            assert np.allclose(A @ ux, ry, atol=1e-10)
+            assert np.allclose(G @ ux - sc.Wt(sc.W(uz)), rz, atol=1e-10)

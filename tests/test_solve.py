@@ -269,6 +269,13 @@ class TestKktCheck:
         assert not ok
         assert res.dual == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_tolerance_rejected(self, tol):
+        # tol=inf used to pass this point, whose residuals are (9, 4, 27)
+        prob = packing(np.eye(2), [np.eye(2)], [1.0])
+        with pytest.raises(InvalidInput, match="tol"):
+            sv.kkt_check(prob, 5.0 * np.eye(2), np.array([-3.0]), tol)
+
     def test_socp_mapped_duals_pass(self):
         prob = c_opt_instance()
         sol = sv.solve_packing_lowrank(prob)

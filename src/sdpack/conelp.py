@@ -26,6 +26,10 @@ is stored and applied as one stacked operator, and for nn and soc runs it
 is also built, and the Jordan-algebra operations and step lengths
 computed, for the whole run at once.
 
+On a psd block the scaled point is diagonal, ``lam = diag(sigma)``, and
+the iteration hands ``sigma`` to the Jordan division and the step-length
+search, which then need no eigendecomposition of ``lam``.
+
 Each search direction solves the Newton system reduced through the scaled
 rows ``inv(W).T G``, with iterative refinement against the unreduced
 equations, accurate enough to push relative gaps to ~1e-11 on desk-scale
@@ -36,9 +40,12 @@ checks.  The factorization is chosen once per solve from the cone layout:
   of the stacked scaled rows and of the equality rows, order ``nx`` and
   ``p``, with residuals in double;
 * a psd block: a dense LU of the scaled augmented system of order
-  ``nx + p + m``, with residuals in ``longdouble``.  Psd programs keep it
-  because the Schur-complement solves tried on them (QR, Cholesky) stall
-  short of the eps-path's 1e-11 gaps or of the dense oracle's accuracy.
+  ``nx + p + m`` (LAPACK ``getrf``/``getrs``), with residuals in
+  ``longdouble``.  Psd programs keep it because the Schur-complement solves
+  tried on them (QR, Cholesky) stall short of the eps-path's 1e-11 gaps or
+  of the dense oracle's accuracy.
+
+Every exit of :func:`solve_cone_program` records a :class:`StopReason`.
 
 This is an internal engine; the user-facing entry points are in
 ``sdpack.solve``.
@@ -46,10 +53,10 @@ This is an internal engine; the user-facing entry points are in
 
 from __future__ import annotations
 
+import enum
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +68,10 @@ from .errors import InvalidInput, NumericalFailure
 _STEP = 0.99
 _REFINE_ROUNDS = 2
 _STALL_LIMIT = 8
+
+# the LAPACK routines behind scipy.linalg.lu_factor and lu_solve, called
+# without the wrappers' per-call checks (see _LuKkt)
+_getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +157,14 @@ class ConeProgram:
             if d < 0:
                 raise InvalidInput(f"cone {kind!r} has negative order {d}")
         if self.A is not None:
+            if self.b is None:
+                raise InvalidInput("cone program has equality rows A but no b")
             object.__setattr__(self, "A", np.atleast_2d(np.asarray(self.A, dtype=float)))
             object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        for name in ("c", "G", "h", "A", "b"):
+            v = getattr(self, name)
+            if v is not None and not np.all(np.isfinite(v)):
+                raise InvalidInput(f"cone program {name} has a non-finite entry")
         rows = sum(svec_dim(d) if k == "psd" else d for k, d in self.cones)
         if rows != self.G.shape[0] or self.h.shape[0] != rows:
             raise InvalidInput(f"cone rows {rows} do not match G/h ({self.G.shape[0]})")
@@ -244,9 +261,14 @@ class _Layout:
                     out[b.sl] = svec(0.5 * (U @ V + V @ U))
         return out
 
-    def circ_solve(self, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Solve ``lam o u = v`` for ``u`` (``lam`` interior)."""
+    def circ_solve(self, lam: np.ndarray, v: np.ndarray,
+                   sigma: list | None = None) -> np.ndarray:
+        """Solve ``lam o u = v`` for ``u`` (``lam`` interior).  ``sigma``,
+        when given, says that ``lam`` is a scaled point: each psd block of
+        ``lam`` is ``svec(diag(sigma[k]))`` for the ``k``-th psd block, with
+        ``sigma[k]`` in decreasing order (see :class:`_Scaling`)."""
         out = np.empty(self.m)
+        sig = iter(sigma) if sigma is not None else None
         for kind, sl, blocks in self.runs:
             if kind == "nn":
                 out[sl] = v[sl] / lam[sl]
@@ -260,12 +282,20 @@ class _Layout:
                 O[:, 1:] = (V[:, 1:] - u0[:, None] * L[:, 1:]) / L[:, :1]
             else:
                 for b in blocks:
-                    out[b.sl] = _psd_circ_solve(lam[b.sl], v[b.sl], b.order)
+                    if sig is None:
+                        out[b.sl] = _psd_circ_solve(lam[b.sl], v[b.sl], b.order)
+                    else:
+                        d = next(sig)
+                        out[b.sl] = svec(2.0 * smat(v[b.sl], b.order)
+                                         / np.add.outer(d, d))
         return out
 
-    def max_step(self, lam: np.ndarray, d: np.ndarray) -> float:
-        """Largest ``a`` with ``lam + t d`` in K for all ``t in [0, a]``."""
+    def max_step(self, lam: np.ndarray, d: np.ndarray,
+                 sigma: list | None = None) -> float:
+        """Largest ``a`` with ``lam + t d`` in K for all ``t in [0, a]``
+        (``sigma`` as in :meth:`circ_solve`)."""
         out = math.inf
+        sig = iter(sigma) if sigma is not None else None
         for kind, sl, blocks in self.runs:
             if kind == "nn":
                 lb, db = lam[sl], d[sl]
@@ -283,11 +313,19 @@ class _Layout:
                 out = min(out, float(np.min(_smallest_positive_root(p2, p1, p0))))
             else:
                 for b in blocks:
-                    L = smat(lam[b.sl], b.order)
-                    w, Q = np.linalg.eigh(L)
-                    w = np.maximum(w, 1e-300)
-                    scale = Q / np.sqrt(w)[None, :]
-                    Dm = scale.T @ smat(d[b.sl], b.order) @ scale
+                    D = smat(d[b.sl], b.order)
+                    sv = next(sig) if sig is not None else None
+                    if sv is not None and np.all(sv[:-1] > sv[1:]):
+                        # eigh of diag(sv) returns sv ascending and the
+                        # reversal permutation, so this is its congruence
+                        # entry for entry, to the bit
+                        r = 1.0 / np.sqrt(np.maximum(sv[::-1], 1e-300))
+                        Dm = (r[:, None] * D[::-1, ::-1]) * r[None, :]
+                    else:
+                        w, Q = np.linalg.eigh(smat(lam[b.sl], b.order))
+                        w = np.maximum(w, 1e-300)
+                        scale = Q / np.sqrt(w)[None, :]
+                        Dm = scale.T @ D @ scale
                     lo = float(np.linalg.eigvalsh(Dm)[0])
                     if lo < 0:
                         out = min(out, -1.0 / lo)
@@ -295,12 +333,12 @@ class _Layout:
 
 
 def _psd_circ_solve(lb: np.ndarray, vb: np.ndarray, n: int) -> np.ndarray:
-    """Solve ``lam o u = v`` on one psd block of order ``n``."""
+    """Solve ``lam o u = v`` on one psd block of order ``n``, for any
+    interior ``lam``: in the eigenbasis of ``lam`` the equation is
+    entrywise.  (A scaled point's diagonal form goes through the ``sigma``
+    argument of :meth:`_Layout.circ_solve` instead; no tolerance decides
+    whether a block is diagonal.)"""
     L = smat(lb, n)
-    d = np.diag(L)
-    if np.allclose(L, np.diag(d)):
-        # scaled points are diagonal by construction
-        return svec(2.0 * smat(vb, n) / np.add.outer(d, d))
     w, Q = np.linalg.eigh(L)
     V = Q.T @ smat(vb, n) @ Q
     return svec(Q @ (2.0 * V / np.add.outer(w, w)) @ Q.T)
@@ -352,10 +390,16 @@ class _Scaling:
     for a psd run the stacked svec-space matrices of ``V -> R.T V R``, which
     are not symmetric, so their transposes are kept as views.  Each run is
     applied by one batched product; ``W`` is never formed as an m x m matrix.
+
+    On a psd block ``lam`` is diagonal, ``svec(diag(sigma))``; ``sigma``
+    keeps those eigenvalues (decreasing) per psd block, so that
+    :meth:`_Layout.circ_solve` and :meth:`_Layout.max_step` need no
+    eigendecomposition of ``lam``.
     """
 
     def __init__(self, layout: _Layout, s: np.ndarray, z: np.ndarray):
         self.lam = np.zeros(layout.m)
+        self.sigma: list[np.ndarray] = []
         self._W, self._Wt, self._Winv, self._Winvt = [], [], [], []
         for kind, run, blocks in layout.runs:
             if kind == "nn":
@@ -365,7 +409,9 @@ class _Scaling:
                 W, Wi, lam = _soc_scaling(_rows(s, run, blocks), _rows(z, run, blocks))
             else:
                 parts = [_psd_scaling(s[b.sl], z[b.sl], b.order) for b in blocks]
-                W, Wi, lam = (np.stack(a) for a in zip(*parts))
+                W, Wi, sig = (np.stack(a) for a in zip(*parts))
+                self.sigma.extend(sig)
+                lam = np.stack([svec(np.diag(d)) for d in sig])
             self.lam[run] = lam.ravel()
             symmetric = kind != "psd"
             self._W.append((run, W))
@@ -429,6 +475,9 @@ def _chol_or_eig(S: np.ndarray) -> np.ndarray:
 
 
 def _psd_scaling(s: np.ndarray, z: np.ndarray, n: int):
+    """NT scaling of one psd block: the svec-space ``W`` and ``W^{-1}``,
+    and the eigenvalues ``sigma`` (decreasing) of the scaled point
+    ``lam = diag(sigma)``."""
     S, Z = smat(s, n), smat(z, n)
     Ls = _chol_or_eig(S)
     Lz = _chol_or_eig(Z)
@@ -436,8 +485,7 @@ def _psd_scaling(s: np.ndarray, z: np.ndarray, n: int):
     sv = np.maximum(sv, max(1e-15 * float(sv[0]), 1e-300))
     R = Ls @ Vt.T / np.sqrt(sv)[None, :]
     Rinv = (U.T @ Lz.T) / np.sqrt(sv)[:, None]
-    lam = svec(np.diag(sv))
-    return _svec_congruence(R), _svec_congruence(Rinv), lam
+    return _svec_congruence(R), _svec_congruence(Rinv), sv
 
 
 def _svec_congruence(R: np.ndarray) -> np.ndarray:
@@ -451,6 +499,22 @@ def _svec_congruence(R: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # result
+
+
+class StopReason(str, enum.Enum):
+    """Why :func:`solve_cone_program` stopped.  The first three come with
+    the status of the same name (``converged`` with ``optimal``); the rest
+    end in ``max_iterations`` with the best iterate seen."""
+
+    CONVERGED = "converged"
+    PRIMAL_INFEASIBLE = "primal_infeasible"
+    DUAL_INFEASIBLE = "dual_infeasible"
+    ITERATION_LIMIT = "iteration_limit"     # max_iter iterations taken
+    STALL = "stall"                         # mu stopped falling
+    FACTOR_FAILURE = "factor_failure"       # scaling, factorization or solve broke
+    TAU_DENOMINATOR = "tau_denominator"     # the tau elimination's divisor vanished
+    TINY_STEP = "tiny_step"                 # step length non-finite or below 1e-12
+    LEFT_CONE = "left_cone"                 # the step left the cone interior
 
 
 @dataclass
@@ -471,6 +535,7 @@ class ConeResult:
     ray: np.ndarray | None = None          # improving direction when unbounded
     infeas_cert: tuple | None = None       # (y, z) certificate when infeasible
     cone_slices: tuple = field(default_factory=tuple)
+    stop_reason: StopReason | None = None  # set by solve_cone_program
 
     @property
     def optimal(self) -> bool:
@@ -488,7 +553,8 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
 
     ``warm`` may carry ``(x, y, s, z)`` from a related solve; the pair is
     pushed back into the cone interior before use.  Returns an ``optimal``
-    or certificate result, else the best iterate as ``max_iterations``.
+    or certificate result, else the best iterate as ``max_iterations``;
+    either way ``stop_reason`` says which exit was taken.
     """
     layout = _Layout(prog.cones)
     if feastol is None:
@@ -534,6 +600,7 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
     slices = tuple((blk.kind, blk.sl) for blk in layout.blocks)
     factor = _kkt_factory(G, A, layout)
 
+    reason = StopReason.ITERATION_LIMIT
     for it in range(max_iter + 1):
         # residuals of the embedding
         r_x = G.T @ z + (A.T @ y if p else 0.0) + c * tau
@@ -576,7 +643,7 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
             return ConeResult(status="optimal", x=xt, y=yt, z=zt, s=st,
                               pcost=pcost, dcost=dcost, gap=gap, relgap=relgap,
                               pres=pres, dres=dres, iterations=it,
-                              cone_slices=slices)
+                              cone_slices=slices, stop_reason=StopReason.CONVERGED)
 
         # infeasibility certificates
         omega = -((b @ y if p else 0.0) + h @ z)
@@ -586,7 +653,8 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
                 return ConeResult(status="primal_infeasible", iterations=it,
                                   infeas_cert=(y / omega, z / omega),
                                   pres=pres, dres=dres, gap=gap, relgap=relgap,
-                                  cone_slices=slices)
+                                  cone_slices=slices,
+                                  stop_reason=StopReason.PRIMAL_INFEASIBLE)
         omega_d = -(c @ x)
         if omega_d > feastol * max(tau, kappa):
             xr = x / omega_d
@@ -597,13 +665,15 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
             if ok:
                 return ConeResult(status="dual_infeasible", iterations=it, ray=xr,
                                   pres=pres, dres=dres, gap=gap, relgap=relgap,
-                                  cone_slices=slices)
+                                  cone_slices=slices,
+                                  stop_reason=StopReason.DUAL_INFEASIBLE)
 
         if it == max_iter:
             break
         if mu > 0.9 * last_mu:
             stall += 1
             if stall >= _STALL_LIMIT:
+                reason = StopReason.STALL
                 break
         else:
             stall = 0
@@ -616,12 +686,14 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
             dx1, dy1, dz1 = kkt.solve(-c, b, h)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError,
                 ValueError):
+            reason = StopReason.FACTOR_FAILURE
             break
         denom = c @ dx1 + (b @ dy1 if p else 0.0) + h @ dz1 - kappa / tau
         if not np.isfinite(denom) or abs(denom) < 1e-14:
+            reason = StopReason.TAU_DENOMINATOR
             break
 
-        lam = sc.lam
+        lam, sigma_lam = sc.lam, sc.sigma
         lam_lam = layout.circ(lam, lam)
 
         def direction(sigma, corr_s, corr_tk):
@@ -630,7 +702,7 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
             fac = 1.0 - sigma
             rx2 = -fac * r_x
             ry2 = -fac * r_y if p else np.zeros(0)
-            wds = sc.Wt(layout.circ_solve(lam, ds))
+            wds = sc.Wt(layout.circ_solve(lam, ds, sigma_lam))
             rz2 = -fac * r_z - wds
             dx2, dy2, dz2 = kkt.solve(rx2, ry2, rz2)
             num = (-fac * r_tau - dtk / tau
@@ -648,7 +720,8 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
             dxa, dya, dza, dsa, dta, dka = direction(0.0, 0.0, 0.0)
             ds_sc = sc.Winvt(dsa)
             dz_sc = sc.W(dza)
-            alpha = min(layout.max_step(lam, ds_sc), layout.max_step(lam, dz_sc))
+            alpha = min(layout.max_step(lam, ds_sc, sigma_lam),
+                        layout.max_step(lam, dz_sc, sigma_lam))
             if dta < 0:
                 alpha = min(alpha, -tau / dta)
             if dka < 0:
@@ -664,16 +737,19 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
             dx, dy, dz, dsv, dtau, dkappa = direction(sigma, corr_s, corr_tk)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError,
                 ValueError):
+            reason = StopReason.FACTOR_FAILURE
             break
         ds_sc = sc.Winvt(dsv)
         dz_sc = sc.W(dz)
-        alpha = min(layout.max_step(lam, ds_sc), layout.max_step(lam, dz_sc))
+        alpha = min(layout.max_step(lam, ds_sc, sigma_lam),
+                    layout.max_step(lam, dz_sc, sigma_lam))
         if dtau < 0:
             alpha = min(alpha, -tau / dtau)
         if dkappa < 0:
             alpha = min(alpha, -kappa / dkappa)
         alpha = min(1.0, _STEP * alpha)
         if not np.isfinite(alpha) or alpha < 1e-12:
+            reason = StopReason.TINY_STEP
             break
 
         x = x + alpha * dx
@@ -684,10 +760,12 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
         kappa += alpha * dkappa
         if tau <= 0 or kappa < 0 or layout.margin(s) <= 0 or layout.margin(z) <= 0:
             # should not happen with fraction-to-boundary steps
+            reason = StopReason.LEFT_CONE
             break
 
     if best is None:
         raise NumericalFailure("interior-point iteration produced no iterate")
+    best.stop_reason = reason
     return best
 
 
@@ -723,7 +801,9 @@ class _KktFactor:
     rows read ``Gs ux - v = inv(W).T rz``, so the (1,1) Schur block is the
     Gram matrix ``Gs.T Gs``, regularized by ``1e-14 I``.  Two factorizations
     share the refinement loop of :meth:`solve`, which refines against the
-    unreduced equations and keeps the best of its rounds:
+    unreduced equations for at most ``_REFINE_ROUNDS`` rounds, keeps the
+    best of them, and returns as soon as a residual falls below
+    ``1e-14 (1 + max|rx|)``:
 
     * :class:`_QrKkt`, for programs with no psd block: a QR factor of the
       stacked ``[Gs; 1e-7 I]`` gives ``R.T R = Gs.T Gs + 1e-14 I`` without
@@ -755,7 +835,8 @@ class _KktFactor:
             if norm < best_norm:
                 best, best_norm = (ux, uy, uz), norm
             if norm < 1e-14 * (1.0 + float(np.max(np.abs(rx)))):
-                break
+                # the residual after the loop would repeat this one
+                return best
             cx, cy, cz = self._solve_once(e1.astype(float), e2.astype(float),
                                           e3.astype(float))
             ux = ux + cx
@@ -850,7 +931,15 @@ class _LuKkt(_KktFactor):
     in the cone block, so the system's conditioning grows like the
     scaling's (not its square); the refinement residual is accumulated in
     ``longdouble`` against ``G_l`` and ``A_l``, the ``longdouble`` copies of
-    ``G`` and ``A`` made once per solve."""
+    ``G`` and ``A`` made once per solve.
+
+    The factor and the solves call LAPACK ``getrf`` and ``getrs`` directly:
+    the same routines as ``scipy.linalg.lu_factor`` and ``lu_solve``, with
+    bitwise the same results, minus the wrappers' per-call checks.  Those
+    checks cannot fire here: the system is finite because
+    :class:`ConeProgram` rejects non-finite data and :func:`_scaled_rows`
+    a non-finite scaling, and :meth:`_solve_once` checks its right-hand
+    side itself."""
 
     def __init__(self, G: np.ndarray, A: np.ndarray, G_l: np.ndarray,
                  A_l: np.ndarray | None, sc: _Scaling):
@@ -868,11 +957,13 @@ class _LuKkt(_KktFactor):
         K[:nx, nx + p:] = self.Gs.T
         K[nx + p:, :nx] = self.Gs
         K[nx + p:, nx + p:] = -np.eye(m)
-        with warnings.catch_warnings():
-            # a singular factorization surfaces as non-finite solves, which
-            # the refinement loop and the caller's guards handle
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            self.lu = scipy.linalg.lu_factor(K)
+        # K is symmetric, so its transpose is the Fortran-ordered matrix
+        # getrf factors in place.  A zero pivot (info > 0) surfaces as
+        # non-finite solves, which the refinement loop and the caller's
+        # guards handle.
+        self.lu, self.piv, info = _getrf(K.T, overwrite_a=True)
+        if info < 0:
+            raise ValueError(f"getrf rejected argument {-info}")
         self._G_l, self._A_l = G_l, A_l
         self._WtW_l = [(sl, F.astype(np.longdouble)) for sl, F in sc.gram()]
 
@@ -885,7 +976,7 @@ class _LuKkt(_KktFactor):
             rhs[self.nx + self.p:] = self.sc.Winvt(rz)
             if not np.all(np.isfinite(rhs)):
                 raise np.linalg.LinAlgError("non-finite reduced right-hand side")
-            sol = scipy.linalg.lu_solve(self.lu, rhs)
+            sol, _ = _getrs(self.lu, self.piv, rhs, overwrite_b=True)
             ux = sol[:self.nx]
             uy = sol[self.nx:self.nx + self.p]
             uz = self.sc.Winv(sol[self.nx + self.p:])
@@ -894,11 +985,22 @@ class _LuKkt(_KktFactor):
     def _residual(self, rx, ry, rz, ux, uy, uz):
         long = np.longdouble
         ux_l, uz_l = ux.astype(long), uz.astype(long)
-        e1 = rx.astype(long) - self._G_l.T @ uz_l
+        # np.dot, not @: for longdouble both sum each entry's products in
+        # index order from zero, so the results are the same to the bit, but
+        # matmul's generic loop takes two to three times as long
+        e1 = rx.astype(long) - np.dot(self._G_l.T, uz_l)
         if self.p:
-            e1 -= self._A_l.T @ uy.astype(long)
-            e2 = ry.astype(long) - self._A_l @ ux_l
+            e1 -= np.dot(self._A_l.T, uy.astype(long))
+            e2 = ry.astype(long) - np.dot(self._A_l, ux_l)
         else:
             e2 = np.zeros(0)
-        e3 = rz.astype(long) - (self._G_l @ ux_l - _blockwise(self._WtW_l, uz_l))
+        WtWuz = np.empty(uz_l.shape, dtype=long)
+        for sl, F in self._WtW_l:
+            if F.ndim == 3:
+                out = WtWuz[sl].reshape(F.shape[:2])
+                for j, vj in enumerate(uz_l[sl].reshape(F.shape[:2])):
+                    out[j] = np.dot(F[j], vj)
+            else:
+                WtWuz[sl] = F * uz_l[sl]
+        e3 = rz.astype(long) - (np.dot(self._G_l, ux_l) - WtWuz)
         return e1, e2, e3

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from sdpack import conelp
 from sdpack import reduce as rd
 from sdpack import solve as sv
-from sdpack.conelp import (ConeProgram, _blockwise, _kkt_factory, _Layout, _LuKkt,
-                           _push_interior, _QrKkt, _Scaling, _smallest_positive_root,
-                           _svec_congruence, smat, solve_cone_program, svec, svec_dim)
+from sdpack.conelp import (ConeProgram, StopReason, _blockwise, _kkt_factory, _KktFactor,
+                           _Layout, _LuKkt, _push_interior, _QrKkt, _Scaling,
+                           _smallest_positive_root, _svec_congruence, smat,
+                           solve_cone_program, svec, svec_dim)
 from sdpack.errors import InvalidInput
 from sdpack.model import Criterion, DesignProblem, ResourceBlock
 
@@ -184,8 +186,34 @@ class TestJordanOps:
             if layout.margin(lam) <= 0.05:
                 continue
             v = rng.standard_normal(layout.m)
-            u = layout.circ_solve(lam, v)
-            assert np.allclose(layout.circ(lam, u), v, atol=1e-8)
+            # at scale 1e-9 every off-diagonal psd entry is below allclose's
+            # absolute tolerance, so a tolerance test for "diagonal" misfires
+            for scale in (1.0, 1e-9):
+                u = layout.circ_solve(scale * lam, v)
+                assert np.allclose(layout.circ(scale * lam, u), v, atol=1e-8)
+
+    @pytest.mark.parametrize("cone", [(("psd", 4),), (("nn", 2), ("psd", 3), ("psd", 3))])
+    def test_scaled_point_eigenvalues(self, cone):
+        # circ_solve and max_step given a scaled point's eigenvalues agree
+        # with the generic path; max_step to the bit, since the eps-path's
+        # step lengths must not move
+        rng = np.random.default_rng(8)
+        layout = _Layout(cone)
+        for _ in range(20):
+            sc = _Scaling(layout, _interior_point(rng, cone), _interior_point(rng, cone))
+            assert len(sc.sigma) == sum(kind == "psd" for kind, _ in cone)
+            v = rng.standard_normal(layout.m)
+            np.testing.assert_allclose(layout.circ_solve(sc.lam, v, sc.sigma),
+                                       layout.circ_solve(sc.lam, v), rtol=1e-12)
+            assert layout.max_step(sc.lam, v, sc.sigma) == layout.max_step(sc.lam, v)
+
+    def test_max_step_tied_eigenvalues(self):
+        # tied eigenvalues take the generic path
+        layout = _Layout((("psd", 3),))
+        d = np.array([2.0, 1.0, 1.0])
+        lam = svec(np.diag(d))
+        v = np.random.default_rng(9).standard_normal(layout.m)
+        assert layout.max_step(lam, v, [d]) == layout.max_step(lam, v)
 
     def test_margin_nan_in_any_block(self):
         layout = _Layout((("nn", 1), ("soc", 2), ("soc", 2)))
@@ -219,6 +247,20 @@ class TestConeProgramValidation:
         # each list covers the three rows of G, so only the cone check fails
         with pytest.raises(InvalidInput):
             ConeProgram(c=self.c, G=self.G, h=self.h, cones=cones)
+
+    @pytest.mark.parametrize("field", ["c", "G", "h", "A", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_data_rejected(self, field, bad):
+        data = dict(c=self.c.copy(), G=self.G.copy(), h=self.h.copy(),
+                    A=np.ones((1, 2)), b=np.ones(1))
+        data[field].flat[0] = bad
+        with pytest.raises(InvalidInput):
+            ConeProgram(cones=[("nn", 3)], **data)
+
+    def test_equality_rows_need_b(self):
+        with pytest.raises(InvalidInput, match="no b"):
+            ConeProgram(c=self.c, G=self.G, h=self.h, cones=[("nn", 3)],
+                        A=np.ones((1, 2)))
 
     def test_zero_order_blocks_allowed(self):
         prog = ConeProgram(c=self.c, G=self.G, h=self.h,
@@ -335,6 +377,39 @@ class TestSolver:
         assert res.optimal
         assert abs(res.pcost - (1.0 + c2 - r * np.hypot(1.0, c2))) <= 1e-9
 
+    def test_stop_reasons(self):
+        box = ConeProgram(c=np.array([-1.0, -1.0]), G=np.vstack([np.eye(2), -np.eye(2)]),
+                          h=np.array([1.0, 1.0, 0.0, 0.0]), cones=[("nn", 4)])
+        infeasible = ConeProgram(c=np.array([0.0]), G=np.array([[1.0], [-1.0]]),
+                                 h=np.array([-1.0, -1.0]), cones=[("nn", 2)])
+        unbounded = ConeProgram(c=np.array([-1.0]), G=np.array([[-1.0]]),
+                                h=np.array([0.0]), cones=[("nn", 1)])
+        # min t s.t. x t >= 4: the infimum 0 is attained by no finite point
+        hyperbolic = ConeProgram(c=np.array([0.0, 1.0]),
+                                 G=-np.array([[1.0, 1.0], [0.0, 0.0], [1.0, -1.0]]),
+                                 h=np.array([0.0, 2.0, 0.0]), cones=[("soc", 3)])
+        for prog, kw, status, reason in [
+                (box, {}, "optimal", StopReason.CONVERGED),
+                (infeasible, {}, "primal_infeasible", StopReason.PRIMAL_INFEASIBLE),
+                (unbounded, {}, "dual_infeasible", StopReason.DUAL_INFEASIBLE),
+                (box, {"max_iter": 2}, "max_iterations", StopReason.ITERATION_LIMIT),
+                (hyperbolic, {}, "max_iterations", StopReason.LEFT_CONE)]:
+            res = solve_cone_program(prog, **kw)
+            assert (res.status, res.stop_reason) == (status, reason)
+
+    def test_factor_failure_stop_reason(self, monkeypatch):
+        def broken(G, A, layout):
+            def factor(sc):
+                raise np.linalg.LinAlgError("forced")
+            return factor
+        monkeypatch.setattr(conelp, "_kkt_factory", broken)
+        prog = ConeProgram(c=np.array([-1.0]), G=np.array([[1.0], [-1.0]]),
+                           h=np.array([1.0, 0.0]), cones=[("nn", 2)])
+        res = solve_cone_program(prog)
+        assert res.status == "max_iterations"
+        assert res.stop_reason is StopReason.FACTOR_FAILURE
+        assert res.iterations == 0 and res.x is not None
+
     def test_warm_start_accepted(self):
         G = np.vstack([np.eye(2), -np.eye(2)])
         h = np.array([1.0, 1.0, 0.0, 0.0])
@@ -384,3 +459,101 @@ class TestKktFactorizations:
             assert np.allclose(G.T @ uz + A.T @ uy, rx, atol=1e-10)
             assert np.allclose(A @ ux, ry, atol=1e-10)
             assert np.allclose(G @ ux - sc.Wt(sc.W(uz)), rz, atol=1e-10)
+
+
+def _psd_kkt_cases(seed, count):
+    """A packing program with a psd block, with ``count`` interior scalings
+    spread over scales 1e-6 to 1e2 and a right-hand side for each."""
+    rng = np.random.default_rng(seed)
+    n, l = 4, 3
+    mats = [a @ a.T + 0.05 * np.eye(n) for a in rng.standard_normal((l, n, n))]
+    b = rng.uniform(0.5, 2.0, l)
+    prog = sv._packing_cone_program(np.eye(n), mats, b, eps=1e-3)
+    layout = _Layout(prog.cones)
+    for scale in np.geomspace(1e-6, 1e2, count):
+        sc = _Scaling(layout, scale * _interior_point(rng, prog.cones),
+                      _interior_point(rng, prog.cones) / scale)
+        rhs = (rng.standard_normal(prog.G.shape[1]), np.zeros(0),
+               rng.standard_normal(prog.G.shape[0]))
+        yield prog, sc, rhs
+
+
+class TestLuKkt:
+    def test_matches_scipy_lu_bitwise(self):
+        for prog, sc, (rx, ry, rz) in _psd_kkt_cases(12, 6):
+            G = prog.G
+            kkt = _kkt_factory(G, np.zeros((0, G.shape[1])), _Layout(prog.cones))(sc)
+            assert isinstance(kkt, _LuKkt)
+            nx, m = G.shape[1], G.shape[0]
+            K = np.zeros((nx + m, nx + m))
+            K[:nx, :nx] = 1e-14 * np.eye(nx)
+            K[:nx, nx:] = kkt.Gs.T
+            K[nx:, :nx] = kkt.Gs
+            K[nx:, nx:] = -np.eye(m)
+            lu, piv = scipy.linalg.lu_factor(K)
+            assert np.array_equal(kkt.lu, lu) and np.array_equal(kkt.piv, piv)
+            sol = scipy.linalg.lu_solve((lu, piv), np.r_[rx, sc.Winvt(rz)])
+            ux, uy, uz = kkt._solve_once(rx, ry, rz)
+            assert np.array_equal(ux, sol[:nx]) and uy.size == 0
+            assert np.array_equal(uz, sc.Winv(sol[nx:]))
+
+    def test_residual_matches_matmul_bitwise(self):
+        # the residual's np.dot products against the matmul reference, on a
+        # run of two psd blocks and with equality rows
+        rng = np.random.default_rng(14)
+        cones = (("nn", 2), ("psd", 3), ("psd", 3))
+        layout = _Layout(cones)
+        G, A = rng.standard_normal((layout.m, 5)), rng.standard_normal((2, 5))
+        long = np.longdouble
+        for scale in (1e-6, 1.0, 1e3):
+            sc = _Scaling(layout, scale * _interior_point(rng, cones),
+                          _interior_point(rng, cones) / scale)
+            kkt = _LuKkt(G, A, G.astype(long), A.astype(long), sc)
+            args = [rng.standard_normal(k) for k in (5, 2, layout.m, 5, 2, layout.m)]
+            rx, ry, rz, ux, uy, uz = args
+            ux_l, uy_l, uz_l = (v.astype(long) for v in (ux, uy, uz))
+            WtW_l = [(sl, F.astype(long)) for sl, F in sc.gram()]
+            want = (rx.astype(long) - G.astype(long).T @ uz_l - A.astype(long).T @ uy_l,
+                    ry.astype(long) - A.astype(long) @ ux_l,
+                    rz.astype(long) - (G.astype(long) @ ux_l - _blockwise(WtW_l, uz_l)))
+            for got, ref in zip(kkt._residual(*args), want):
+                assert got.dtype == long and np.array_equal(got, ref)
+
+    def test_early_return_skips_one_residual(self):
+        def trailing(kkt, rx, ry, rz):
+            # the refinement loop with the residual it used to take after
+            # the loop however the loop ended
+            ux, uy, uz = kkt._solve_once(rx, ry, rz)
+            best, best_norm, broke = (ux, uy, uz), np.inf, False
+            for _ in range(conelp._REFINE_ROUNDS):
+                e = kkt._residual(rx, ry, rz, ux, uy, uz)
+                norm = max(float(np.max(np.abs(v))) if v.size else 0.0 for v in e)
+                if norm < best_norm:
+                    best, best_norm = (ux, uy, uz), norm
+                if norm < 1e-14 * (1.0 + float(np.max(np.abs(rx)))):
+                    broke = True
+                    break
+                c = kkt._solve_once(*(v.astype(float) for v in e))
+                ux, uy, uz = ux + c[0], uy + c[1], uz + c[2]
+            e = kkt._residual(rx, ry, rz, ux, uy, uz)
+            norm = max(float(np.max(np.abs(v))) if v.size else 0.0 for v in e)
+            return ((ux, uy, uz) if norm < best_norm else best), broke
+
+        early = 0
+        for prog, sc, (rx, ry, rz) in _psd_kkt_cases(13, 8):
+            # a small right-hand side makes the refinement loop stop early
+            for r in (1.0, 1e-12):
+                kkt = _kkt_factory(prog.G, np.zeros((0, prog.G.shape[1])),
+                                   _Layout(prog.cones))(sc)
+                calls = []
+                residual = kkt._residual
+                kkt._residual = lambda *a: calls.append(1) or residual(*a)
+                got = _KktFactor.solve(kkt, r * rx, ry, r * rz)
+                n_new = len(calls)
+                want, broke = trailing(kkt, r * rx, ry, r * rz)
+                n_old = len(calls) - n_new
+                for u, v in zip(got, want):
+                    assert np.array_equal(u, v)
+                early += broke
+                assert n_new == n_old - 1 if broke else n_new == n_old
+        assert early > 0

@@ -39,11 +39,13 @@ checks.  The factorization is chosen once per solve from the cone layout:
 * no psd block (LPs, SOCPs, the rank-one and design programs): QR factors
   of the stacked scaled rows and of the equality rows, order ``nx`` and
   ``p``, with residuals in double;
-* a psd block: a dense LU of the scaled augmented system of order
-  ``nx + p + m`` (LAPACK ``getrf``/``getrs``), with residuals in
-  ``longdouble``.  Psd programs keep it because the Schur-complement solves
-  tried on them (QR, Cholesky) stall short of the eps-path's 1e-11 gaps or
-  of the dense oracle's accuracy.
+* a psd block: a dense LU (LAPACK ``getrf``/``getrs``) of the scaled
+  augmented system with every selection block (rows ``-I`` on their own
+  columns, as ``X >= 0`` in the eps-path) eliminated through its own
+  scaling, order ``nx + p`` plus the other cone rows, with residuals in
+  ``longdouble``.  Psd programs keep an augmented system because the
+  Schur-complement solves tried on them (QR, Cholesky) stall short of the
+  eps-path's 1e-11 gaps or of the dense oracle's accuracy.
 
 Every exit of :func:`solve_cone_program` records a :class:`StopReason`.
 
@@ -365,19 +367,24 @@ def _smallest_positive_root(p2: np.ndarray, p1: np.ndarray,
 
 def _blockwise(ops, v: np.ndarray) -> np.ndarray:
     """Apply a block-diagonal operator to a vector or to the rows of a
-    matrix.  ``ops`` holds ``(slice, F)`` pairs that cover the cone rows:
-    a 1-D ``F`` is a diagonal, a ``(k, d, d)`` ``F`` holds ``k`` consecutive
-    d x d blocks."""
+    matrix.  ``ops`` holds ``(slice, F)`` pairs that cover the cone rows,
+    each applied by :func:`_apply`."""
     out = np.empty(v.shape, dtype=np.result_type(v, *(F for _, F in ops)))
     for sl, F in ops:
-        vb = v[sl]
-        if F.ndim == 3:
-            k, d, _ = F.shape
-            cols = vb.shape[1] if vb.ndim == 2 else 1
-            out[sl] = (F @ vb.reshape(k, d, cols)).reshape(vb.shape)
-        else:
-            out[sl] = F * vb if vb.ndim == 1 else F[:, None] * vb
+        _apply(F, v[sl], out[sl])
     return out
+
+
+def _apply(F: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """``out = F v`` for one part of a block-diagonal operator: a 1-D ``F``
+    is a diagonal, a ``(k, d, d)`` ``F`` holds ``k`` consecutive d x d
+    blocks; ``v`` is a vector or a matrix whose rows ``F`` mixes."""
+    if F.ndim == 3:
+        k, d, _ = F.shape
+        cols = v.shape[1] if v.ndim == 2 else 1
+        out[...] = (F @ v.reshape(k, d, cols)).reshape(v.shape)
+    else:
+        np.multiply(F if v.ndim == 1 else F[:, None], v, out=out)
 
 
 class _Scaling:
@@ -810,10 +817,13 @@ class _KktFactor:
       forming the Gram matrix, and a second QR handles the equality rows.
       Residuals are taken in double.
     * :class:`_LuKkt`, for programs with a psd block: a dense LU of the
-      scaled augmented system of order ``nx + p + m``, with residuals
-      accumulated in ``longdouble``.  On psd programs the Schur-complement
-      solves (Cholesky or QR) stall short of the gaps the eps-path and the
-      dense oracle need, and this one does not.
+      scaled augmented system with each selection block (cone rows ``-I``
+      on their own columns) eliminated through its scaling, so of order
+      ``nx + p`` plus the other cone rows (``L + l`` on the eps-path, not
+      ``2L + l``), with residuals accumulated in ``longdouble``.  On psd
+      programs the Schur-complement solves (Cholesky or QR) stall short of
+      the gaps the eps-path and the dense oracle need, and this one does
+      not.
 
     :func:`_kkt_factory` picks one per cone program from its layout.
     """
@@ -827,14 +837,13 @@ class _KktFactor:
             raise np.linalg.LinAlgError("singular reduced system")
         best = (ux, uy, uz)
         best_norm = math.inf
+        done = 1e-14 * (1.0 + float(np.max(np.abs(rx))))
         for _ in range(_REFINE_ROUNDS):
             e1, e2, e3 = self._residual(rx, ry, rz, ux, uy, uz)
-            norm = max(float(np.max(np.abs(e1))) if e1.size else 0.0,
-                       float(np.max(np.abs(e2))) if e2.size else 0.0,
-                       float(np.max(np.abs(e3))) if e3.size else 0.0)
+            norm = _max_abs(e1, e2, e3)
             if norm < best_norm:
                 best, best_norm = (ux, uy, uz), norm
-            if norm < 1e-14 * (1.0 + float(np.max(np.abs(rx)))):
+            if norm < done:
                 # the residual after the loop would repeat this one
                 return best
             cx, cy, cz = self._solve_once(e1.astype(float), e2.astype(float),
@@ -842,24 +851,23 @@ class _KktFactor:
             ux = ux + cx
             uy = uy + cy
             uz = uz + cz
-        e1, e2, e3 = self._residual(rx, ry, rz, ux, uy, uz)
-        norm = max(float(np.max(np.abs(e1))) if e1.size else 0.0,
-                   float(np.max(np.abs(e2))) if e2.size else 0.0,
-                   float(np.max(np.abs(e3))) if e3.size else 0.0)
-        if norm < best_norm:
+        if _max_abs(*self._residual(rx, ry, rz, ux, uy, uz)) < best_norm:
             best = (ux, uy, uz)
         return best
+
+
+def _max_abs(*parts: np.ndarray) -> float:
+    """The largest magnitude over a residual's parts (``nan`` if any is)."""
+    return float(np.max(np.abs(np.concatenate(parts))))
 
 
 def _kkt_factory(G: np.ndarray, A: np.ndarray, layout: _Layout):
     """The factorization every iteration of one solve uses, as a function
     of the scaling: :class:`_QrKkt` when the layout has no psd run, else
-    :class:`_LuKkt` with ``G`` and ``A`` cast to ``longdouble`` once here."""
+    :class:`_LuKkt` on the :class:`_LuLayout` of ``G`` found once here."""
     if all(kind != "psd" for kind, _, _ in layout.runs):
         return functools.partial(_QrKkt, G, A)
-    long = np.longdouble
-    return functools.partial(_LuKkt, G, A, G.astype(long),
-                             A.astype(long) if A.shape[0] else None)
+    return functools.partial(_LuKkt, _LuLayout(G, A, layout))
 
 
 def _scaled_rows(G: np.ndarray, sc: _Scaling) -> np.ndarray:
@@ -925,82 +933,259 @@ class _QrKkt(_KktFactor):
         return e1, e2, e3
 
 
+def _selection_blocks(G: np.ndarray, layout: _Layout):
+    """``(block, columns)`` of each selection block: a cone block whose rows
+    of ``G`` are exactly ``-I`` on a contiguous range of columns that no
+    earlier selection block uses."""
+    used = np.zeros(G.shape[1], dtype=bool)
+    for blk in layout.blocks:
+        rows = G[blk.sl]
+        first = np.flatnonzero(rows[0])
+        if first.size != 1:
+            continue
+        cols = slice(int(first[0]), int(first[0]) + blk.dim)
+        if (cols.stop <= G.shape[1] and not used[cols].any()
+                and np.count_nonzero(rows) == blk.dim
+                and np.all(rows[:, cols].diagonal() == -1.0)):
+            used[cols] = True
+            yield blk, cols
+
+
+class _LuLayout:
+    """Where the rows and columns of one cone program go in the augmented
+    systems of :class:`_LuKkt`, found once per solve.
+
+    ``sel`` holds ``(rows, cols, run, part, GDt, At)`` per selection block
+    (see :func:`_selection_blocks`), with ``GDt`` and ``At`` the transposed
+    columns ``cols`` of ``G_dense`` and ``A``.  The other blocks' rows are
+    stacked as ``G_dense = G[dense_rows]`` (``dense_rows`` is a slice when
+    they are one stretch, else an index array), and ``dense`` holds
+    ``(rows, at, run, part)`` per maximal stretch of them within a run,
+    with ``at`` its rows in ``G_dense``.  ``run`` indexes ``_Layout.runs``;
+    ``part`` picks the rows' share of that run's scaling operator: an entry
+    range of an nn run's diagonal, else the block's position (a range of
+    positions in ``dense``) in the run's stack.  ``G_dense_l`` (and its
+    transpose ``G_dense_lt``) and ``A_l`` are the ``longdouble`` copies the
+    refinement residual uses."""
+
+    def __init__(self, G: np.ndarray, A: np.ndarray, layout: _Layout):
+        self.nx, self.p, self.m = G.shape[1], A.shape[0], G.shape[0]
+        self.A = A
+        chosen = {blk.sl.start: cols for blk, cols in _selection_blocks(G, layout)}
+        sel, self.dense = [], []
+        at = 0
+        for r, (kind, run, blocks) in enumerate(layout.runs):
+            j = 0
+            for selected, group in itertools.groupby(blocks,
+                                                     key=lambda b: b.sl.start in chosen):
+                group = list(group)
+                j0, j = j, j + len(group)
+                if selected:
+                    for jb, blk in enumerate(group, j0):
+                        sel.append((blk.sl, chosen[blk.sl.start], r,
+                                    _run_part(kind, run, blk.sl, jb)))
+                else:
+                    rows = slice(group[0].sl.start, group[-1].sl.stop)
+                    size = rows.stop - rows.start
+                    self.dense.append((rows, slice(at, at + size), r,
+                                       _run_part(kind, run, rows, slice(j0, j))))
+                    at += size
+        self.m_dense = at
+        idx = [i for rows, *_ in self.dense for i in range(rows.start, rows.stop)]
+        if not idx:
+            self.dense_rows = slice(0, 0)
+        elif idx[-1] - idx[0] + 1 == len(idx):
+            self.dense_rows = slice(idx[0], idx[-1] + 1)
+        else:
+            self.dense_rows = np.array(idx)
+        self.G_dense = G[self.dense_rows]
+        self.sel = [(rows, cols, r, i, np.ascontiguousarray(self.G_dense[:, cols].T),
+                     np.ascontiguousarray(A[:, cols].T))
+                    for rows, cols, r, i in sel]
+        self.G_dense_l = self.G_dense.astype(np.longdouble)
+        self.G_dense_lt = np.ascontiguousarray(self.G_dense_l.T)
+        self.A_l = A.astype(np.longdouble) if self.p else None
+
+
+def _run_part(kind: str, run: slice, rows: slice, blocks):
+    """What picks ``rows`` out of their run's scaling operator: the entry
+    range of an nn run's diagonal, else ``blocks``, the index (or range) of
+    the blocks in the run's stack."""
+    return slice(rows.start - run.start, rows.stop - run.start) if kind == "nn" else blocks
+
+
+def _times(F: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``F v`` for one block's scaling operator: a diagonal or a matrix."""
+    return F * v if F.ndim == 1 else np.dot(F, v)
+
+
 class _LuKkt(_KktFactor):
-    """Dense LU of the scaled augmented system, for programs with a psd
-    block.  Substituting the scaled dual direction ``v = W uz`` puts ``-I``
-    in the cone block, so the system's conditioning grows like the
-    scaling's (not its square); the refinement residual is accumulated in
-    ``longdouble`` against ``G_l`` and ``A_l``, the ``longdouble`` copies of
-    ``G`` and ``A`` made once per solve.
+    """Dense LU of the scaled augmented system with every selection block
+    eliminated through its own scaling, for programs with a psd block.
+
+    With the scaled dual direction ``v = W uz`` the cone rows read
+    ``Gs ux - v = inv(W).T rz``, which puts ``-I`` in the cone block, so the
+    system's conditioning grows like the scaling's (not its square).  The
+    rows of a selection block ``b`` (``-I`` on the columns ``x_b``, see
+    :func:`_selection_blocks`) then read ``-inv(W_b).T ux_b - v_b =
+    inv(W_b).T rz_b``.  Substituting ``ux_b = W_b.T xi_b`` gives
+    ``v_b = -xi_b - inv(W_b).T rz_b`` exactly, so ``v_b`` leaves the system;
+    ``W_b`` times the ``x_b`` rows leaves it symmetric, of order
+    ``nx + p + m_dense``::
+
+        [D       (A T).T  (Gs_D T).T] [xi ]   [rx; W_b rx_b - inv(W_b).T rz_b on x_b]
+        [A T     0        0         ] [uy ] = [ry                                   ]
+        [Gs_D T  0        -I        ] [v_D]   [inv(W_D).T rz_D                      ]
+
+    where ``T`` is ``W_b.T`` on each ``x_b`` and the identity elsewhere, and
+    ``D`` is the regularization ``1e-14 I`` on the other columns and
+    ``I + 1e-14 W_b W_b.T`` on ``x_b``, the exact image of ``1e-14 I``.
+    Back-substitution is ``ux_b = W_b.T xi_b`` and ``uz_D = inv(W_D) v_D``;
+    ``uz_b`` is read off the (regularized) ``x_b`` rows, which hold no
+    ``W_b``: ``uz_b = 1e-14 ux_b + A_b.T uy + G_D,b.T uz_D - rx_b``.  (Taking
+    it as ``inv(W_b) v_b`` instead cancels ``xi_b`` against
+    ``inv(W_b).T rz_b`` and then multiplies the rounding by ``inv(W_b)``.)
+
+    Every psd program sdpack builds has a selection block: the X block of
+    the eps-path and the ``solve_sdp`` oracle, X and P of the combined
+    trace-cap program, P of ``combined_primal_phase1``, and the nn block of
+    multipliers of ``solve_dual_packing`` and ``combined_dual_phase1``.  The
+    eps-path's order drops from ``2L + l`` to ``L + l`` (``L = n (n + 1) /
+    2``), 192 to 101 at n = 13.  A program with no selection block gets the
+    full augmented system, ``D = 1e-14 I`` and ``T = I``.
+
+    The refinement residual is accumulated in ``longdouble`` against the
+    unreduced equations, with the selection rows entering as the exact
+    terms ``-ux_b`` and ``-uz_b`` and the dense rows through ``G_dense_l``.
 
     The factor and the solves call LAPACK ``getrf`` and ``getrs`` directly:
     the same routines as ``scipy.linalg.lu_factor`` and ``lu_solve``, with
     bitwise the same results, minus the wrappers' per-call checks.  Those
-    checks cannot fire here: the system is finite because
-    :class:`ConeProgram` rejects non-finite data and :func:`_scaled_rows`
-    a non-finite scaling, and :meth:`_solve_once` checks its right-hand
-    side itself."""
+    checks cannot fire here: ``K`` is checked finite before the factor, and
+    :meth:`_solve_once` checks its right-hand side itself."""
 
-    def __init__(self, G: np.ndarray, A: np.ndarray, G_l: np.ndarray,
-                 A_l: np.ndarray | None, sc: _Scaling):
-        self.sc = sc
-        self.Gs = _scaled_rows(G, sc)
-        nx, p = G.shape[1], A.shape[0]
-        m = G.shape[0]
-        self.nx, self.p, self.m = nx, p, m
-        N = nx + p + m
+    _DELTA = 1e-14    # the regularization of the (1,1) block
+
+    def __init__(self, lay: _LuLayout, sc: _Scaling):
+        self.lay, self.sc = lay, sc
+        nx, p, delta = lay.nx, lay.p, self._DELTA
+        N = nx + p + lay.m_dense
+        Gs = _blockwise([(at, sc._Winvt[r][1][i]) for _, at, r, i in lay.dense],
+                        lay.G_dense)
+        # per dense stretch: its rows of rz and uz, its rows of the reduced
+        # system, and its parts of inv(W).T and inv(W)
+        off = nx + p
+        self._dense = [(rows, slice(off + at.start, off + at.stop),
+                        sc._Winvt[r][1][i], sc._Winv[r][1][i])
+                       for rows, at, r, i in lay.dense]
+        AT = lay.A.copy() if p and lay.sel else lay.A
         K = np.zeros((N, N))
-        K[:nx, :nx] = 1e-14 * np.eye(nx)
+        diag = np.full(nx, delta)
+        self.sel = []
+        for rows, cols, r, i, GDt, At in lay.sel:
+            W, Wt = sc._W[r][1][i], sc._Wt[r][1][i]
+            self.sel.append((rows, cols, W, Wt, sc._Winvt[r][1][i], GDt, At))
+            if W.ndim == 1:
+                Gs[:, cols] *= W
+                if p:
+                    AT[:, cols] *= W
+                diag[cols] = 1.0 + delta * (W * W)
+            else:
+                Gs[:, cols] = Gs[:, cols] @ Wt
+                if p:
+                    AT[:, cols] = AT[:, cols] @ Wt
+        K.flat[:nx * (N + 1):N + 1] = diag
+        for _, cols, W, Wt, *_ in self.sel:
+            if W.ndim == 2:
+                D = W @ Wt
+                D *= delta
+                D.flat[::D.shape[0] + 1] += 1.0
+                K[cols, cols] = D
         if p:
-            K[:nx, nx:nx + p] = A.T
-            K[nx:nx + p, :nx] = A
-        K[:nx, nx + p:] = self.Gs.T
-        K[nx + p:, :nx] = self.Gs
-        K[nx + p:, nx + p:] = -np.eye(m)
-        # K is symmetric, so its transpose is the Fortran-ordered matrix
+            K[:nx, nx:nx + p] = AT.T
+            K[nx:nx + p, :nx] = AT
+        K[:nx, nx + p:] = Gs.T
+        K[nx + p:, :nx] = Gs
+        K.flat[(nx + p) * (N + 1)::N + 1] = -1.0
+        if not np.all(np.isfinite(K)):
+            raise np.linalg.LinAlgError("scaling overflowed")
+        # K is symmetric (up to the rounding of W_b W_b.T, whose transpose
+        # serves as well), so its transpose is the Fortran-ordered matrix
         # getrf factors in place.  A zero pivot (info > 0) surfaces as
         # non-finite solves, which the refinement loop and the caller's
         # guards handle.
         self.lu, self.piv, info = _getrf(K.T, overwrite_a=True)
         if info < 0:
             raise ValueError(f"getrf rejected argument {-info}")
-        self._G_l, self._A_l = G_l, A_l
-        self._WtW_l = [(sl, F.astype(np.longdouble)) for sl, F in sc.gram()]
+        # W.T W in longdouble for the residual, one (rows, operator) per nn
+        # run and per block of the other runs
+        self._WtW_l = []
+        for sl, F in sc.gram():
+            F = F.astype(np.longdouble)
+            if F.ndim == 1:
+                self._WtW_l.append((sl, F))
+            else:
+                d = F.shape[1]
+                self._WtW_l.extend((slice(sl.start + j * d, sl.start + (j + 1) * d), F[j])
+                                   for j in range(F.shape[0]))
 
     def _solve_once(self, rx, ry, rz):
-        rhs = np.empty(self.nx + self.p + self.m)
+        lay = self.lay
+        nx, p = lay.nx, lay.p
+        rhs = np.empty(nx + p + lay.m_dense)
+        uz = np.empty(lay.m)
         with np.errstate(all="ignore"):
-            rhs[:self.nx] = rx
-            if self.p:
-                rhs[self.nx:self.nx + self.p] = ry
-            rhs[self.nx + self.p:] = self.sc.Winvt(rz)
+            rhs[:nx] = rx
+            for rows, cols, W, _, Winvt, _, _ in self.sel:
+                np.subtract(_times(W, rx[cols]), _times(Winvt, rz[rows]), out=rhs[cols])
+            if p:
+                rhs[nx:nx + p] = ry
+            for rows, at, Finvt, _ in self._dense:
+                _apply(Finvt, rz[rows], rhs[at])
             if not np.all(np.isfinite(rhs)):
                 raise np.linalg.LinAlgError("non-finite reduced right-hand side")
             sol, _ = _getrs(self.lu, self.piv, rhs, overwrite_b=True)
-            ux = sol[:self.nx]
-            uy = sol[self.nx:self.nx + self.p]
-            uz = self.sc.Winv(sol[self.nx + self.p:])
+            ux = sol[:nx]
+            uy = sol[nx:nx + p]
+            for rows, at, _, Finv in self._dense:
+                _apply(Finv, sol[at], uz[rows])
+            uz_dense = uz[lay.dense_rows]
+            for rows, cols, _, Wt, _, GDt, At in self.sel:
+                ux[cols] = _times(Wt, ux[cols])
+                # the x_b rows: 1e-14 ux_b + A_b.T uy + G_D,b.T uz_D - uz_b = rx_b
+                ub = uz[rows]
+                np.dot(GDt, uz_dense, out=ub)
+                ub -= rx[cols]
+                ub += self._DELTA * ux[cols]
+                if p:
+                    ub += np.dot(At, uy)
         return ux, uy, uz
 
     def _residual(self, rx, ry, rz, ux, uy, uz):
+        lay = self.lay
         long = np.longdouble
         ux_l, uz_l = ux.astype(long), uz.astype(long)
         # np.dot, not @: for longdouble both sum each entry's products in
         # index order from zero, so the results are the same to the bit, but
         # matmul's generic loop takes two to three times as long
-        e1 = rx.astype(long) - np.dot(self._G_l.T, uz_l)
-        if self.p:
-            e1 -= np.dot(self._A_l.T, uy.astype(long))
-            e2 = ry.astype(long) - np.dot(self._A_l, ux_l)
+        e1 = rx.astype(long) - np.dot(lay.G_dense_lt, uz_l[lay.dense_rows])
+        for rows, cols, *_ in self.sel:
+            e1[cols] += uz_l[rows]
+        if lay.p:
+            e1 -= np.dot(lay.A_l.T, uy.astype(long))
+            e2 = ry.astype(long) - np.dot(lay.A_l, ux_l)
         else:
             e2 = np.zeros(0)
         WtWuz = np.empty(uz_l.shape, dtype=long)
         for sl, F in self._WtW_l:
-            if F.ndim == 3:
-                out = WtWuz[sl].reshape(F.shape[:2])
-                for j, vj in enumerate(uz_l[sl].reshape(F.shape[:2])):
-                    out[j] = np.dot(F[j], vj)
+            if F.ndim == 1:
+                np.multiply(F, uz_l[sl], out=WtWuz[sl])
             else:
-                WtWuz[sl] = F * uz_l[sl]
-        e3 = rz.astype(long) - (np.dot(self._G_l, ux_l) - WtWuz)
+                np.dot(F, uz_l[sl], out=WtWuz[sl])
+        # rz - G ux + W.T W uz: G ux through G_dense_l on the dense rows and
+        # as -ux_b on the rows of each selection block
+        e3 = rz.astype(long) + WtWuz
+        e3[lay.dense_rows] -= np.dot(lay.G_dense_l, ux_l)
+        for rows, cols, *_ in self.sel:
+            e3[rows] += ux_l[cols]
         return e1, e2, e3

@@ -9,11 +9,11 @@ from sdpack import conelp
 from sdpack import reduce as rd
 from sdpack import solve as sv
 from sdpack.conelp import (ConeProgram, StopReason, _blockwise, _kkt_factory, _KktFactor,
-                           _Layout, _LuKkt, _push_interior, _QrKkt, _Scaling,
-                           _smallest_positive_root, _svec_congruence, smat,
+                           _Layout, _LuKkt, _LuLayout, _push_interior, _QrKkt, _Scaling,
+                           _scaled_rows, _smallest_positive_root, _svec_congruence, smat,
                            solve_cone_program, svec, svec_dim)
 from sdpack.errors import InvalidInput
-from sdpack.model import Criterion, DesignProblem, ResourceBlock
+from sdpack.model import CombinedProblem, Criterion, DesignProblem, PackingProblem, ResourceBlock
 
 
 class TestPackedCoordinates:
@@ -428,7 +428,9 @@ class TestKktFactorizations:
         assert qr.func is _QrKkt
         lu = _kkt_factory(G, A, _Layout([("nn", 3), ("psd", 2)]))
         assert lu.func is _LuKkt
-        assert lu.args[2].dtype == np.longdouble and lu.args[3].dtype == np.longdouble
+        lay = lu.args[0]
+        assert isinstance(lay, _LuLayout)
+        assert lay.G_dense_l.dtype == np.longdouble and lay.A_l.dtype == np.longdouble
         assert isinstance(qr(sc), _QrKkt)
 
     def test_qr_matches_augmented_lu_on_resource_dual(self):
@@ -445,12 +447,11 @@ class TestKktFactorizations:
         G, A = prog.G, prog.A
         assert A.shape[0] > 0
         layout = _Layout(prog.cones)
-        long = np.longdouble
         for _ in range(10):
             sc = _Scaling(layout, _interior_point(rng, prog.cones),
                           _interior_point(rng, prog.cones))
             qr = _QrKkt(G, A, sc)
-            lu = _LuKkt(G, A, G.astype(long), A.astype(long), sc)
+            lu = _LuKkt(_LuLayout(G, A, layout), sc)
             rx, ry, rz = (rng.standard_normal(k) for k in (G.shape[1], A.shape[0],
                                                            G.shape[0]))
             for u_qr, u_lu in zip(qr.solve(rx, ry, rz), lu.solve(rx, ry, rz)):
@@ -480,22 +481,32 @@ def _psd_kkt_cases(seed, count):
 
 class TestLuKkt:
     def test_matches_scipy_lu_bitwise(self):
+        # the eps-path program: its nn rows stay, its psd block is eliminated;
+        # K, the LU and the solves against the reduced system built here and
+        # scipy's lu_factor and lu_solve
         for prog, sc, (rx, ry, rz) in _psd_kkt_cases(12, 6):
             G = prog.G
             kkt = _kkt_factory(G, np.zeros((0, G.shape[1])), _Layout(prog.cones))(sc)
             assert isinstance(kkt, _LuKkt)
-            nx, m = G.shape[1], G.shape[0]
-            K = np.zeros((nx + m, nx + m))
-            K[:nx, :nx] = 1e-14 * np.eye(nx)
-            K[:nx, nx:] = kkt.Gs.T
-            K[nx:, :nx] = kkt.Gs
-            K[nx:, nx:] = -np.eye(m)
+            nx, l = G.shape[1], prog.cones[0][1]
+            winvt, winv = sc._Winvt[0][1], sc._Winv[0][1]
+            W, Wt = sc._W[1][1][0], sc._Wt[1][1][0]
+            Gs = (winvt[:, None] * G[:l]) @ Wt
+            D = W @ Wt
+            D *= 1e-14
+            D.flat[::nx + 1] += 1.0
+            K = np.block([[D, Gs.T], [Gs, -np.eye(l)]])
             lu, piv = scipy.linalg.lu_factor(K)
             assert np.array_equal(kkt.lu, lu) and np.array_equal(kkt.piv, piv)
-            sol = scipy.linalg.lu_solve((lu, piv), np.r_[rx, sc.Winvt(rz)])
-            ux, uy, uz = kkt._solve_once(rx, ry, rz)
-            assert np.array_equal(ux, sol[:nx]) and uy.size == 0
-            assert np.array_equal(uz, sc.Winv(sol[nx:]))
+            rzs = sc.Winvt(rz)
+            sol = scipy.linalg.lu_solve((lu, piv), np.r_[np.dot(W, rx) - rzs[l:], rzs[:l]])
+            uz_d = winv * sol[nx:]
+            ux = np.dot(Wt, sol[:nx])
+            uz_b = np.dot(np.ascontiguousarray(G[:l].T), uz_d) - rx
+            uz_b += 1e-14 * ux
+            got = kkt._solve_once(rx, ry, rz)
+            assert np.array_equal(got[0], ux) and got[1].size == 0
+            assert np.array_equal(got[2], np.r_[uz_d, uz_b])
 
     def test_residual_matches_matmul_bitwise(self):
         # the residual's np.dot products against the matmul reference, on a
@@ -508,16 +519,33 @@ class TestLuKkt:
         for scale in (1e-6, 1.0, 1e3):
             sc = _Scaling(layout, scale * _interior_point(rng, cones),
                           _interior_point(rng, cones) / scale)
-            kkt = _LuKkt(G, A, G.astype(long), A.astype(long), sc)
+            kkt = _LuKkt(_LuLayout(G, A, layout), sc)
+            assert kkt.sel == []
             args = [rng.standard_normal(k) for k in (5, 2, layout.m, 5, 2, layout.m)]
-            rx, ry, rz, ux, uy, uz = args
-            ux_l, uy_l, uz_l = (v.astype(long) for v in (ux, uy, uz))
-            WtW_l = [(sl, F.astype(long)) for sl, F in sc.gram()]
-            want = (rx.astype(long) - G.astype(long).T @ uz_l - A.astype(long).T @ uy_l,
-                    ry.astype(long) - A.astype(long) @ ux_l,
-                    rz.astype(long) - (G.astype(long) @ ux_l - _blockwise(WtW_l, uz_l)))
-            for got, ref in zip(kkt._residual(*args), want):
+            for got, ref in zip(kkt._residual(*args), _matmul_residual(G, A, sc, *args)):
                 assert got.dtype == long and np.array_equal(got, ref)
+
+    def test_residual_with_selection_blocks(self):
+        # the selection rows enter as exact terms: against the matmul
+        # reference over the whole G, equal up to the order of the sums
+        tol = 64 * np.finfo(np.longdouble).eps
+        rng = np.random.default_rng(15)
+        cones = (("nn", 2), ("psd", 2), ("psd", 3))
+        layout = _Layout(cones)
+        G = np.zeros((layout.m, 3 + 6 + 2))
+        G[:2] = rng.standard_normal((2, G.shape[1]))
+        G[2:5, :3] = -np.eye(3)
+        G[5:, 3:9] = -np.eye(6)
+        A = rng.standard_normal((2, G.shape[1]))
+        sc = _Scaling(layout, _interior_point(rng, cones), _interior_point(rng, cones))
+        kkt = _LuKkt(_LuLayout(G, A, layout), sc)
+        assert [(rows, cols) for rows, cols, *_ in kkt.sel] == [
+            (slice(2, 5), slice(0, 3)), (slice(5, 11), slice(3, 9))]
+        for _ in range(5):
+            args = [rng.standard_normal(k) for k in (11, 2, layout.m, 11, 2, layout.m)]
+            for got, ref in zip(kkt._residual(*args), _matmul_residual(G, A, sc, *args)):
+                assert got.dtype == np.longdouble
+                assert np.allclose(got, ref, rtol=0, atol=tol * float(np.max(np.abs(ref))))
 
     def test_early_return_skips_one_residual(self):
         def trailing(kkt, rx, ry, rz):
@@ -557,3 +585,233 @@ class TestLuKkt:
                 early += broke
                 assert n_new == n_old - 1 if broke else n_new == n_old
         assert early > 0
+
+
+def _matmul_residual(G, A, sc, rx, ry, rz, ux, uy, uz):
+    """The unreduced equations' residual in longdouble, by matmul over the
+    whole ``G``."""
+    long = np.longdouble
+    ux_l, uy_l, uz_l = (v.astype(long) for v in (ux, uy, uz))
+    WtW_l = [(sl, F.astype(long)) for sl, F in sc.gram()]
+    return (rx.astype(long) - G.astype(long).T @ uz_l - A.astype(long).T @ uy_l,
+            ry.astype(long) - A.astype(long) @ ux_l,
+            rz.astype(long) + _blockwise(WtW_l, uz_l) - G.astype(long) @ ux_l)
+
+
+class _FullLu(_KktFactor):
+    """The reference: LU of the full scaled augmented system of order
+    ``nx + p + m``, no block eliminated, with its ``longdouble`` residual."""
+
+    def __init__(self, G, A, sc):
+        self.sc, self.G, self.A = sc, G, A
+        self.Gs = _scaled_rows(G, sc)
+        nx, p, m = G.shape[1], A.shape[0], G.shape[0]
+        self.nx, self.p = nx, p
+        K = np.zeros((nx + p + m, nx + p + m))
+        K[:nx, :nx] = 1e-14 * np.eye(nx)
+        K[:nx, nx:nx + p] = A.T
+        K[nx:nx + p, :nx] = A
+        K[:nx, nx + p:] = self.Gs.T
+        K[nx + p:, :nx] = self.Gs
+        K[nx + p:, nx + p:] = -np.eye(m)
+        self.lu, self.piv = scipy.linalg.lu_factor(K)
+
+    def _solve_once(self, rx, ry, rz):
+        nx, p = self.nx, self.p
+        sol = scipy.linalg.lu_solve((self.lu, self.piv), np.r_[rx, ry, self.sc.Winvt(rz)])
+        return sol[:nx], sol[nx:nx + p], self.sc.Winv(sol[nx + p:])
+
+    def _residual(self, rx, ry, rz, ux, uy, uz):
+        return _matmul_residual(self.G, self.A, self.sc, rx, ry, rz, ux, uy, uz)
+
+
+def _combined_problem(rng, n=3, l=3, p=2, q=2):
+    mats = tuple(a @ a.T + 0.05 * np.eye(n) for a in rng.standard_normal((l, n, n)))
+    Rs = tuple(0.5 * (r + r.T) for r in rng.standard_normal((l, p, p)))
+    H = rng.standard_normal((q, l))
+    c = rng.standard_normal((n, 2))
+    return CombinedProblem(C=c @ c.T, mats=mats, b=rng.uniform(0.5, 2.0, l),
+                           R0=-np.eye(p), Rs=Rs, h0=rng.standard_normal(q),
+                           hs=tuple(H.T), H=H)
+
+
+def _captured_program(monkeypatch, module, run):
+    """The cone program ``run`` hands to ``module.solve_cone_program``."""
+    progs = []
+
+    def tap(prog, **kw):
+        progs.append(prog)
+        return solve_cone_program(prog, **kw)
+
+    monkeypatch.setattr(module, "solve_cone_program", tap)
+    run()
+    return progs[0]
+
+
+def _program_shape(name, monkeypatch):
+    """A psd program, one sdpack builds or a synthetic layout, with the
+    (rows, columns) of its selection blocks."""
+    rng = np.random.default_rng(21)
+    n, l = 3, 3
+    L = svec_dim(n)
+    mats = [a @ a.T + 0.05 * np.eye(n) for a in rng.standard_normal((l, n, n))]
+    if name == "eps_path":
+        c = rng.standard_normal(n)
+        prog = sv._packing_cone_program(np.outer(c, c), mats, rng.uniform(0.5, 2.0, l),
+                                        eps=1e-3)
+        return prog, [(slice(l, l + L), slice(0, L))]
+    cmb = _combined_problem(rng, n, l)
+    Lp = svec_dim(cmb.p)
+    if name == "trace_cap":
+        prog = sv._combined_cone_program(cmb, 0.1, 1e-9)
+        return prog, [(slice(l + 1, l + 1 + L), slice(0, L)),
+                      (slice(l + 1 + L, l + 1 + L + Lp), slice(L, L + Lp))]
+    if name == "dual_packing":
+        c = rng.standard_normal(n)
+        problem = PackingProblem(C=np.outer(c, c), mats=tuple(mats),
+                                 b=rng.uniform(0.5, 2.0, l))
+        prog = _captured_program(monkeypatch, sv, lambda: sv.solve_dual_packing(problem))
+        return prog, [(slice(0, l), slice(0, l))]
+    if name == "dual_phase1":
+        prog = _captured_program(monkeypatch, rd, lambda: rd.combined_dual_phase1(cmb))
+        return prog, [(slice(0, l + 1), slice(0, l + 1))]
+    # synthetic layouts: runs that mix eliminated and dense blocks, equality
+    # rows and free columns ("mixed_runs"), and two eliminated nn blocks in
+    # one run ("nn_pair")
+    if name == "mixed_runs":
+        # rows: nn 0-1 (eliminated), nn 2-3, psd 4-6, psd 7-9 (eliminated),
+        # nn 10-12; columns 5 and 6 are free
+        cones = (("nn", 2), ("nn", 2), ("psd", 2), ("psd", 2), ("nn", 3))
+        G = rng.standard_normal((13, 7))
+        G[:2] = 0.0
+        G[:2, 3:5] = -np.eye(2)
+        G[7:10] = 0.0
+        G[7:10, :3] = -np.eye(3)
+        sel = [(slice(0, 2), slice(3, 5)), (slice(7, 10), slice(0, 3))]
+        A = rng.standard_normal((2, 7))
+    else:
+        cones = (("nn", 2), ("nn", 2), ("psd", 2))
+        G = np.zeros((7, 4))
+        G[:4] = -np.eye(4)
+        G[4:] = rng.standard_normal((3, 4))
+        sel = [(slice(0, 2), slice(0, 2)), (slice(2, 4), slice(2, 4))]
+        A = None
+    x = rng.standard_normal(G.shape[1])
+    h = G @ x + _interior_point(rng, cones)
+    prog = ConeProgram(c=rng.standard_normal(G.shape[1]), G=G, h=h, cones=cones,
+                       A=A, b=None if A is None else A @ x)
+    return prog, sel
+
+
+class TestSelectionElimination:
+    """The reduced LU against the full augmented system it replaces."""
+
+    @pytest.mark.parametrize("name", ["eps_path", "trace_cap", "dual_packing",
+                                      "dual_phase1", "mixed_runs", "nn_pair"])
+    def test_reduced_solve_matches_full_system(self, name, monkeypatch):
+        prog, sel = _program_shape(name, monkeypatch)
+        G = prog.G
+        A = prog.A if prog.A is not None else np.zeros((0, G.shape[1]))
+        layout = _Layout(prog.cones)
+        lay = _LuLayout(G, A, layout)
+        assert [(rows, cols) for rows, cols, *_ in lay.sel] == sel
+        eliminated = sum(rows.stop - rows.start for rows, _ in sel)
+        assert lay.m_dense == G.shape[0] - eliminated
+        rng = np.random.default_rng(22)
+        for scale in np.geomspace(1e-2, 1e2, 10):
+            sc = _Scaling(layout, scale * _interior_point(rng, prog.cones),
+                          _interior_point(rng, prog.cones) / scale)
+            kkt, ref = _LuKkt(lay, sc), _FullLu(G, A, sc)
+            assert kkt.lu.shape[0] == ref.lu.shape[0] - eliminated
+            rx, ry, rz = (rng.standard_normal(k) for k in (G.shape[1], A.shape[0],
+                                                           G.shape[0]))
+            got = kkt.solve(rx, ry, rz)
+            for u, v in zip(got, ref.solve(rx, ry, rz)):
+                assert np.allclose(u, v, rtol=1e-10, atol=1e-10)
+            for e in _matmul_residual(G, A, sc, rx, ry, rz, *got):
+                assert float(np.max(np.abs(e), initial=0.0)) <= 1e-10
+            # one solve, before refinement, already meets the equations
+            # closely (1e-7 at worst here)
+            once = kkt._solve_once(rx, ry, rz)
+            for e in _matmul_residual(G, A, sc, rx, ry, rz, *once):
+                assert float(np.max(np.abs(e), initial=0.0)) <= 1e-6
+
+    @staticmethod
+    def _selected(G, cones):
+        return [(rows, cols) for rows, cols, *_ in
+                _LuLayout(G, np.zeros((0, G.shape[1])), _Layout(cones)).sel]
+
+    def test_detection(self):
+        # an nn block of two dense rows, then two psd blocks of order 2 on
+        # columns 0-2 and 3-5
+        cones = (("nn", 2), ("psd", 2), ("psd", 2))
+        base = np.zeros((8, 6))
+        base[:2] = np.arange(1.0, 13.0).reshape(2, 6)
+        base[2:5, :3] = -np.eye(3)
+        base[5:, 3:] = -np.eye(3)
+        assert self._selected(base, cones) == [(slice(2, 5), slice(0, 3)),
+                                               (slice(5, 8), slice(3, 6))]
+        second = [(slice(5, 8), slice(3, 6))]
+        for entry in (1.0, 2.0):
+            G = base.copy()
+            G[3, 1] = entry                 # +1 or 2 in place of a -1
+            assert self._selected(G, cones) == second
+        G = base.copy()
+        G[4, 5] = 0.5                       # a stray entry outside the range
+        assert self._selected(G, cones) == second
+        G = base.copy()
+        G[5:, 3:] = 0.0
+        G[5:, :3] = -np.eye(3)              # columns the first block uses
+        assert self._selected(G, cones) == [(slice(2, 5), slice(0, 3))]
+        G = base.copy()
+        G[5:, 3:] = -np.eye(3)[[0, 2, 1]]   # the range is not in order
+        assert self._selected(G, cones) == [(slice(2, 5), slice(0, 3))]
+        G = base.copy()
+        G[5:, 3:] = 0.0
+        G[5, 3], G[6, 4] = -1.0, -1.0
+        G = np.hstack([G, np.zeros((8, 1))])
+        G[7, 6] = -1.0                      # columns 3, 4 and 6: not contiguous
+        assert self._selected(G, cones) == [(slice(2, 5), slice(0, 3))]
+
+    def test_no_selection_block_factors_full_system_bitwise(self):
+        rng = np.random.default_rng(23)
+        cones = (("nn", 3), ("psd", 2), ("psd", 3))
+        layout = _Layout(cones)
+        G, A = rng.standard_normal((layout.m, 6)), rng.standard_normal((2, 6))
+        lay = _LuLayout(G, A, layout)
+        assert lay.sel == [] and lay.m_dense == layout.m
+        for scale in (1e-4, 1.0, 1e4):
+            sc = _Scaling(layout, scale * _interior_point(rng, cones),
+                          _interior_point(rng, cones) / scale)
+            kkt, ref = _LuKkt(lay, sc), _FullLu(G, A, sc)
+            assert np.array_equal(kkt.lu, ref.lu) and np.array_equal(kkt.piv, ref.piv)
+            r = (rng.standard_normal(6), rng.standard_normal(2),
+                 rng.standard_normal(layout.m))
+            for u, v in zip(kkt._solve_once(*r), ref._solve_once(*r)):
+                assert np.array_equal(u, v)
+
+    def test_xi_block_is_identity_plus_delta_W_Wt(self, monkeypatch):
+        # the exact image of the 1e-14 I regularization under ux_b = W_b.T xi_b;
+        # at a scaling of norm ~1e3 the term is far above rounding and W W.T
+        # is far from W.T W
+        captured = []
+        getrf = conelp._getrf
+
+        def tap(a, **kw):
+            captured.append(a.T.copy())
+            return getrf(a, **kw)
+
+        monkeypatch.setattr(conelp, "_getrf", tap)
+        prog = next(_psd_kkt_cases(24, 1))[0]
+        layout = _Layout(prog.cones)
+        rng = np.random.default_rng(24)
+        l, L = prog.cones[0][1], svec_dim(prog.cones[1][1])
+        sc = _Scaling(layout, 1e3 * _interior_point(rng, prog.cones),
+                      1e-3 * _interior_point(rng, prog.cones))
+        _kkt_factory(prog.G, np.zeros((0, L)), layout)(sc)
+        K = captured[-1]
+        assert K.shape == (L + l, L + l)
+        W = sc.W(np.eye(layout.m))[l:, l:]
+        block = (K[:L, :L] - np.eye(L)) / 1e-14
+        assert np.allclose(block, W @ W.T, rtol=1e-6, atol=0)
+        assert not np.allclose(block, W.T @ W, rtol=1e-3, atol=0)

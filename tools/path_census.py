@@ -1,13 +1,15 @@
 """Census of the eps-path stages on the benchmark's ``lowrank_path`` cases.
 
-    python3 tools/path_census.py [--seeds 1 2 3] [--cases 48]
+    python3 tools/path_census.py [--seeds 1 2 3] [--cases 48] [--max-nonoptimal N]
 
 Runs ``solve_packing_lowrank`` on the first ``--cases`` cases of the
 ``lowrank_path`` workload (``perfbench/workloads.py``) for each seed, keeps
 the engine result of every path stage, and prints one JSON line: the stage
 count, the engine iterations over all stages, and the stages that did not
 end ``optimal``, counted by the engine's ``stop_reason``.  A case that
-raises is counted under ``errors`` by exception type.
+raises is counted under ``errors`` by exception type.  With
+``--max-nonoptimal N`` the exit status is 1 when more than ``N`` stages
+did not end ``optimal`` (a gate for CI).
 
 Run from the root of a source tree; the library is imported from ``src/``
 and ``perfbench/`` is only read.  One BLAS thread, as in the benchmark.
@@ -65,8 +67,13 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     p.add_argument("--cases", type=int, default=48)
+    p.add_argument("--max-nonoptimal", type=int, default=None, metavar="N",
+                   help="exit 1 when more than N stages end non-optimal")
     args = p.parse_args(argv)
-    print(json.dumps(census(args.seeds, args.cases)))
+    result = census(args.seeds, args.cases)
+    print(json.dumps(result))
+    if args.max_nonoptimal is not None and result["nonoptimal"] > args.max_nonoptimal:
+        return 1
     return 0
 
 

@@ -47,6 +47,15 @@ checks.  The factorization is chosen once per solve from the cone layout:
   Schur-complement solves tried on them (QR, Cholesky) stall short of the
   eps-path's 1e-11 gaps or of the dense oracle's accuracy.
 
+A warm start (the path stages of ``sdpack.solve``) is pushed back into the
+cone interior only as far as its relative residual in the new program, and
+at most to 5% of each block's scale.  The embedding reduces residuals and
+complementarity by one factor per iteration, so a warm point re-centred far
+beyond its residual would spend its iterations on the gap alone.  A warm
+point that already meets the new program to the solve's ``feastol`` gets
+the full 5% push: its residual gives no scale, and re-centring it keeps
+the trace-cap path's answers at low rank.
+
 Every exit of :func:`solve_cone_program` records a :class:`StopReason`.
 
 This is an internal engine; the user-facing entry points are in
@@ -71,9 +80,15 @@ _STEP = 0.99
 _REFINE_ROUNDS = 2
 _STALL_LIMIT = 8
 
-# the LAPACK routines behind scipy.linalg.lu_factor and lu_solve, called
-# without the wrappers' per-call checks (see _LuKkt)
-_getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+# the largest margin a warm start's cone blocks are pushed to, relative to
+# each block's scale (see _warm_margin)
+_WARM_MARGIN = 0.05
+
+# the LAPACK routines behind scipy.linalg.lu_factor, lu_solve and
+# solve_triangular, called without the wrappers' per-call checks (see
+# _LuKkt and _QrKkt)
+_getrf, _getrs, _trtrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs", "trtrs"),
+                                                       dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +573,15 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
                        warm: tuple | None = None) -> ConeResult:
     """Run the interior-point iteration on ``prog``.
 
-    ``warm`` may carry ``(x, y, s, z)`` from a related solve; the pair is
-    pushed back into the cone interior before use.  Returns an ``optimal``
-    or certificate result, else the best iterate as ``max_iterations``;
-    either way ``stop_reason`` says which exit was taken.
+    ``warm`` may carry ``(x, y, s, z)`` from a related solve.  Its relative
+    residual in ``prog`` (:func:`_warm_residual`) is measured first, and
+    then ``s`` and ``z`` are pushed back into the cone interior only as far
+    as that residual (:func:`_warm_margin`): the embedding reduces residual
+    and complementarity by one factor per iteration, so a warm point whose
+    complementarity sat far above its residual would spend its iterations
+    on the gap alone.  Returns an ``optimal`` or certificate result, else
+    the best iterate as ``max_iterations``; either way ``stop_reason`` says
+    which exit was taken.
     """
     layout = _Layout(prog.cones)
     if feastol is None:
@@ -590,8 +610,10 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
             x = np.asarray(wx, dtype=float).copy()
             y = (np.asarray(wy, dtype=float).copy() if wy is not None and p
                  else np.zeros(p))
-            s = _push_interior(layout, np.asarray(ws, dtype=float), e)
-            z = _push_interior(layout, np.asarray(wz, dtype=float), e)
+            ws, wz = np.asarray(ws, dtype=float), np.asarray(wz, dtype=float)
+            push = _warm_margin(_warm_residual(c, G, h, A, b, x, y, ws, wz), feastol)
+            s = _push_interior(layout, ws, e, push)
+            z = _push_interior(layout, wz, e, push)
             tau = 1.0
             kappa = max((s @ z) / deg, 1e-8)
 
@@ -776,9 +798,40 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
     return best
 
 
-def _push_interior(layout: _Layout, v: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Shift a warm-start cone point into the interior, block by block,
-    so that each block keeps a margin proportional to its own scale."""
+def _warm_residual(c, G, h, A, b, x, y, s, z) -> float:
+    """Relative residual of a warm point in the program being solved: the
+    largest of ``|G x + s - h|``, ``|G.T z + A.T y + c|`` and, when there
+    are equality rows, ``|A x - b|``, each over ``max(1, |h|)``,
+    ``max(1, |c|)`` and ``max(1, |b|)``."""
+    def rel(r, d):
+        return float(np.linalg.norm(r)) / max(1.0, float(np.linalg.norm(d)))
+
+    rho = max(rel(G @ x + s - h, h), rel(G.T @ z + A.T @ y + c, c))
+    if A.shape[0]:
+        rho = max(rho, rel(A @ x - b, b))
+    return rho
+
+
+def _warm_margin(rho: float, feastol: float) -> float:
+    """The push factor of a warm start with relative residual ``rho``:
+    ``rho`` itself, capped at ``_WARM_MARGIN``.  A warm point with ``rho <=
+    feastol`` (or a non-finite ``rho``) already meets the program to the
+    solve's own tolerance, so its residual gives no scale; it is re-centred
+    with the full ``_WARM_MARGIN``.  (On the combined trace-cap path, whose
+    looser caps often do not bind, the ranks of the answers depend on that
+    re-centring.)"""
+    if not rho > feastol:
+        return _WARM_MARGIN
+    return min(_WARM_MARGIN, rho)
+
+
+def _push_interior(layout: _Layout, v: np.ndarray, e: np.ndarray,
+                   push: float) -> np.ndarray:
+    """Shift a warm-start cone point into the interior, block by block:
+    each block whose smallest eigenvalue lies below ``push (|mean| + 1)``,
+    with ``mean`` the block's mean eigenvalue (for nn the mean magnitude of
+    its entries), is moved along the identity until it lies there; the
+    others are left as they are.  ``push`` comes from :func:`_warm_margin`."""
     out = v.copy()
     for (kind, sl, blocks), margin in zip(layout.runs, layout._block_margins(v)):
         U = _rows(out, sl, blocks)
@@ -789,7 +842,7 @@ def _push_interior(layout: _Layout, v: np.ndarray, e: np.ndarray) -> np.ndarray:
         else:
             r, c, _ = _svec_index(blocks[0].order)
             mean = U[:, r == c].sum(axis=1) / blocks[0].order
-        target = 0.05 * (np.abs(mean) + 1.0)
+        target = push * (np.abs(mean) + 1.0)
         low = margin < target
         U[low] += (target - margin)[low, None] * _rows(e, sl, blocks)[low]
     return out
@@ -903,8 +956,17 @@ class _QrKkt(_KktFactor):
 
     @staticmethod
     def _tri(R, v, trans="N"):
-        # a zero on the diagonal raises LinAlgError
-        return scipy.linalg.solve_triangular(R, v, trans=trans, check_finite=False)
+        """``inv(R) v`` (``trans="N"``) or ``inv(R).T v`` (``"T"``) for the
+        C-ordered upper triangle ``R``: LAPACK ``trtrs`` on ``R.T``, the
+        Fortran-ordered lower triangle, exactly as ``solve_triangular``
+        calls it (bitwise the same results) minus the wrapper's checks.  A
+        zero on the diagonal raises ``LinAlgError``."""
+        u, info = _trtrs(R.T, v, lower=1, trans=0 if trans == "T" else 1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular triangle: zero at diagonal {info - 1}")
+        if info < 0:
+            raise ValueError(f"trtrs rejected argument {-info}")
+        return u
 
     def _solve_once(self, rx, ry, rz):
         with np.errstate(all="ignore"):

@@ -523,9 +523,14 @@ def _follow_path(build, schedule, max_iter: int, what: str,
                  warm_start: bool = True) -> list[ConeResult]:
     """Solve ``build(v)`` for each ``v`` in ``schedule`` at the path
     tolerances, each stage warm-started from the previous one unless
-    ``warm_start`` is off.  A stage that returns a certificate instead of
-    an iterate raises ``NumericalFailure`` naming ``what`` and ``v``; an
-    optimal or ``max_iterations`` stage is kept."""
+    ``warm_start`` is off.  The engine pushes a warm point into the cone
+    interior only as far as its residual in the new stage (on the eps-path
+    about the change in eps times tr X), so late stages take few
+    iterations; a warm point that already meets the new stage, as when a
+    looser trace cap does not bind, is re-centred in full instead.  A stage
+    that returns a certificate instead of an iterate raises
+    ``NumericalFailure`` naming ``what`` and ``v``; an optimal or
+    ``max_iterations`` stage is kept."""
     warm, results = None, []
     for v in schedule:
         res = solve_cone_program(build(v), reltol=_PATH_RELTOL,

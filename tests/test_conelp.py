@@ -3,15 +3,17 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from instances import bounded_packing
 from scipy.optimize import linprog
 
 from sdpack import conelp
 from sdpack import reduce as rd
 from sdpack import solve as sv
-from sdpack.conelp import (ConeProgram, StopReason, _blockwise, _kkt_factory, _KktFactor,
-                           _Layout, _LuKkt, _LuLayout, _push_interior, _QrKkt, _Scaling,
-                           _scaled_rows, _smallest_positive_root, _svec_congruence, smat,
-                           solve_cone_program, svec, svec_dim)
+from sdpack.conelp import (_WARM_MARGIN, ConeProgram, StopReason, _blockwise, _kkt_factory,
+                           _KktFactor, _Layout, _LuKkt, _LuLayout, _push_interior, _QrKkt,
+                           _rows, _Scaling, _scaled_rows, _smallest_positive_root,
+                           _svec_congruence, _svec_index, _warm_margin, _warm_residual,
+                           smat, solve_cone_program, svec, svec_dim)
 from sdpack.errors import InvalidInput
 from sdpack.model import CombinedProblem, Criterion, DesignProblem, PackingProblem, ResourceBlock
 
@@ -128,13 +130,121 @@ class TestRunWideOps:
         assert np.array_equal(layout.circ(e, e), e)
         rng = np.random.default_rng(7)
         v = rng.standard_normal(layout.m)
-        pushed = _push_interior(layout, v, e)
+        for push in (_WARM_MARGIN, 1e-3, 1e-8):
+            pushed = _push_interior(layout, v, e, push)
+            for b in layout.blocks:
+                one = _Layout(((b.kind, b.order),))
+                np.testing.assert_allclose(pushed[b.sl],
+                                           _push_interior(one, v[b.sl], e[b.sl], push),
+                                           rtol=1e-13)
+            assert layout.margin(pushed) > 0
+
+
+def _push_interior_at_005(layout, v, e):
+    """The warm-start push before the residual-balanced rule: every block
+    to a margin of 0.05 (|mean| + 1), whatever the warm point's residual."""
+    out = v.copy()
+    for (kind, sl, blocks), margin in zip(layout.runs, layout._block_margins(v)):
+        U = _rows(out, sl, blocks)
+        if kind == "nn":
+            mean = np.mean(np.abs(U), axis=1)
+        elif kind == "soc":
+            mean = np.abs(U[:, 0])
+        else:
+            r, c, _ = _svec_index(blocks[0].order)
+            mean = U[:, r == c].sum(axis=1) / blocks[0].order
+        target = 0.05 * (np.abs(mean) + 1.0)
+        low = margin < target
+        U[low] += (target - margin)[low, None] * _rows(e, sl, blocks)[low]
+    return out
+
+
+def _block_scale(kind, order, v):
+    """|mean| + 1 of one block: its mean entry (nn), |v0| (soc) or mean
+    eigenvalue (psd)."""
+    if kind == "nn":
+        mean = np.mean(np.abs(v))
+    elif kind == "soc":
+        mean = v[0]
+    else:
+        mean = np.trace(smat(v, order)) / order
+    return abs(mean) + 1.0
+
+
+class TestWarmStartPush:
+    """The push factor of a warm start follows its residual in the new
+    program, capped at 0.05; an already-feasible warm point gets 0.05."""
+
+    CONES = (("nn", 3), ("soc", 4), ("psd", 3)) + SOC_RUNS + (("psd", 4),) * 2
+    FEASTOL = 1e-9
+
+    def _point(self, seed):
+        # an interior point with every other block moved out of the cone
+        rng = np.random.default_rng(seed)
+        layout = _Layout(self.CONES)
+        e = layout.identity()
+        v = _interior_point(rng, self.CONES)
+        for b in layout.blocks[::2]:
+            v[b.sl] -= 5.0 * e[b.sl]
+        return layout, e, v
+
+    @pytest.mark.parametrize("rho", [_WARM_MARGIN, 0.3, 7.0, np.inf])
+    def test_large_residual_keeps_the_005_push(self, rho):
+        layout, e, v = self._point(1)
+        push = _warm_margin(rho, self.FEASTOL)
+        assert push == 0.05
+        assert np.array_equal(_push_interior(layout, v, e, push),
+                              _push_interior_at_005(layout, v, e))
+
+    @pytest.mark.parametrize("rho", [0.049, 1e-3, 1e-6, 2e-9])
+    def test_small_residual_sets_block_margins(self, rho):
+        layout, e, v = self._point(2)
+        push = _warm_margin(rho, self.FEASTOL)
+        assert push == rho
+        pushed = _push_interior(layout, v, e, push)
+        moved = kept = 0
         for b in layout.blocks:
             one = _Layout(((b.kind, b.order),))
-            np.testing.assert_allclose(pushed[b.sl],
-                                       _push_interior(one, v[b.sl], e[b.sl]),
-                                       rtol=1e-13)
-        assert layout.margin(pushed) > 0
+            target = rho * _block_scale(b.kind, b.order, v[b.sl])
+            if one.margin(v[b.sl]) < target:
+                assert one.margin(pushed[b.sl]) == pytest.approx(target, abs=1e-12)
+                moved += 1
+            else:
+                assert np.array_equal(pushed[b.sl], v[b.sl])
+                kept += 1
+        assert moved and kept
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-14, FEASTOL, np.nan])
+    def test_feasible_warm_point_is_recentred(self, rho):
+        layout, e, v = self._point(3)
+        push = _warm_margin(rho, self.FEASTOL)
+        assert push == 0.05
+        assert np.array_equal(_push_interior(layout, v, e, push),
+                              _push_interior_at_005(layout, v, e))
+
+    def test_residual_takes_the_largest_part(self):
+        rng = np.random.default_rng(4)
+        nx, m, p = 4, 5, 2
+        G, A = rng.standard_normal((m, nx)), rng.standard_normal((p, nx))
+        x, y, s, z = (rng.standard_normal(k) for k in (nx, p, m, m))
+        # data the point meets exactly, then a residual in one part at a time
+        h, c, b = G @ x + s, -(G.T @ z + A.T @ y), A @ x
+
+        def rel(r, d):
+            return np.linalg.norm(r) / max(1.0, np.linalg.norm(d))
+
+        assert _warm_residual(c, G, h, A, b, x, y, s, z) < 1e-14
+        ds = np.r_[0.3, np.zeros(m - 1)]
+        assert _warm_residual(c, G, h, A, b, x, y, s + ds, z) == pytest.approx(rel(ds, h))
+        dz = np.r_[0.0, 0.2, np.zeros(m - 2)]
+        assert _warm_residual(c, G, h, A, b, x, y, s, z + dz) == pytest.approx(
+            rel(G.T @ dz, c))
+        db = np.array([0.0, 0.1])
+        assert _warm_residual(c, G, h, A, b + db, x, y, s, z) == pytest.approx(
+            rel(db, b + db))
+        # with no equality rows only the cone and dual rows count
+        assert _warm_residual(-(G.T @ z), G, h, np.zeros((0, nx)), np.zeros(0),
+                              x, np.zeros(0), s, z) < 1e-14
 
 
 class TestSmallestPositiveRoot:
@@ -419,6 +529,21 @@ class TestSolver:
         assert warm.optimal
         assert warm.pcost == pytest.approx(cold.pcost, abs=1e-7)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_warm_start_from_perturbed_optimum(self, seed):
+        # the optimum of a nearby program (eps 1e-3 -> 1.1e-3 in the packing
+        # program's rows) has a small residual in the new one; the warm
+        # start reaches the cold answer in fewer than half its iterations
+        prob = bounded_packing(np.random.default_rng(seed), 5, 4, 2)
+        near = solve_cone_program(sv._packing_cone_program(prob.C, prob.mats, prob.b,
+                                                           eps=1e-3))
+        prog = sv._packing_cone_program(prob.C, prob.mats, prob.b, eps=1.1e-3)
+        cold = solve_cone_program(prog)
+        warm = solve_cone_program(prog, warm=(near.x, near.y, near.s, near.z))
+        assert cold.optimal and warm.optimal
+        assert warm.pcost == pytest.approx(cold.pcost, abs=1e-7)
+        assert warm.iterations < cold.iterations / 2
+
 
 class TestKktFactorizations:
     def test_layout_picks_the_factorization(self):
@@ -432,6 +557,24 @@ class TestKktFactorizations:
         assert isinstance(lay, _LuLayout)
         assert lay.G_dense_l.dtype == np.longdouble and lay.A_l.dtype == np.longdouble
         assert isinstance(qr(sc), _QrKkt)
+
+    @pytest.mark.parametrize("n", [3, 17, 80])
+    def test_triangular_solve_matches_solve_triangular(self, n):
+        rng = np.random.default_rng(n)
+        R = np.linalg.qr(rng.standard_normal((n + 4, n)), mode="r")
+        for v in (rng.standard_normal(n), rng.standard_normal((n, 5)),
+                  rng.standard_normal((5, n)).T):
+            for trans in ("N", "T"):
+                want = scipy.linalg.solve_triangular(R, v, trans=trans,
+                                                     check_finite=False)
+                assert np.array_equal(_QrKkt._tri(R, v, trans=trans), want)
+
+    def test_triangular_solve_singular_raises(self):
+        R = np.triu(np.random.default_rng(1).standard_normal((4, 4)))
+        R[2, 2] = 0.0
+        for trans in ("N", "T"):
+            with pytest.raises(np.linalg.LinAlgError):
+                _QrKkt._tri(R, np.ones(4), trans=trans)
 
     def test_qr_matches_augmented_lu_on_resource_dual(self):
         # the dual of a resource-constrained design has nn and soc blocks

@@ -457,6 +457,28 @@ class TestPathChecks:
             assert res.status == "optimal"
             assert res.relgap <= sv._PATH_RELTOL
 
+    # the warm stages start from a point pushed only as far as its residual
+    # in the new stage, so the last (eps 1e-8, 1e-7 away from its
+    # predecessor) needs few iterations: 3 against the cold stage's 16 and
+    # 13; with every block pushed to a 5% margin they took 11 and 9
+    @pytest.mark.parametrize("seed, n, rank_c", [(11, 12, 2), (5, 13, 2)])
+    def test_warm_stages_take_fewer_iterations(self, seed, n, rank_c, monkeypatch):
+        paths = []
+        follow = sv._follow_path
+
+        def recording(*args, **kwargs):
+            results = follow(*args, **kwargs)
+            paths.append(results)
+            return results
+
+        monkeypatch.setattr(sv, "_follow_path", recording)
+        prob = bounded_packing(np.random.default_rng(seed), n, 10, rank_c)
+        assert sv.solve_packing_lowrank(prob).route == "eps-path"
+        [stages] = paths
+        assert len(stages) == len(sv._EPS_SCHEDULE)
+        assert all(res.status == "optimal" for res in stages)
+        assert stages[-1].iterations <= stages[0].iterations / 2
+
     @pytest.mark.parametrize("error", [PathDiverged, PathNotMonotone])
     def test_decrease_raises(self, error):
         with pytest.raises(error, match="test path values decreased"):

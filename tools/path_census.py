@@ -1,15 +1,17 @@
 """Census of the eps-path stages on the benchmark's ``lowrank_path`` cases.
 
     python3 tools/path_census.py [--seeds 1 2 3] [--cases 48] [--max-nonoptimal N]
+                                [--max-iterations N]
 
 Runs ``solve_packing_lowrank`` on the first ``--cases`` cases of the
 ``lowrank_path`` workload (``perfbench/workloads.py``) for each seed, keeps
 the engine result of every path stage, and prints one JSON line: the stage
-count, the engine iterations over all stages, and the stages that did not
+count, the engine iterations over all stages, split into the cold first
+stage of each path and the warm-started rest, and the stages that did not
 end ``optimal``, counted by the engine's ``stop_reason``.  A case that
-raises is counted under ``errors`` by exception type.  With
-``--max-nonoptimal N`` the exit status is 1 when more than ``N`` stages
-did not end ``optimal`` (a gate for CI).
+raises is counted under ``errors`` by exception type.  The exit status is
+1 when more than ``--max-nonoptimal N`` stages did not end ``optimal`` or
+the stages took more than ``--max-iterations N`` iterations (gates for CI).
 
 Run from the root of a source tree; the library is imported from ``src/``
 and ``perfbench/`` is only read.  One BLAS thread, as in the benchmark.
@@ -34,12 +36,13 @@ from sdpack import solve as sv  # noqa: E402
 
 
 def census(seeds, n_cases: int) -> dict:
-    stages = []
+    stages, cold = [], []
     follow = sv._follow_path
 
     def recording(*args, **kwargs):
         results = follow(*args, **kwargs)
         stages.extend(results)
+        cold.extend(results if kwargs.get("warm_start") is False else results[:1])
         return results
 
     errors = Counter()
@@ -56,8 +59,13 @@ def census(seeds, n_cases: int) -> dict:
         sv._follow_path = follow
     nonoptimal = Counter(res.stop_reason.value for res in stages
                          if res.status != "optimal")
+    iterations = sum(res.iterations for res in stages)
+    cold_iterations = sum(res.iterations for res in cold)
     return {"seeds": list(seeds), "cases": n_cases, "stages": len(stages),
-            "iterations": sum(res.iterations for res in stages),
+            "iterations": iterations,
+            "cold_stages": len(cold), "cold_iterations": cold_iterations,
+            "warm_stages": len(stages) - len(cold),
+            "warm_iterations": iterations - cold_iterations,
             "nonoptimal": sum(nonoptimal.values()),
             "nonoptimal_by_reason": dict(sorted(nonoptimal.items())),
             "errors": dict(sorted(errors.items()))}
@@ -69,10 +77,14 @@ def main(argv=None) -> int:
     p.add_argument("--cases", type=int, default=48)
     p.add_argument("--max-nonoptimal", type=int, default=None, metavar="N",
                    help="exit 1 when more than N stages end non-optimal")
+    p.add_argument("--max-iterations", type=int, default=None, metavar="N",
+                   help="exit 1 when the stages take more than N iterations in all")
     args = p.parse_args(argv)
     result = census(args.seeds, args.cases)
     print(json.dumps(result))
     if args.max_nonoptimal is not None and result["nonoptimal"] > args.max_nonoptimal:
+        return 1
+    if args.max_iterations is not None and result["iterations"] > args.max_iterations:
         return 1
     return 0
 

@@ -7,10 +7,14 @@ collapses to a second-order cone program (rank-one objective) or follows a
 constraint-perturbation path ``M_i + eps I`` with a decreasing ``eps``
 schedule and warm starts: with ``eps > 0`` every optimal matrix has rank at
 most that of the objective, and the path values increase monotonically to
-the unperturbed optimum.  Combined problems go through a trace-cap path
-``cap * (tr X + tr Y) <= 1`` instead, whose values decrease to the supremum
-from below as the cap loosens; an unattained supremum shows up as iterate
-norms diverging while the values converge.
+the unperturbed optimum.  A solution whose KKT check fails at the end gets
+one polish step on the original problem (Newton on the factored optimality
+system, then an NNLS refit of the active multipliers); the full problem's
+dual is not solved again, because with a zero budget it has no Slater
+point and need not attain its optimum.  Combined problems go through a
+trace-cap path ``cap * (tr X + tr Y) <= 1`` instead, whose values decrease
+to the supremum from below as the cap loosens; an unattained supremum shows
+up as iterate norms diverging while the values converge.
 """
 
 from __future__ import annotations
@@ -337,17 +341,15 @@ def truncate_psd(X: np.ndarray, threshold: float) -> np.ndarray:
 
 def _truncate_feasible(problem: PackingProblem, X: np.ndarray,
                        threshold: float) -> np.ndarray:
-    """Truncate, then re-verify feasibility; if the truncation violated a
-    constraint beyond roundoff, retry keeping more eigenvalues."""
+    """Truncate, then re-verify feasibility; keep the untruncated ``X`` if
+    the truncation violated a constraint beyond roundoff.  A smaller
+    threshold cannot repair that: it keeps more of the nonnegative terms
+    ``w_j v_j v_j'``, and with every ``M_i`` PSD each ``<M_i, Xt>`` only
+    grows."""
     scale = max(1.0, float(np.max(np.abs(problem.b))))
-    t = threshold
-    for _ in range(8):
-        Xt = truncate_psd(X, t)
-        slacks = problem.b - np.array([np.trace(m @ Xt) for m in problem.mats])
-        if float(np.min(slacks)) >= -1e-8 * scale:
-            return Xt
-        t *= 1e-2
-    return X
+    Xt = truncate_psd(X, threshold)
+    slacks = problem.b - np.array([np.trace(m @ Xt) for m in problem.mats])
+    return Xt if float(np.min(slacks)) >= -1e-8 * scale else X
 
 
 def solve_packing_lowrank(problem: PackingProblem,
@@ -362,6 +364,13 @@ def solve_packing_lowrank(problem: PackingProblem,
     most ``rank(C)``), truncate the final iterate's spectrum, re-verify
     feasibility, and lift.  Path values are checked monotone: they may only
     increase as ``eps`` decreases, else ``PathDiverged`` is raised.
+
+    The lifted ``(X, mu)`` is checked with :func:`kkt_check`; if it fails,
+    :func:`_polish` refines it on the original problem, and the polished
+    pair is kept when its KKT max is smaller.  Multipliers of rows the
+    projection zeroed come from that refit alone: a zero budget leaves the
+    full problem without a Slater point, so its dual need not attain its
+    optimum and is not solved.
 
     ``route`` forces "socp" (requires a rank-one projected objective) or
     "eps-path"; the default picks by rank.
@@ -394,43 +403,40 @@ def solve_packing_lowrank(problem: PackingProblem,
     mu = reduction.embed_dual(red, mu_red, problem.l)
     kkt, passed = kkt_check(problem, X, mu, opts.tol)
     if not passed:
-        Xp, mup = _newton_polish(problem, X, mu)
-        candidates = [mu, _polish_multipliers(problem, Xp, mup), mup]
-        if red.zeroed or red.dropped:
-            # multipliers for eliminated constraints may be needed; recover
-            # them from the original dual
-            try:
-                mu_full, _ = solve_dual_packing(problem, opts)
-                candidates.append(mu_full)
-            except NumericalFailure:
-                pass
-        mu_new, kkt_new = _best_multipliers(problem, Xp, candidates, opts.tol)
-        if kkt_new.max() < kkt.max():
-            X, mu, kkt = Xp, mu_new, kkt_new
+        Xp, mup = _polish(problem, X, mu)
+        kkt_p, _ = kkt_check(problem, Xp, mup, opts.tol)
+        if kkt_p.max() < kkt.max():
+            X, mu, kkt = Xp, mup, kkt_p
     return Solution(X=X, objective=float(np.trace(problem.C @ X)),
                     numerical_rank=linalg.rank_tol(X, _RANK_THRESHOLD),
                     mu=mu, status=Status.OPTIMAL, kkt_residuals=kkt,
                     route=route, path_values=tuple(path))
 
 
-def _newton_polish(problem: PackingProblem, X: np.ndarray, mu: np.ndarray):
-    """Newton refinement of the optimality system in factored form.
+def _polish(problem: PackingProblem, X: np.ndarray, mu: np.ndarray):
+    """One polish step for a path solution ``(X, mu)`` that fails its check.
 
-    With ``X = V V.T`` at its numerical rank and the active constraints
-    ``A``, the square system ``(sum mu_i M_i - C) V = 0``,
-    ``<M_i, V V.T> = b_i (i in A)`` pins the optimizer; a couple of Newton
-    steps remove the sqrt-of-gap error that interior-point iterates carry
-    near degenerate solutions.  Returns a possibly improved ``(X, mu)``.
+    The active constraints ``A``, those within ``1e-6`` of their budget,
+    are read once.  With ``X = V V.T`` at its numerical rank, the square
+    system ``(sum_A mu_i M_i - C) V = 0``, ``<M_i, V V.T> = b_i (i in A)``
+    pins the optimizer; three Newton steps on it remove the sqrt-of-gap
+    error that interior-point iterates carry near degenerate solutions, and
+    are kept only if they leave ``X`` feasible.  Then the active multipliers
+    are refit by NNLS so that the dual slack annihilates the range of the
+    polished ``X``, which removes the eps-path's bias of about
+    ``eps * sum(mu)``.  Nothing falls back to solving the full problem's
+    dual: a zero budget leaves the primal without a Slater point, so that
+    dual need not attain its optimum.  Makes no engine solve.
     """
     n, l = problem.n, problem.l
-    dec = linalg.eigh_desc(X)
-    r = max(1, linalg.rank_tol(X, 1e-8))
-    V = dec.eigenvectors[:, :r] * np.sqrt(np.clip(dec.eigenvalues[:r], 0.0, None))
     scale = max(1.0, float(np.max(np.abs(problem.b))))
     traces = np.array([float(np.trace(m @ X)) for m in problem.mats])
     active = np.flatnonzero(problem.b - traces <= 1e-6 * scale)
     if active.size == 0:
         return X, mu
+    dec = linalg.eigh_desc(X)
+    r = max(1, linalg.rank_tol(X, 1e-8))
+    V = dec.eigenvectors[:, :r] * np.sqrt(np.clip(dec.eigenvalues[:r], 0.0, None))
     mu_a = mu[active].copy()
     nr = n * r
     for _ in range(3):
@@ -456,50 +462,23 @@ def _newton_polish(problem: PackingProblem, X: np.ndarray, mu: np.ndarray):
         try:
             delta = np.linalg.lstsq(J, -F, rcond=None)[0]
         except np.linalg.LinAlgError:
-            return X, mu
+            break
         V = V + delta[:nr].reshape(n, r)
         mu_a = np.clip(mu_a + delta[nr:], 0.0, None)
-    X_new = linalg.symmetrize(V @ V.T)
-    traces_new = np.array([float(np.trace(m @ X_new)) for m in problem.mats])
-    if float(np.max(traces_new - problem.b)) > 1e-9 * scale:
-        return X, mu
-    mu_new = np.zeros(l)
-    mu_new[active] = mu_a
-    return X_new, mu_new
-
-
-def _polish_multipliers(problem: PackingProblem, X: np.ndarray,
-                        mu: np.ndarray) -> np.ndarray:
-    """Refit multipliers on the active constraints so that the dual slack
-    annihilates the solution's range (the stationarity part of optimality);
-    the interior-point multipliers carry a small bias from the perturbation
-    and this least-squares step removes it."""
+    else:  # all steps taken: keep them if X stays feasible
+        X_new = linalg.symmetrize(V @ V.T)
+        traces_new = np.array([float(np.trace(m @ X_new)) for m in problem.mats])
+        if float(np.max(traces_new - problem.b)) <= 1e-9 * scale:
+            X, mu = X_new, np.zeros(l)
+            mu[active] = mu_a
     R = linalg.range_basis(X, tol=1e-8)
     if R.shape[1] == 0:
-        return mu
-    scale = max(1.0, float(np.max(np.abs(problem.b))))
-    traces = np.array([float(np.trace(m @ X)) for m in problem.mats])
-    active = np.flatnonzero(problem.b - traces <= 1e-6 * scale)
-    if active.size == 0:
-        return mu
+        return X, mu
     cols = np.column_stack([(problem.mats[i] @ R).ravel() for i in active])
-    target = (problem.C @ R).ravel()
-    fit, _ = scipy.optimize.nnls(cols, target)
-    out = np.zeros(problem.l)
-    out[active] = fit
-    return out
-
-
-def _best_multipliers(problem, X, candidates, tol):
-    best_mu, best_kkt, best_val = None, None, math.inf
-    for mu in candidates:
-        kkt, passed = kkt_check(problem, X, mu, tol)
-        val = kkt.max()
-        if passed:
-            return mu, kkt
-        if val < best_val:
-            best_mu, best_kkt, best_val = mu, kkt, val
-    return best_mu, best_kkt
+    fit, _ = scipy.optimize.nnls(cols, (problem.C @ R).ravel())
+    mu = np.zeros(l)
+    mu[active] = fit
+    return X, mu
 
 
 def _rank_one_route(inner: PackingProblem, opts: SolveOptions):

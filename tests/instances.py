@@ -64,3 +64,22 @@ def unbounded_packing(rng, n, l, kernel_dim=1):
     C = Qc @ (random_psd(rng, kernel_dim) + 0.5 * np.eye(kernel_dim)) @ Qc.T
     C = C + 0.1 * Qm @ random_psd(rng, n - kernel_dim, 1) @ Qm.T
     return packing(C, mats, rng.uniform(0.5, 2.0, l))
+
+
+def face_restricted(problem):
+    """The same packing problem on the face its zero-budget rows pin.
+
+    With ``M_i`` and ``X`` PSD, ``<M_i, X> <= 0`` forces ``M_i X = 0``, so
+    ``X = N Z N'`` with ``N`` spanning the common nullspace of those
+    ``M_i``.  The value is unchanged and the restricted problem is strictly
+    feasible, so a dense solve of it converges where one of the full
+    problem stops short.  Built from the data alone, independently of
+    ``sdpack.reduce.project_packing``."""
+    zero = [i for i in range(problem.l) if problem.b[i] == 0.0]
+    if not zero:
+        return problem
+    w, V = np.linalg.eigh(sum(problem.mats[i] for i in zero))
+    N = V[:, w <= problem.n * 1e-12 * max(float(w[-1]), 1.0)]
+    keep = [i for i in range(problem.l) if problem.b[i] != 0.0]
+    return packing(N.T @ problem.C @ N, [N.T @ problem.mats[i] @ N for i in keep],
+                   problem.b[keep])

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from instances import bounded_packing, packing, subspace_packing
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from instances import (bounded_packing, face_restricted, packing, random_psd,
+                       subspace_packing)
 
+from sdpack import linalg
 from sdpack import reduce as rd
 from sdpack import solve as sv
 from sdpack.analysis import check_bounded
@@ -19,6 +23,19 @@ def c_opt_instance():
     c = np.array([1.0, 1.0])
     return packing(np.outer(c, c),
                    [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [1.0, 1.0])
+
+
+def zero_budget_instances():
+    """40 seeded instances with one or two zero-budget rows, from both
+    generators, with rank(C) 1 (the SOCP route) and 2 (the eps-path)."""
+    rng = np.random.default_rng(2024)
+    problems = []
+    for _ in range(5):
+        for zero_b in (1, 2):
+            for rank_c in (1, 2):
+                problems.append(bounded_packing(rng, 5, 4, rank_c, zero_b))
+                problems.append(subspace_packing(rng, 6, 4, 4, rank_c, zero_b))
+    return problems
 
 
 def tangent_combined():
@@ -329,14 +346,74 @@ class TestLowRank:
                 1e-6, sv.kkt_scale(prob, sol.X, sol.mu))
 
     def test_zero_budget_instances(self):
+        # the reference solves the face the zero-budget row pins, where both
+        # sides are strictly feasible; on the full problem the oracle stops
+        # max_iterations 1e-7 to 6e-6 from the route, here it converges and
+        # the route sits within 4e-8 (relative) of it
         rng = np.random.default_rng(7)
         for trial in range(10):
             prob = subspace_packing(rng, 5, 3, 4, 2, zero_b=1)
             sol = sv.solve_packing_lowrank(prob)
-            oracle = sv.solve_sdp(prob)
+            oracle = sv.solve_sdp(face_restricted(prob))
+            assert oracle.status is Status.OPTIMAL
             assert sol.objective == pytest.approx(
-                oracle.objective, rel=1e-5, abs=1e-5)
+                oracle.objective, rel=1e-6, abs=1e-6)
             assert sol.numerical_rank <= 2
+
+    # a zero-budget row leaves the full problem without a Slater point, so
+    # its dual need not attain its optimum; the polish step refits the
+    # multipliers instead of solving that dual, and adds no engine solve
+    @pytest.mark.parametrize("rank_c, route, solves",
+                             [(1, "socp", 1),
+                              (2, "eps-path", len(sv._EPS_SCHEDULE))])
+    def test_polish_adds_no_engine_solve(self, rank_c, route, solves,
+                                         monkeypatch):
+        calls, polished = [], []
+        engine, polish = sv.solve_cone_program, sv._polish
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return engine(*args, **kwargs)
+
+        def recording(*args):
+            polished.append(1)
+            return polish(*args)
+
+        monkeypatch.setattr(sv, "solve_cone_program", counting)
+        monkeypatch.setattr(sv, "_polish", recording)
+        prob = bounded_packing(np.random.default_rng(0), 5, 4, rank_c, zero_b=1)
+        sol = sv.solve_packing_lowrank(prob)
+        assert sol.route == route
+        assert polished, "the first kkt_check passed; pick another instance"
+        assert len(calls) == solves
+
+    def test_polish_contract(self, monkeypatch):
+        inputs = []
+        polish = sv._polish
+
+        def recording(problem, X, mu):
+            inputs.append((X, mu))
+            return polish(problem, X, mu)
+
+        monkeypatch.setattr(sv, "_polish", recording)
+        certified, routes = 0, set()
+        for prob in zero_budget_instances():
+            del inputs[:]
+            sol = sv.solve_packing_lowrank(prob)
+            routes.add(sol.route)
+            kkt, passed = sv.kkt_check(prob, sol.X, sol.mu, 1e-8)
+            assert sol.kkt_residuals == kkt
+            for X, mu in inputs:
+                path_kkt, _ = sv.kkt_check(prob, X, mu, 1e-8)
+                assert kkt.max() <= path_kkt.max()
+            certified += passed
+        assert routes == {"socp", "eps-path"}
+        # 17 of 40 before the polish step became one, when it raced four
+        # multiplier candidates including a re-solve of the full dual.  All
+        # 17 pass only through max|mu| in kkt_scale: the refit gives a
+        # zero-budget row, whose M_i annihilates the range of X up to
+        # roundoff, a multiplier of 6e13 to 1e16
+        assert certified >= 17
 
     def test_forced_eps_path_on_rank_one(self):
         prob = c_opt_instance()
@@ -344,6 +421,39 @@ class TestLowRank:
         assert sol.route == "eps-path"
         assert sol.objective == pytest.approx(4.0, abs=1e-5)
         assert sol.numerical_rank == 1
+
+
+class TestTruncation:
+    def test_breaking_truncation_keeps_the_untruncated_x(self):
+        # clipping the -1e-6 eigenvalue raises <I, X> from b to b + 1e-6
+        prob = packing(np.eye(2), [np.eye(2)], [1.0 - 1e-6])
+        X = np.diag([1.0, -1e-6])
+        assert np.array_equal(
+            sv._truncate_feasible(prob, X, sv._RANK_THRESHOLD), X)
+
+    def test_feasible_truncation_is_kept(self):
+        prob = packing(np.eye(2), [np.eye(2)], [2.0])
+        X = np.diag([1.0, 1e-9])
+        Xt = sv._truncate_feasible(prob, X, sv._RANK_THRESHOLD)
+        assert np.array_equal(Xt, sv.truncate_psd(X, sv._RANK_THRESHOLD))
+        assert linalg.rank_tol(Xt) == 1
+        assert np.allclose(Xt, np.diag([1.0, 0.0]), rtol=0.0, atol=1e-15)
+
+    # a smaller threshold keeps more of the terms w_j v_j v_j' >= 0, so with
+    # M_i PSD no <M_i, Xt> can fall: a truncation that breaks a constraint
+    # cannot be repaired by keeping more eigenvalues
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+           thresholds=st.lists(st.floats(1e-13, 1.0), min_size=2, max_size=5))
+    def test_traces_grow_as_threshold_falls(self, seed, n, thresholds):
+        rng = np.random.default_rng(seed)
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        X = (Q * 10.0 ** rng.uniform(-12.0, 0.0, n)) @ Q.T
+        mats = [random_psd(rng, n, int(rng.integers(1, n + 1))) for _ in range(3)]
+        traces = np.array([[np.trace(M @ sv.truncate_psd(X, t)) for M in mats]
+                           for t in sorted(thresholds, reverse=True)])
+        roundoff = 1e-13 * max(float(np.linalg.norm(M)) for M in mats)
+        assert np.all(np.diff(traces, axis=0) >= -roundoff)
 
 
 class TestCombined:

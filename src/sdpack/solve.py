@@ -132,7 +132,6 @@ def kkt_check(problem: PackingProblem, X: np.ndarray, mu: np.ndarray,
 
 
 def _socp_to_cone_program(socp: reduction.SocpProblem) -> tuple[ConeProgram, int]:
-    nv = socp.nvars
     blocks, G_rows, h_rows = [], [], []
     n_ineq = 0
     if socp.lin_ineq is not None:
@@ -284,7 +283,7 @@ def solve_sdp(problem, opts: SolveOptions | None = None):
     if not isinstance(problem, PackingProblem):
         raise InvalidInput(f"cannot solve a {type(problem).__name__}")
 
-    ok, idx = check_feasible(problem)
+    ok, _ = check_feasible(problem)
     if not ok:
         return Solution(X=np.zeros((problem.n, problem.n)), objective=math.nan,
                         numerical_rank=0, mu=np.zeros(problem.l),

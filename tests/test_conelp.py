@@ -9,11 +9,11 @@ from scipy.optimize import linprog
 from sdpack import conelp
 from sdpack import reduce as rd
 from sdpack import solve as sv
-from sdpack.conelp import (_WARM_MARGIN, ConeProgram, StopReason, _blockwise, _kkt_factory,
-                           _KktFactor, _Layout, _LuKkt, _LuLayout, _push_interior, _QrKkt,
-                           _rows, _Scaling, _scaled_rows, _smallest_positive_root,
-                           _svec_congruence, _svec_index, _warm_margin, _warm_residual,
-                           smat, solve_cone_program, svec, svec_dim)
+from sdpack.conelp import (_WARM_MARGIN, ConeProgram, StopReason, _apply, _blockwise,
+                           _kkt_factory, _KktFactor, _Layout, _push_interior, _QrKkt, _rows,
+                           _Scaling, _scaled_rows, _SchurKkt, _SchurPlan, _selection_blocks,
+                           _smallest_positive_root, _svec_index, _warm_margin,
+                           _warm_residual, smat, solve_cone_program, svec, svec_dim)
 from sdpack.errors import InvalidInput
 from sdpack.model import CombinedProblem, Criterion, DesignProblem, PackingProblem, ResourceBlock
 
@@ -274,15 +274,22 @@ class TestSmallestPositiveRoot:
 class TestSvecCongruence:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_batched_equals_per_column_build(self, n):
+        # the psd scaling's congruence V -> R.T V R on packed coordinates,
+        # applied to the columns of a matrix at once, against one column at
+        # a time through smat and svec
         rng = np.random.default_rng(n)
         R = rng.standard_normal((n, n))
         dim = svec_dim(n)
-        loop = np.empty((dim, dim))
-        for j, e in enumerate(np.eye(dim)):
-            loop[:, j] = svec(R.T @ smat(e, n) @ R)
-        # bitwise: the path tests' 1e-9 monotonicity slack cannot absorb a
-        # rewrite of this product that is only equal to rounding
-        assert np.array_equal(_svec_congruence(R), loop)
+        V = rng.standard_normal((dim, 5))
+        loop = np.empty((dim, 5))
+        for j, v in enumerate(V.T):
+            loop[:, j] = svec(R.T @ smat(v, n) @ R)
+        got = np.empty((dim, 5))
+        _apply("psd", R[None], V, got)
+        np.testing.assert_allclose(got, loop, rtol=1e-13, atol=1e-13 * np.abs(loop).max())
+        one = np.empty(dim)
+        _apply("psd", R[None], V[:, 0], one)
+        assert np.array_equal(one, got[:, 0])
 
 
 class TestJordanOps:
@@ -552,10 +559,10 @@ class TestKktFactorizations:
         qr = _kkt_factory(G, A, _Layout([("nn", 3), ("soc", 3)]))
         assert qr.func is _QrKkt
         lu = _kkt_factory(G, A, _Layout([("nn", 3), ("psd", 2)]))
-        assert lu.func is _LuKkt
-        lay = lu.args[0]
-        assert isinstance(lay, _LuLayout)
-        assert lay.G_dense_l.dtype == np.longdouble and lay.A_l.dtype == np.longdouble
+        assert lu.func is _SchurKkt
+        plan = lu.args[0]
+        assert isinstance(plan, _SchurPlan)
+        assert plan.G_D_l.dtype == np.longdouble and plan.A_l.dtype == np.longdouble
         assert isinstance(qr(sc), _QrKkt)
 
     @pytest.mark.parametrize("n", [3, 17, 80])
@@ -594,7 +601,7 @@ class TestKktFactorizations:
             sc = _Scaling(layout, _interior_point(rng, prog.cones),
                           _interior_point(rng, prog.cones))
             qr = _QrKkt(G, A, sc)
-            lu = _LuKkt(_LuLayout(G, A, layout), sc)
+            lu = _FullLu(G, A, sc)
             rx, ry, rz = (rng.standard_normal(k) for k in (G.shape[1], A.shape[0],
                                                            G.shape[0]))
             for u_qr, u_lu in zip(qr.solve(rx, ry, rz), lu.solve(rx, ry, rz)):
@@ -622,34 +629,62 @@ def _psd_kkt_cases(seed, count):
         yield prog, sc, rhs
 
 
+def _tap(monkeypatch, name, arg=0):
+    """Record a copy of argument ``arg`` of every call to the LAPACK routine
+    ``conelp.<name>``: the transpose of the matrix ``_getrf`` factors, or
+    the right-hand side ``_getrs`` solves (``arg=2``)."""
+    captured = []
+    routine = getattr(conelp, name)
+
+    def tap(*args, **kw):
+        captured.append(args[arg].copy())
+        return routine(*args, **kw)
+
+    monkeypatch.setattr(conelp, name, tap)
+    return captured
+
+
+def _eps_path_operators(prog, sc):
+    """The eps-path program's pieces as explicit matrices: ``E = inv(W_nn).T
+    G_nn`` on the X columns, ``Qt = Q inv(I + 1e-14 Q)`` and ``inv(I + 1e-14
+    Q)`` with ``Q = W_X.T W_X`` (L x L)."""
+    l, L = prog.cones[0][1], prog.G.shape[1]
+    E = sc._Winvt[0][2][:, None] * prog.G[:l]
+    Wx = sc.W(np.eye(prog.G.shape[0]))[l:, l:]
+    Q = Wx.T @ Wx
+    inv = np.linalg.inv(np.eye(L) + 1e-14 * Q)
+    return E, Q @ inv, inv
+
+
 class TestLuKkt:
-    def test_matches_scipy_lu_bitwise(self):
-        # the eps-path program: its nn rows stay, its psd block is eliminated;
-        # K, the LU and the solves against the reduced system built here and
-        # scipy's lu_factor and lu_solve
+    def test_matches_scipy_lu_bitwise(self, monkeypatch):
+        # the eps-path program: its psd block is eliminated and the bordered
+        # system is -(I + E Qt E.T) in the nn rows alone.  It matches the one
+        # built here from L x L matrices, and its factor and solves are
+        # scipy's lu_factor and lu_solve to the bit
+        factored, solved = _tap(monkeypatch, "_getrf"), _tap(monkeypatch, "_getrs", 2)
         for prog, sc, (rx, ry, rz) in _psd_kkt_cases(12, 6):
             G = prog.G
             kkt = _kkt_factory(G, np.zeros((0, G.shape[1])), _Layout(prog.cones))(sc)
-            assert isinstance(kkt, _LuKkt)
-            nx, l = G.shape[1], prog.cones[0][1]
-            winvt, winv = sc._Winvt[0][1], sc._Winv[0][1]
-            W, Wt = sc._W[1][1][0], sc._Wt[1][1][0]
-            Gs = (winvt[:, None] * G[:l]) @ Wt
-            D = W @ Wt
-            D *= 1e-14
-            D.flat[::nx + 1] += 1.0
-            K = np.block([[D, Gs.T], [Gs, -np.eye(l)]])
+            assert isinstance(kkt, _SchurKkt)
+            l = prog.cones[0][1]
+            E, Qt, inv = _eps_path_operators(prog, sc)
+            K = factored[-1].T
+            ref = -(np.eye(l) + E @ Qt @ E.T)
+            np.testing.assert_allclose(K, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
             lu, piv = scipy.linalg.lu_factor(K)
             assert np.array_equal(kkt.lu, lu) and np.array_equal(kkt.piv, piv)
-            rzs = sc.Winvt(rz)
-            sol = scipy.linalg.lu_solve((lu, piv), np.r_[np.dot(W, rx) - rzs[l:], rzs[:l]])
-            uz_d = winv * sol[nx:]
-            ux = np.dot(Wt, sol[:nx])
-            uz_b = np.dot(np.ascontiguousarray(G[:l].T), uz_d) - rx
-            uz_b += 1e-14 * ux
-            got = kkt._solve_once(rx, ry, rz)
-            assert np.array_equal(got[0], ux) and got[1].size == 0
-            assert np.array_equal(got[2], np.r_[uz_d, uz_b])
+            ux, uy, uz = kkt._solve_once(rx, ry, rz)
+            rhs = solved[-1]
+            t = Qt @ rx - inv @ rz[l:]
+            want = sc._Winvt[0][2] * rz[:l] - E @ t
+            np.testing.assert_allclose(rhs, want, rtol=0, atol=1e-10 * np.abs(want).max())
+            w = scipy.linalg.lu_solve((lu, piv), rhs)
+            assert np.array_equal(uz[:l], sc._Winv[0][2] * w) and uy.size == 0
+            np.testing.assert_allclose(ux, t - Qt @ (E.T @ w), rtol=1e-9,
+                                       atol=1e-9 * np.abs(ux).max())
+            np.testing.assert_allclose(uz[l:], G[:l].T @ uz[:l] - rx + 1e-14 * ux,
+                                       rtol=1e-12, atol=1e-12 * np.abs(uz[l:]).max())
 
     def test_residual_matches_matmul_bitwise(self):
         # the residual's np.dot products against the matmul reference, on a
@@ -662,8 +697,8 @@ class TestLuKkt:
         for scale in (1e-6, 1.0, 1e3):
             sc = _Scaling(layout, scale * _interior_point(rng, cones),
                           _interior_point(rng, cones) / scale)
-            kkt = _LuKkt(_LuLayout(G, A, layout), sc)
-            assert kkt.sel == []
+            kkt = _SchurKkt(_SchurPlan(G, A, layout), sc)
+            assert kkt._sel == []
             args = [rng.standard_normal(k) for k in (5, 2, layout.m, 5, 2, layout.m)]
             for got, ref in zip(kkt._residual(*args), _matmul_residual(G, A, sc, *args)):
                 assert got.dtype == long and np.array_equal(got, ref)
@@ -681,8 +716,8 @@ class TestLuKkt:
         G[5:, 3:9] = -np.eye(6)
         A = rng.standard_normal((2, G.shape[1]))
         sc = _Scaling(layout, _interior_point(rng, cones), _interior_point(rng, cones))
-        kkt = _LuKkt(_LuLayout(G, A, layout), sc)
-        assert [(rows, cols) for rows, cols, *_ in kkt.sel] == [
+        kkt = _SchurKkt(_SchurPlan(G, A, layout), sc)
+        assert [(rows, cols) for rows, cols, *_ in kkt._sel] == [
             (slice(2, 5), slice(0, 3)), (slice(5, 11), slice(3, 9))]
         for _ in range(5):
             args = [rng.standard_normal(k) for k in (11, 2, layout.m, 11, 2, layout.m)]
@@ -735,7 +770,7 @@ def _matmul_residual(G, A, sc, rx, ry, rz, ux, uy, uz):
     whole ``G``."""
     long = np.longdouble
     ux_l, uy_l, uz_l = (v.astype(long) for v in (ux, uy, uz))
-    WtW_l = [(sl, F.astype(long)) for sl, F in sc.gram()]
+    WtW_l = [(kind, sl, F.astype(long)) for kind, sl, F in sc.gram()]
     return (rx.astype(long) - G.astype(long).T @ uz_l - A.astype(long).T @ uy_l,
             ry.astype(long) - A.astype(long) @ ux_l,
             rz.astype(long) + _blockwise(WtW_l, uz_l) - G.astype(long) @ ux_l)
@@ -856,16 +891,17 @@ class TestSelectionElimination:
         G = prog.G
         A = prog.A if prog.A is not None else np.zeros((0, G.shape[1]))
         layout = _Layout(prog.cones)
-        lay = _LuLayout(G, A, layout)
-        assert [(rows, cols) for rows, cols, *_ in lay.sel] == sel
+        plan = _SchurPlan(G, A, layout)
+        assert [(rows, cols) for *_, rows, cols in plan.sel] == sel
         eliminated = sum(rows.stop - rows.start for rows, _ in sel)
-        assert lay.m_dense == G.shape[0] - eliminated
+        assert plan.GA.shape[0] == A.shape[0] + G.shape[0] - eliminated
         rng = np.random.default_rng(22)
         for scale in np.geomspace(1e-2, 1e2, 10):
             sc = _Scaling(layout, scale * _interior_point(rng, prog.cones),
                           _interior_point(rng, prog.cones) / scale)
-            kkt, ref = _LuKkt(lay, sc), _FullLu(G, A, sc)
-            assert kkt.lu.shape[0] == ref.lu.shape[0] - eliminated
+            kkt, ref = _SchurKkt(plan, sc), _FullLu(G, A, sc)
+            # the block's columns and its rows leave the system
+            assert kkt.lu.shape[0] == ref.lu.shape[0] - 2 * eliminated
             rx, ry, rz = (rng.standard_normal(k) for k in (G.shape[1], A.shape[0],
                                                            G.shape[0]))
             got = kkt.solve(rx, ry, rz)
@@ -881,8 +917,7 @@ class TestSelectionElimination:
 
     @staticmethod
     def _selected(G, cones):
-        return [(rows, cols) for rows, cols, *_ in
-                _LuLayout(G, np.zeros((0, G.shape[1])), _Layout(cones)).sel]
+        return [(blk.sl, cols) for blk, cols in _selection_blocks(G, _Layout(cones))]
 
     def test_detection(self):
         # an nn block of two dense rows, then two psd blocks of order 2 on
@@ -921,30 +956,25 @@ class TestSelectionElimination:
         cones = (("nn", 3), ("psd", 2), ("psd", 3))
         layout = _Layout(cones)
         G, A = rng.standard_normal((layout.m, 6)), rng.standard_normal((2, 6))
-        lay = _LuLayout(G, A, layout)
-        assert lay.sel == [] and lay.m_dense == layout.m
+        plan = _SchurPlan(G, A, layout)
+        assert plan.sel == [] and plan.nf == 6 and plan.GA.shape[0] == 2 + layout.m
         for scale in (1e-4, 1.0, 1e4):
             sc = _Scaling(layout, scale * _interior_point(rng, cones),
                           _interior_point(rng, cones) / scale)
-            kkt, ref = _LuKkt(lay, sc), _FullLu(G, A, sc)
+            kkt, ref = _SchurKkt(plan, sc), _FullLu(G, A, sc)
             assert np.array_equal(kkt.lu, ref.lu) and np.array_equal(kkt.piv, ref.piv)
             r = (rng.standard_normal(6), rng.standard_normal(2),
                  rng.standard_normal(layout.m))
             for u, v in zip(kkt._solve_once(*r), ref._solve_once(*r)):
                 assert np.array_equal(u, v)
 
-    def test_xi_block_is_identity_plus_delta_W_Wt(self, monkeypatch):
-        # the exact image of the 1e-14 I regularization under ux_b = W_b.T xi_b;
-        # at a scaling of norm ~1e3 the term is far above rounding and W W.T
-        # is far from W.T W
-        captured = []
-        getrf = conelp._getrf
-
-        def tap(a, **kw):
-            captured.append(a.T.copy())
-            return getrf(a, **kw)
-
-        monkeypatch.setattr(conelp, "_getrf", tap)
+    def test_bordered_block_is_schur_complement_of_full_system(self, monkeypatch):
+        # the full augmented system, 1e-14 I on x, with the X block's rows
+        # (exactly: their block is -I) and then its columns eliminated.  At a
+        # scaling of norm ~5e3, Q = W.T W reaches ~2e7, so 1e-14 Q is far
+        # above rounding: the bordered block matches to ~1e-14, while Q in
+        # place of Qt = Q inv(I + 1e-14 Q) is off by ~2e-7
+        factored = _tap(monkeypatch, "_getrf")
         prog = next(_psd_kkt_cases(24, 1))[0]
         layout = _Layout(prog.cones)
         rng = np.random.default_rng(24)
@@ -952,9 +982,35 @@ class TestSelectionElimination:
         sc = _Scaling(layout, 1e3 * _interior_point(rng, prog.cones),
                       1e-3 * _interior_point(rng, prog.cones))
         _kkt_factory(prog.G, np.zeros((0, L)), layout)(sc)
-        K = captured[-1]
-        assert K.shape == (L + l, L + l)
-        W = sc.W(np.eye(layout.m))[l:, l:]
-        block = (K[:L, :L] - np.eye(L)) / 1e-14
-        assert np.allclose(block, W @ W.T, rtol=1e-6, atol=0)
-        assert not np.allclose(block, W.T @ W, rtol=1e-3, atol=0)
+        K = factored[-1].T
+        assert K.shape == (l, l)
+        Gs = _scaled_rows(prog.G, sc)
+        full = np.block([[1e-14 * np.eye(L), Gs.T], [Gs, -np.eye(l + L)]])
+        x, v_D, v_X = slice(0, L), slice(L, L + l), slice(L + l, 2 * L + l)
+        # the rows v_X: their block is -I, so eliminating them adds the
+        # outer product of their coupling
+        reduced = full + full[:, v_X] @ full[v_X, :]
+        schur = reduced[v_D, v_D] - reduced[v_D, x] @ np.linalg.solve(reduced[x, x],
+                                                                      reduced[x, v_D])
+        np.testing.assert_allclose(K, schur, rtol=1e-11, atol=0)
+        E, _, _ = _eps_path_operators(prog, sc)
+        Wx = sc.W(np.eye(layout.m))[l:, l:]
+        with_q = -(np.eye(l) + E @ Wx.T @ Wx @ E.T)
+        assert not np.allclose(with_q, schur, rtol=1e-8, atol=0)
+
+    def test_factored_order(self, monkeypatch):
+        # the bordered system holds the free columns, the equality rows and
+        # the rows of the blocks that are not eliminated: l on the eps-path
+        # (n = 13, l = 10), q + l + 1 on the trace-cap path
+        factored = _tap(monkeypatch, "_getrf")
+        rng = np.random.default_rng(25)
+        n, l = 13, 10
+        mats = [a @ a.T + 0.05 * np.eye(n) for a in rng.standard_normal((l, n, n))]
+        c = rng.standard_normal((n, 2))
+        eps = sv._packing_cone_program(c @ c.T, mats, rng.uniform(0.5, 2.0, l), eps=1e-3)
+        cmb = _combined_problem(rng)
+        cap = sv._combined_cone_program(cmb, 0.1, 1e-9)
+        for prog, order in ((eps, l), (cap, cmb.q + cmb.l + 1)):
+            factored.clear()
+            solve_cone_program(prog, max_iter=3)
+            assert [a.shape for a in factored] == [(order, order)] * 3

@@ -111,18 +111,18 @@ def _svec_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=64)
-def _smat_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _smat_index(n: int, dtype=np.float64) -> tuple[np.ndarray, ...]:
     """The packed position and the scale factor of each entry of an
     order-``n`` matrix, as ``(n, n)`` arrays, and the flat positions and
-    scale factors of the packed entries (read-only; shared by every
-    caller)."""
+    scale factors of the packed entries, with the scale factors in
+    ``dtype`` (read-only; shared by every caller)."""
     r, c, scale = _svec_index(n)
     pos = np.empty((n, n), dtype=np.intp)
     pos[r, c] = pos[c, r] = np.arange(r.shape[0])
-    out = (pos, scale[pos], r * n + c)
+    out = (pos, scale[pos].astype(dtype), r * n + c, scale.astype(dtype))
     for a in out:
         a.flags.writeable = False
-    return out + (scale,)
+    return out
 
 
 def svec(S: np.ndarray) -> np.ndarray:
@@ -390,7 +390,7 @@ def _blockwise(ops, v: np.ndarray) -> np.ndarray:
     """Apply a block-diagonal operator to a vector or to the rows of a
     matrix.  ``ops`` holds ``(kind, slice, F)`` triples that cover the cone
     rows, each applied by :func:`_apply`."""
-    out = np.empty(v.shape, dtype=np.result_type(v.dtype, np.float64))
+    out = np.empty(v.shape, dtype=np.longdouble if v.dtype == np.longdouble else float)
     for kind, sl, F in ops:
         _apply(kind, F, v[sl], out[sl])
     return out
@@ -418,7 +418,7 @@ def _congruence(F: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
     """``out = svec(F.T smat(v) F)`` for one psd block, computed on n x n
     matrices: ``v`` is a packed vector or a matrix of packed columns, in
     any float dtype (``out`` may be ``v``)."""
-    pos, scale_nn, flat, scale = _smat_index(F.shape[0])
+    pos, scale_nn, flat, scale = _smat_index(F.shape[0], v.dtype)
     if v.ndim == 1:
         # np.dot: bitwise the same as matmul on one matrix, and for
         # longdouble about twice as fast
@@ -1043,18 +1043,16 @@ class _SchurPlan:
     """Where the rows and columns of one cone program go in
     :class:`_SchurKkt`, found once per solve.
 
-    ``sel`` holds ``(kind, run, part, rows, cols)`` per selection block (see
-    :func:`_selection_blocks`; nn and psd blocks, a soc block stays in the
-    bordered system) and ``dense`` ``(kind, run, part, rows, at)`` per
-    other block: ``run`` indexes ``_Layout.runs``, ``part`` picks the
-    block's share of that run's scaling operator (an entry range of an nn
-    run's diagonal, else a one-block range of the run's stack) and ``at``
-    its rows in ``GA = [A; G_D]``, the equality rows stacked over the dense
-    rows ``G_D = G[dense_rows]``; ``GAt`` holds the transposed columns of
-    ``GA`` per selection block and ``free`` the columns of no selection
-    block.
-    ``G_D_l`` (and its transpose ``G_D_lt``) and ``A_l`` are the
-    ``longdouble`` copies the refinement residual uses."""
+    ``sel`` holds ``(kind, run, part, rows, cols)`` per nn or psd selection
+    block (see :func:`_selection_blocks`) and ``dense`` ``(kind, run, part,
+    rows, at)`` per other block: ``run`` indexes ``_Layout.runs``, ``part``
+    picks the block's share of that run's scaling operator (an entry range
+    of an nn run's diagonal, else a one-block range of the run's stack) and
+    ``at`` its rows in ``GA = [A; G_D]``, the equality rows stacked over
+    the dense rows ``G_D = G[dense_rows]``.  ``GAt`` holds the transposed
+    columns of ``GA`` per selection block, ``free`` the columns of no
+    selection block.  ``G_D_l`` (and its transpose ``G_D_lt``) and ``A_l``
+    are the ``longdouble`` copies the refinement residual uses."""
 
     def __init__(self, G: np.ndarray, A: np.ndarray, layout: _Layout):
         self.nx, self.p, self.m = G.shape[1], A.shape[0], G.shape[0]
@@ -1088,9 +1086,12 @@ class _SchurPlan:
 def _eigen_in(U, v: np.ndarray) -> np.ndarray:
     """A selection block's packed ``v``, or each row of a matrix of them, in
     the eigenbasis of its ``W.T W``: ``v`` itself on an nn block (``U`` is
-    ``None``), else ``svec(U.T smat(v) U)``."""
+    ``None``), else ``svec(U.T smat(v) U)`` (see :func:`_congruence`)."""
     if U is None:
         return v
+    if v.ndim == 1:
+        pos, scale_nn, flat, scale = _smat_index(len(U))
+        return np.dot(np.dot(U.T, v[pos] / scale_nn), U).ravel()[flat] * scale
     out = np.empty(v.shape[::-1])
     _congruence(U, v.T, out)
     return out.T
@@ -1100,9 +1101,8 @@ def _eigen_out(U, t: np.ndarray) -> np.ndarray:
     """The inverse of :func:`_eigen_in` on a vector: ``svec(U smat(t) U.T)``."""
     if U is None:
         return t
-    out = np.empty(t.shape)
-    _congruence(U.T, t, out)
-    return out
+    pos, scale_nn, flat, scale = _smat_index(len(U))
+    return np.dot(np.dot(U, t[pos] / scale_nn), U.T).ravel()[flat] * scale
 
 
 class _SchurKkt(_KktFactor):
@@ -1132,14 +1132,15 @@ class _SchurKkt(_KktFactor):
     full augmented system itself.
 
     ``Qt_b`` is diagonal in the eigenbasis of ``Q_b``: the identity basis
-    and ``w_b ** 2`` on an nn block, ``eigh`` of ``W_b`` on a soc block, and
-    on a psd block the left singular vectors ``U`` of ``R``, with ``Q_b: V
-    -> P V P``, ``P = R R.T = U diag(s ** 2) U.T``, multiplying entry
-    ``(i, j)`` of ``U.T V U`` by ``p_i p_j``.  (The SVD of ``R`` keeps its
-    conditioning; ``eigh(R R.T)`` would square it.)  ``E_b`` is turned into
-    that basis once per factor, so ``sum_b E_b Qt_b E_b.T`` is a Gram
-    matrix of the scaled rows and no operator on a block's packed
-    coordinates is formed.
+    and ``w_b ** 2`` on an nn block, and on a psd block the left singular
+    vectors ``U`` of ``R``, with ``Q_b: V -> P V P``, ``P = R R.T = U
+    diag(s ** 2) U.T``, multiplying entry ``(i, j)`` of ``U.T V U`` by
+    ``p_i p_j``.  (The SVD of ``R`` keeps its conditioning; ``eigh(R R.T)``
+    would square it.)  ``E_b`` is turned into that basis once per factor,
+    so ``sum_b E_b Qt_b E_b.T`` is a Gram matrix of the scaled rows and no
+    operator on a block's packed coordinates is formed.  (A soc block of
+    ``-I`` rows, which no program sdpack builds has next to a psd block,
+    stays in the bordered system.)
 
     Back-substitution is ``ux_b = t_b - Qt_b E_b.T w`` and ``uz_D = inv(W_D)
     v_D``; ``uz_b`` is read off the (regularized) ``x_b`` rows, which hold
@@ -1161,7 +1162,7 @@ class _SchurKkt(_KktFactor):
     _DELTA = 1e-14    # the regularization of the (1,1) block
 
     def __init__(self, plan: _SchurPlan, sc: _Scaling):
-        self.plan, self.sc = plan, sc
+        self.plan = plan
         delta, nf, p = self._DELTA, plan.nf, plan.p
         self._dense = [(rows, at, kind, sc._Winvt[r][2][part], sc._Winv[r][2][part])
                        for kind, r, part, rows, at in plan.dense]
@@ -1178,8 +1179,8 @@ class _SchurKkt(_KktFactor):
                 U, q = None, F * F
             else:
                 U, s, _ = np.linalg.svd(F[0])
-                r, c, _ = _svec_index(len(U))
-                q = (s * s)[r] * (s * s)[c]
+                ri, ci, _ = _svec_index(len(U))
+                q = (s * s)[ri] * (s * s)[ci]
             d = 1.0 + delta * q
             qt, qi = q / d, 1.0 / d
             Et = _eigen_in(U, E[:, cols])

@@ -100,26 +100,16 @@ _getrf, _getrs, _trtrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs", "trtrs
 
 
 @functools.lru_cache(maxsize=64)
-def _svec_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and scale factors of the packed entries of an order-``n``
-    matrix (read-only; shared by every caller)."""
+def _svec_index(n: int, dtype=np.float64) -> tuple[np.ndarray, ...]:
+    """Packed coordinates of an order-``n`` matrix: the packed position and
+    the scale factor of each entry as ``(n, n)`` arrays, then the flat
+    positions and the scale factors of the packed entries, the scale
+    factors in ``dtype`` (read-only; shared by every caller)."""
     r, c = np.tril_indices(n)
-    scale = np.where(r == c, 1.0, math.sqrt(2.0))
-    for a in (r, c, scale):
-        a.flags.writeable = False
-    return r, c, scale
-
-
-@functools.lru_cache(maxsize=64)
-def _smat_index(n: int, dtype=np.float64) -> tuple[np.ndarray, ...]:
-    """The packed position and the scale factor of each entry of an
-    order-``n`` matrix, as ``(n, n)`` arrays, and the flat positions and
-    scale factors of the packed entries, with the scale factors in
-    ``dtype`` (read-only; shared by every caller)."""
-    r, c, scale = _svec_index(n)
+    scale = np.where(r == c, 1.0, math.sqrt(2.0)).astype(dtype)
     pos = np.empty((n, n), dtype=np.intp)
     pos[r, c] = pos[c, r] = np.arange(r.shape[0])
-    out = (pos, scale[pos].astype(dtype), r * n + c, scale.astype(dtype))
+    out = (pos, scale[pos], r * n + c, scale)
     for a in out:
         a.flags.writeable = False
     return out
@@ -130,22 +120,18 @@ def svec(S: np.ndarray) -> np.ndarray:
     S = np.asarray(S)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InvalidInput(f"svec needs a square matrix, got shape {S.shape}")
-    r, c, scale = _svec_index(S.shape[0])
-    return S[r, c] * scale
+    _, _, flat, scale = _svec_index(S.shape[0])
+    return S.ravel()[flat] * scale
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`svec`."""
     v = np.asarray(v)
-    r, c, scale = _svec_index(n)
+    pos, scale_nn, _, scale = _svec_index(n)
     if v.shape != scale.shape:
         raise InvalidInput(f"smat of order {n} needs a vector of length "
                            f"{scale.shape[0]}, got shape {v.shape}")
-    S = np.zeros((n, n))
-    vals = v / scale
-    S[r, c] = vals
-    S[c, r] = vals
-    return S
+    return v[pos] / scale_nn
 
 
 def svec_dim(n: int) -> int:
@@ -418,7 +404,7 @@ def _congruence(F: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
     """``out = svec(F.T smat(v) F)`` for one psd block, computed on n x n
     matrices: ``v`` is a packed vector or a matrix of packed columns, in
     any float dtype (``out`` may be ``v``)."""
-    pos, scale_nn, flat, scale = _smat_index(F.shape[0], v.dtype)
+    pos, scale_nn, flat, scale = _svec_index(F.shape[0], v.dtype)
     if v.ndim == 1:
         # np.dot: bitwise the same as matmul on one matrix, and for
         # longdouble about twice as fast
@@ -426,7 +412,7 @@ def _congruence(F: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
         np.multiply(T.ravel()[flat], scale, out=out)
     else:
         T = F.T @ (v.T[:, pos] / scale_nn) @ F
-        out[...] = (T.reshape(len(T), -1)[:, flat] * scale).T
+        out[...] = (T.reshape(-1, F.size)[:, flat] * scale).T
 
 
 class _Scaling:
@@ -856,8 +842,8 @@ def _push_interior(layout: _Layout, v: np.ndarray, e: np.ndarray,
         elif kind == "soc":
             mean = np.abs(U[:, 0])
         else:
-            r, c, _ = _svec_index(blocks[0].order)
-            mean = U[:, r == c].sum(axis=1) / blocks[0].order
+            diagonal = np.diag(_svec_index(blocks[0].order)[0])
+            mean = U[:, diagonal].sum(axis=1) / blocks[0].order
         target = push * (np.abs(mean) + 1.0)
         low = margin < target
         U[low] += (target - margin)[low, None] * _rows(e, sl, blocks)[low]
@@ -1083,26 +1069,16 @@ class _SchurPlan:
         self.A_l = A.astype(np.longdouble) if self.p else None
 
 
-def _eigen_in(U, v: np.ndarray) -> np.ndarray:
-    """A selection block's packed ``v``, or each row of a matrix of them, in
-    the eigenbasis of its ``W.T W``: ``v`` itself on an nn block (``U`` is
-    ``None``), else ``svec(U.T smat(v) U)`` (see :func:`_congruence`)."""
+def _eigen(U, v: np.ndarray) -> np.ndarray:
+    """``svec(U.T smat(v) U)`` of a packed ``v``, or of each row of a matrix
+    of them: a psd selection block's ``v`` into the eigenbasis ``U`` of its
+    ``W.T W``, or back with ``U.T``; ``v`` itself on an nn block (``U`` is
+    ``None``)."""
     if U is None:
         return v
-    if v.ndim == 1:
-        pos, scale_nn, flat, scale = _smat_index(len(U))
-        return np.dot(np.dot(U.T, v[pos] / scale_nn), U).ravel()[flat] * scale
     out = np.empty(v.shape[::-1])
     _congruence(U, v.T, out)
     return out.T
-
-
-def _eigen_out(U, t: np.ndarray) -> np.ndarray:
-    """The inverse of :func:`_eigen_in` on a vector: ``svec(U smat(t) U.T)``."""
-    if U is None:
-        return t
-    pos, scale_nn, flat, scale = _smat_index(len(U))
-    return np.dot(np.dot(U, t[pos] / scale_nn), U.T).ravel()[flat] * scale
 
 
 class _SchurKkt(_KktFactor):
@@ -1179,14 +1155,13 @@ class _SchurKkt(_KktFactor):
                 U, q = None, F * F
             else:
                 U, s, _ = np.linalg.svd(F[0])
-                ri, ci, _ = _svec_index(len(U))
-                q = (s * s)[ri] * (s * s)[ci]
+                q = np.outer(s * s, s * s).ravel()[_svec_index(len(U))[2]]
             d = 1.0 + delta * q
             qt, qi = q / d, 1.0 / d
-            Et = _eigen_in(U, E[:, cols])
+            Et = _eigen(U, E[:, cols])
             H = Et * np.sqrt(qt)
             S -= H @ H.T
-            self._sel.append((rows, cols, U, Et, qt, qi))
+            self._sel.append((rows, cols, U, None if U is None else U.T, Et, qt, qi))
         if nf:
             Ef = E[:, plan.free]
             K.flat[:nf * (N + 1):N + 1] = delta
@@ -1198,8 +1173,8 @@ class _SchurKkt(_KktFactor):
         # K is symmetric, so its transpose is the Fortran-ordered matrix
         # getrf factors in place.  A zero pivot (info > 0) surfaces as
         # non-finite solves, which the refinement loop and the caller's
-        # guards handle.
-        self.lu, self.piv, info = _getrf(K.T, overwrite_a=True)
+        # guards handle.  K is empty when selection blocks are all there is.
+        self.lu, self.piv, info = _getrf(K.T, overwrite_a=True) if N else (K, None, 0)
         if info < 0:
             raise ValueError(f"getrf rejected argument {-info}")
         self._WtW_l = [(kind, sl, F.astype(np.longdouble)) for kind, sl, F in sc.gram()]
@@ -1217,21 +1192,21 @@ class _SchurKkt(_KktFactor):
             for rows, at, kind, Finvt, _ in self._dense:
                 _apply(kind, Finvt, rz[rows], w[at])
             ts = []
-            for rows, cols, U, Et, qt, qi in self._sel:
-                t = qt * _eigen_in(U, rx[cols]) - qi * _eigen_in(U, rz[rows])
+            for rows, cols, U, _, Et, qt, qi in self._sel:
+                t = qt * _eigen(U, rx[cols]) - qi * _eigen(U, rz[rows])
                 w -= Et @ t
                 ts.append(t)
             if not np.isfinite(rhs).all():
                 raise np.linalg.LinAlgError("non-finite reduced right-hand side")
-            sol, _ = _getrs(self.lu, self.piv, rhs, overwrite_b=True)
+            sol = _getrs(self.lu, self.piv, rhs, overwrite_b=True)[0] if rhs.size else rhs
             if nf:
                 ux[plan.free] = sol[:nf]
             w = sol[nf:]
             for rows, at, kind, _, Finv in self._dense:
                 _apply(kind, Finv, w[at], uz[rows])
             wz = np.concatenate([w[:p], uz[plan.dense_rows]]) if p else uz[plan.dense_rows]
-            for (rows, cols, U, Et, qt, _), t, GAt in zip(self._sel, ts, plan.GAt):
-                ux[cols] = _eigen_out(U, t - qt * (w @ Et))
+            for (rows, cols, _, Ut, Et, qt, _), t, GAt in zip(self._sel, ts, plan.GAt):
+                ux[cols] = _eigen(Ut, t - qt * (w @ Et))
                 # the x_b rows: 1e-14 ux_b + A_b.T uy + G_D,b.T uz_D - uz_b = rx_b
                 ub = uz[rows]
                 np.dot(GAt, wz, out=ub)

@@ -151,8 +151,8 @@ def _push_interior_at_005(layout, v, e):
         elif kind == "soc":
             mean = np.abs(U[:, 0])
         else:
-            r, c, _ = _svec_index(blocks[0].order)
-            mean = U[:, r == c].sum(axis=1) / blocks[0].order
+            diagonal = np.diag(_svec_index(blocks[0].order)[0])
+            mean = U[:, diagonal].sum(axis=1) / blocks[0].order
         target = 0.05 * (np.abs(mean) + 1.0)
         low = margin < target
         U[low] += (target - margin)[low, None] * _rows(e, sl, blocks)[low]
@@ -275,8 +275,8 @@ class TestSvecCongruence:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_batched_equals_per_column_build(self, n):
         # the psd scaling's congruence V -> R.T V R on packed coordinates,
-        # applied to the columns of a matrix at once, against one column at
-        # a time through smat and svec
+        # applied to the columns of a matrix at once and to one vector,
+        # against one column at a time through smat and svec
         rng = np.random.default_rng(n)
         R = rng.standard_normal((n, n))
         dim = svec_dim(n)
@@ -284,12 +284,12 @@ class TestSvecCongruence:
         loop = np.empty((dim, 5))
         for j, v in enumerate(V.T):
             loop[:, j] = svec(R.T @ smat(v, n) @ R)
-        got = np.empty((dim, 5))
+        got, one = np.empty((dim, 5)), np.empty(dim)
         _apply("psd", R[None], V, got)
-        np.testing.assert_allclose(got, loop, rtol=1e-13, atol=1e-13 * np.abs(loop).max())
-        one = np.empty(dim)
         _apply("psd", R[None], V[:, 0], one)
-        assert np.array_equal(one, got[:, 0])
+        # bitwise: the path tests' 1e-9 monotonicity slack cannot absorb a
+        # rewrite of this product that is only equal to rounding
+        assert np.array_equal(got, loop) and np.array_equal(one, loop[:, 0])
 
 
 class TestJordanOps:
@@ -417,6 +417,16 @@ class TestSolver:
                                  reltol=1e-10)
         assert res.optimal
         assert -res.pcost == pytest.approx(np.linalg.eigvalsh(C)[-1], abs=1e-8)
+
+    def test_psd_cone_alone(self):
+        # G = -I on one psd block: the bordered KKT system is empty, or holds
+        # the one equality row tr X = 1
+        C, L = np.diag([1.0, 2.0, 3.0]), svec_dim(3)
+        data = dict(c=svec(C), G=-np.eye(L), h=np.zeros(L), cones=[("psd", 3)])
+        for extra, value in (({}, 0.0), ({"A": svec(np.eye(3))[None], "b": [1.0]}, 1.0)):
+            res = solve_cone_program(ConeProgram(**data, **extra))
+            assert res.optimal
+            assert res.pcost == pytest.approx(value, abs=1e-7)
 
     def test_equality_rows(self):
         prog = ConeProgram(c=np.array([1.0, 0.0]), G=-np.eye(2), h=np.zeros(2),

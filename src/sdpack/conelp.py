@@ -40,9 +40,10 @@ checks.  The factorization is chosen once per solve from the cone layout:
 * no psd block (LPs, SOCPs, the rank-one and design programs): QR factors
   of the stacked scaled rows and of the equality rows, order ``nx`` and
   ``p``, with residuals in double;
-* a psd block: every selection block (rows ``-I`` on their own columns,
-  as ``X >= 0`` in the eps-path) is eliminated, columns and rows, through
-  its scaling, applied in the eigenbasis of ``W.T W`` on n x n matrices;
+* a psd block: every nn or psd selection block (rows ``-I`` on their own
+  columns, as ``X >= 0`` in the eps-path) is eliminated, columns and rows,
+  through its scaling, applied in the eigenbasis of ``W.T W`` on n x n
+  matrices;
   what is left is one bordered Schur-complement system in the free
   columns, the equality rows and the other blocks' rows, of order ``l``
   on the eps-path, factored by a dense LU (LAPACK ``getrf``/``getrs``),
@@ -871,15 +872,15 @@ class _KktFactor:
       stacked ``[Gs; 1e-7 I]`` gives ``R.T R = Gs.T Gs + 1e-14 I`` without
       forming the Gram matrix, and a second QR handles the equality rows.
       Residuals are taken in double.
-    * :class:`_SchurKkt`, for programs with a psd block: each selection
-      block (cone rows ``-I`` on their own columns) is eliminated, columns
-      and rows, through the exact image ``Q (I + 1e-14 Q)^{-1}`` of the
-      regularization, ``Q = W_b.T W_b``, applied in its eigenbasis; a dense
-      LU factors the bordered system that is left (order ``l`` on the
-      eps-path), with residuals accumulated in ``longdouble``.  Solving
-      through this Schur complement keeps the eps-path's stages at their
-      1e-11 gaps: 0 of the 5040 stages of census seeds 1 and 4-17 end
-      short.
+    * :class:`_SchurKkt`, for programs with a psd block: each nn or psd
+      selection block (cone rows ``-I`` on their own columns) is
+      eliminated, columns and rows, through the exact image ``Q (I + 1e-14
+      Q)^{-1}`` of the regularization, ``Q = W_b.T W_b``, applied in its
+      eigenbasis; a dense LU factors the bordered system that is left
+      (order ``l`` on the eps-path), with residuals accumulated in
+      ``longdouble``.  Solving through this Schur complement keeps the
+      eps-path's stages at their 1e-11 gaps: 0 of the 5040 stages of
+      census seeds 1 and 4-17 end short.
 
     :func:`_kkt_factory` picks one per cone program from its layout.
     """

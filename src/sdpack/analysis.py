@@ -87,19 +87,25 @@ def check_bounded(problem: PackingProblem) -> BoundednessCertificate:
     over the nullspace of the constraint sum: the strongest ray, and
     deterministic.
     """
-    S = problem.mat_sum()
-    U = linalg.range_basis(S)
+    return bounded_certificate(problem, linalg.eigh_desc(problem.mat_sum()))
+
+
+def bounded_certificate(problem: PackingProblem,
+                        sum_dec: linalg.EigenDecomp) -> BoundednessCertificate:
+    """:func:`check_bounded` given ``sum_dec = eigh_desc(problem.mat_sum())``,
+    which a caller may need as well."""
+    U = sum_dec.range_basis()
     cks, _ = _positive_eigvecs(problem.C)
     if cks.shape[1]:
         resid = cks - U @ (U.T @ cks)
         rel = np.linalg.norm(resid, axis=0) / np.linalg.norm(cks, axis=0)
         if np.any(rel > RANGE_RTOL):
-            N = linalg.null_basis(S)
+            N = sum_dec.null_basis()
             core = linalg.symmetrize(N.T @ problem.C @ N)
             dec = linalg.eigh_desc(core)
             ray = N @ dec.eigenvectors[:, 0]
             return BoundednessCertificate(bounded=False, ray=ray)
-        lam = float(np.sum(cks * (linalg.pinv(S) @ cks)))
+        lam = float(np.sum(cks * (sum_dec.pinv() @ cks)))
     else:
         lam = 0.0
     return BoundednessCertificate(bounded=True, lam=lam)

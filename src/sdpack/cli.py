@@ -20,6 +20,7 @@ by default (``--report text`` rounds to 9 significant digits).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -349,8 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process (parsing leaves it as it was)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "analyze": cmd_analyze,
         "reduce": cmd_reduce,

@@ -35,22 +35,15 @@ Each search direction solves the Newton system reduced through the scaled
 rows ``inv(W).T G``, with iterative refinement against the unreduced
 equations, accurate enough to push relative gaps to ~1e-11 on desk-scale
 problems, which the path-following solvers need for their monotonicity
-checks.  The factorization is chosen once per solve from the cone layout:
-
-* no psd block (LPs, SOCPs, the rank-one and design programs): QR factors
-  of the stacked scaled rows and of the equality rows, order ``nx`` and
-  ``p``, with residuals in double;
-* a psd block: every nn or psd selection block (rows ``-I`` on their own
-  columns, as ``X >= 0`` in the eps-path) is eliminated, columns and rows,
-  through its scaling, applied in the eigenbasis of ``W.T W`` on n x n
-  matrices;
-  what is left is one bordered Schur-complement system in the free
-  columns, the equality rows and the other blocks' rows, of order ``l``
-  on the eps-path, factored by a dense LU (LAPACK ``getrf``/``getrs``),
-  with residuals in ``longdouble``.  No operator on a psd block's packed
-  coordinates is formed.  This elimination holds the eps-path to its
-  1e-11 gaps: on the ``tools/path_census.py`` census, 0 of 336 stages
-  (seed 1), 0 of 1008 (seeds 4-6) and 0 of 3696 (seeds 7-17) end short.
+checks.  The factorization is chosen once per solve from the cone layout
+(:class:`_KktFactor`): QR of the scaled rows, with residuals in double, for
+programs with no psd block (LPs, SOCPs, the rank-one and design programs);
+else every nn or psd selection block (rows ``-I`` on their own columns, as
+``X >= 0`` on the eps-path) is eliminated through its scaling and a dense
+LU factors the bordered Schur complement left (order ``l`` on the
+eps-path), with residuals in ``longdouble``.  On the
+``tools/path_census.py`` census, 0 of 336 stages (seed 1), 0 of 1008
+(seeds 4-6) and 0 of 3696 (seeds 7-17) end short of their 1e-11 gaps.
 
 A warm start (the path stages of ``sdpack.solve``) is pushed back into the
 cone interior only as far as its relative residual in the new program, and
@@ -237,23 +230,27 @@ class _Layout:
                     e[b.sl] = svec(np.eye(b.order))
         return e
 
-    def _block_margins(self, v: np.ndarray):
-        """Per-run arrays of each block's smallest cone eigenvalue."""
+    def _block_margins(self, *vs: np.ndarray):
+        """Per-run ``(len(vs), k)`` arrays of each block's smallest cone
+        eigenvalue in each vector; all psd blocks go through one ``eigvalsh``."""
         for kind, sl, blocks in self.runs:
             if kind == "nn":
-                yield _rows(v, sl, blocks).min(axis=1)
+                yield np.stack([_rows(v, sl, blocks).min(axis=1) for v in vs])
             elif kind == "soc":
-                U = _rows(v, sl, blocks)
-                yield U[:, 0] - np.linalg.norm(U[:, 1:], axis=1)
+                yield np.stack([U[:, 0] - np.linalg.norm(U[:, 1:], axis=1)
+                                for U in (_rows(v, sl, blocks) for v in vs)])
             else:
-                yield np.array([np.linalg.eigvalsh(smat(v[b.sl], b.order))[0]
-                                for b in blocks])
+                mats = np.stack([smat(v[b.sl], b.order) for v in vs for b in blocks])
+                yield np.linalg.eigvalsh(mats)[:, 0].reshape(len(vs), len(blocks))
+
+    def margins(self, *vs: np.ndarray) -> np.ndarray:
+        """Smallest cone eigenvalue across blocks of each vector (>= 0 iff
+        it is in K; nan if any of its blocks holds a nan)."""
+        return np.concatenate(list(self._block_margins(*vs)), axis=1).min(axis=1)
 
     def margin(self, v: np.ndarray) -> float:
-        """Smallest cone eigenvalue across blocks (>= 0 iff ``v`` in K; nan
-        if any block holds a nan)."""
-        margins = list(self._block_margins(v))
-        return float(np.min(np.concatenate(margins))) if margins else math.inf
+        """:meth:`margins` of one vector."""
+        return float(self.margins(v)[0])
 
     def circ(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.empty(self.m)
@@ -300,45 +297,49 @@ class _Layout:
                                          / np.add.outer(d, d))
         return out
 
-    def max_step(self, lam: np.ndarray, d: np.ndarray,
-                 sigma: list | None = None) -> float:
-        """Largest ``a`` with ``lam + t d`` in K for all ``t in [0, a]``
-        (``sigma`` as in :meth:`circ_solve`)."""
+    def max_step(self, lam: np.ndarray, ds, sigma: list | None = None) -> float:
+        """Largest ``a`` with ``lam + t d`` in K for all ``t in [0, a]`` and
+        every ``d`` in ``ds`` (``sigma`` as in :meth:`circ_solve`): the least
+        per-direction step, to the bit, sharing the work on ``lam``."""
         out = math.inf
         sig = iter(sigma) if sigma is not None else None
         for kind, sl, blocks in self.runs:
             if kind == "nn":
-                lb, db = lam[sl], d[sl]
-                neg = db < 0
-                if np.any(neg):
-                    out = min(out, float(np.min(-lb[neg] / db[neg])))
+                lb = lam[sl]
+                for d in ds:
+                    db = d[sl]
+                    neg = db < 0
+                    if np.any(neg):
+                        out = min(out, float(np.min(-lb[neg] / db[neg])))
             elif kind == "soc":
                 # roots of |l1 + a d1|^2 = (l0 + a d0)^2, block by block
-                L, D = _rows(lam, sl, blocks), _rows(d, sl, blocks)
-                p2 = np.einsum("ij,ij->i", D[:, 1:], D[:, 1:]) - D[:, 0] ** 2
-                p1 = 2.0 * (np.einsum("ij,ij->i", L[:, 1:], D[:, 1:])
-                            - L[:, 0] * D[:, 0])
+                L = _rows(lam, sl, blocks)
                 # <= 0 inside
                 p0 = np.einsum("ij,ij->i", L[:, 1:], L[:, 1:]) - L[:, 0] ** 2
-                out = min(out, float(np.min(_smallest_positive_root(p2, p1, p0))))
+                for d in ds:
+                    D = _rows(d, sl, blocks)
+                    p2 = np.einsum("ij,ij->i", D[:, 1:], D[:, 1:]) - D[:, 0] ** 2
+                    p1 = 2.0 * (np.einsum("ij,ij->i", L[:, 1:], D[:, 1:])
+                                - L[:, 0] * D[:, 0])
+                    out = min(out, float(np.min(_smallest_positive_root(p2, p1, p0))))
             else:
                 for b in blocks:
-                    D = smat(d[b.sl], b.order)
+                    Ds = [smat(d[b.sl], b.order) for d in ds]
                     sv = next(sig) if sig is not None else None
                     if sv is not None and np.all(sv[:-1] > sv[1:]):
                         # eigh of diag(sv) returns sv ascending and the
                         # reversal permutation, so this is its congruence
                         # entry for entry, to the bit
                         r = 1.0 / np.sqrt(np.maximum(sv[::-1], 1e-300))
-                        Dm = (r[:, None] * D[::-1, ::-1]) * r[None, :]
+                        Dm = [(r[:, None] * D[::-1, ::-1]) * r[None, :] for D in Ds]
                     else:
                         w, Q = np.linalg.eigh(smat(lam[b.sl], b.order))
                         w = np.maximum(w, 1e-300)
                         scale = Q / np.sqrt(w)[None, :]
-                        Dm = scale.T @ D @ scale
-                    lo = float(np.linalg.eigvalsh(Dm)[0])
-                    if lo < 0:
-                        out = min(out, -1.0 / lo)
+                        Dm = [scale.T @ D @ scale for D in Ds]
+                    for lo in np.linalg.eigvalsh(np.stack(Dm))[:, 0].tolist():
+                        if lo < 0:
+                            out = min(out, -1.0 / lo)
         return out
 
 
@@ -479,8 +480,9 @@ class _Scaling:
 def _soc_scaling(s: np.ndarray, z: np.ndarray):
     """NT scaling of ``k`` soc blocks of order ``d`` at once: ``s`` and ``z``
     are ``(k, d)``; returns ``W`` and ``W^{-1}`` as ``(k, d, d)`` and
-    ``lam = W z`` as ``(k, d)``."""
-    J = np.diag(np.r_[1.0, -np.ones(s.shape[1] - 1)])
+    ``lam = W z`` as ``(k, d)``.  ``W = eta (2 v v.T - J)`` and ``W^{-1} =
+    (2 Jv (Jv).T - J) / eta`` are built in place, entry for entry as the
+    broadcast expressions (off the diagonal, ``x - 0.0`` is ``x``)."""
     s0, z0 = s[:, 0], z[:, 0]
     # relative floors keep the scaling finite when an iterate touches the
     # boundary; the solver then stops on its stall test instead of overflowing
@@ -497,9 +499,15 @@ def _soc_scaling(s: np.ndarray, z: np.ndarray):
     v[:, 0] += 1.0
     v /= np.sqrt(2.0 * (wbar[:, 0] + 1.0))[:, None]
     eta = np.sqrt(rho_s / rho_z)[:, None, None]
-    W = eta * (2.0 * v[:, :, None] * v[:, None, :] - J)
-    jv = v @ J
-    Winv = (2.0 * jv[:, :, None] * jv[:, None, :] - J) / eta
+    # J v as the product v @ J gives it: 0.0 - v turns a zero to +0.0
+    jv = np.concatenate([v[:, :1], 0.0 - v[:, 1:]], axis=1)
+    W, Winv = (2.0 * u[:, :, None] * u[:, None, :] for u in (v, jv))
+    for H in (W, Winv):
+        diag = H.reshape(len(v), -1)[:, ::v.shape[1] + 1]
+        diag[:, 0] -= 1.0
+        diag[:, 1:] += 1.0
+    W *= eta
+    Winv /= eta
     return W, Winv, np.einsum("kij,kj->ki", W, z)
 
 
@@ -669,10 +677,10 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
         metric = max(pres, dres, relgap)
         if metric < best_metric:
             best_metric = metric
-            best = ConeResult(status="max_iterations", x=xt.copy(), y=yt.copy(),
-                              z=zt.copy(), s=st.copy(), pcost=pcost, dcost=dcost,
-                              gap=gap, relgap=relgap, pres=pres, dres=dres,
-                              iterations=it)
+            # the iterate's arrays are new each iteration and never written
+            best = ConeResult(status="max_iterations", x=xt, y=yt, z=zt, s=st,
+                              pcost=pcost, dcost=dcost, gap=gap, relgap=relgap,
+                              pres=pres, dres=dres, iterations=it)
 
         if pres <= feastol and dres <= feastol and (relgap <= reltol or gap <= reltol):
             return ConeResult(status="optimal", x=xt, y=yt, z=zt, s=st,
@@ -749,17 +757,20 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
             dkappa = (dtk - kappa * dtau) / tau
             return dx, dy, dz, dsv, dz_sc, dtau, dkappa
 
+        def step(ds_sc, dz_sc, dtau, dkappa):
+            # the fraction-to-boundary step along both scaled directions
+            alpha = layout.max_step(lam, (ds_sc, dz_sc), sigma_lam)
+            if dtau < 0:
+                alpha = min(alpha, -tau / dtau)
+            if dkappa < 0:
+                alpha = min(alpha, -kappa / dkappa)
+            return min(1.0, _STEP * alpha)
+
         # predictor
         try:
             _, _, _, dsa, dz_sc, dta, dka = direction(0.0, 0.0, 0.0)
             ds_sc = sc.Winvt(dsa)
-            alpha = min(layout.max_step(lam, ds_sc, sigma_lam),
-                        layout.max_step(lam, dz_sc, sigma_lam))
-            if dta < 0:
-                alpha = min(alpha, -tau / dta)
-            if dka < 0:
-                alpha = min(alpha, -kappa / dka)
-            alpha = min(1.0, _STEP * alpha)
+            alpha = step(ds_sc, dz_sc, dta, dka)
             mu_aff = ((lam + alpha * ds_sc) @ (lam + alpha * dz_sc)
                       + (tau + alpha * dta) * (kappa + alpha * dka)) / (deg + 1)
             sigma = min(0.99, max(0.0, (mu_aff / mu)) ** 3)
@@ -772,14 +783,7 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
                 ValueError):
             reason = StopReason.FACTOR_FAILURE
             break
-        ds_sc = sc.Winvt(dsv)
-        alpha = min(layout.max_step(lam, ds_sc, sigma_lam),
-                    layout.max_step(lam, dz_sc, sigma_lam))
-        if dtau < 0:
-            alpha = min(alpha, -tau / dtau)
-        if dkappa < 0:
-            alpha = min(alpha, -kappa / dkappa)
-        alpha = min(1.0, _STEP * alpha)
+        alpha = step(sc.Winvt(dsv), dz_sc, dtau, dkappa)
         if not np.isfinite(alpha) or alpha < 1e-12:
             reason = StopReason.TINY_STEP
             break
@@ -790,7 +794,7 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
         s = s + alpha * dsv
         tau += alpha * dtau
         kappa += alpha * dkappa
-        if tau <= 0 or kappa < 0 or layout.margin(s) <= 0 or layout.margin(z) <= 0:
+        if tau <= 0 or kappa < 0 or np.any(layout.margins(s, z) <= 0):
             # should not happen with fraction-to-boundary steps
             reason = StopReason.LEFT_CONE
             break
@@ -836,7 +840,7 @@ def _push_interior(layout: _Layout, v: np.ndarray, e: np.ndarray,
     its entries), is moved along the identity until it lies there; the
     others are left as they are.  ``push`` comes from :func:`_warm_margin`."""
     out = v.copy()
-    for (kind, sl, blocks), margin in zip(layout.runs, layout._block_margins(v)):
+    for (kind, sl, blocks), (margin,) in zip(layout.runs, layout._block_margins(v)):
         U = _rows(out, sl, blocks)
         if kind == "nn":
             mean = np.mean(np.abs(U), axis=1)
@@ -885,31 +889,33 @@ class _KktFactor:
     :func:`_kkt_factory` picks one per cone program from its layout.
     """
 
+    _exact = float    # the dtype of the refinement residual
+
     def solve(self, rx, ry, rz):
         ry = np.asarray(ry, dtype=float)
         if not (np.all(np.isfinite(rx)) and np.all(np.isfinite(rz))):
             raise np.linalg.LinAlgError("non-finite right-hand side")
-        ux, uy, uz = self._solve_once(rx, ry, rz)
-        if not np.all(np.isfinite(ux)):
-            raise np.linalg.LinAlgError("singular reduced system")
-        best = (ux, uy, uz)
-        best_norm = math.inf
-        done = 1e-14 * (1.0 + float(np.max(np.abs(rx))))
-        for _ in range(_REFINE_ROUNDS):
-            e1, e2, e3 = self._residual(rx, ry, rz, ux, uy, uz)
-            norm = _max_abs(e1, e2, e3)
-            if norm < best_norm:
-                best, best_norm = (ux, uy, uz), norm
-            if norm < done:
-                # the residual after the loop would repeat this one
-                return best
-            cx, cy, cz = self._solve_once(e1.astype(float), e2.astype(float),
-                                          e3.astype(float))
-            ux = ux + cx
-            uy = uy + cy
-            uz = uz + cz
-        if _max_abs(*self._residual(rx, ry, rz, ux, uy, uz)) < best_norm:
+        rhs = tuple(np.asarray(r, dtype=self._exact) for r in (rx, ry, rz))
+        with np.errstate(all="ignore"):
+            ux, uy, uz = self._solve_once(rx, ry, rz)
+            if not np.all(np.isfinite(ux)):
+                raise np.linalg.LinAlgError("singular reduced system")
             best = (ux, uy, uz)
+            best_norm = math.inf
+            done = 1e-14 * (1.0 + float(np.max(np.abs(rx))))
+            for _ in range(_REFINE_ROUNDS):
+                e1, e2, e3 = self._residual(*rhs, ux, uy, uz)
+                norm = _max_abs(e1, e2, e3)
+                if norm < best_norm:
+                    best, best_norm = (ux, uy, uz), norm
+                if norm < done:
+                    # the residual after the loop would repeat this one
+                    return best
+                cx, cy, cz = self._solve_once(e1.astype(float), e2.astype(float),
+                                              e3.astype(float))
+                ux, uy, uz = ux + cx, uy + cy, uz + cz
+            if _max_abs(*self._residual(*rhs, ux, uy, uz)) < best_norm:
+                best = (ux, uy, uz)
         return best
 
 
@@ -973,19 +979,18 @@ class _QrKkt(_KktFactor):
         return u
 
     def _solve_once(self, rx, ry, rz):
-        with np.errstate(all="ignore"):
-            rzs = self.sc.Winvt(rz)
-            if not np.all(np.isfinite(rzs)):
-                raise np.linalg.LinAlgError("non-finite reduced right-hand side")
-            t = self._tri(self.R, rx + self.Gs.T @ rzs, trans="T")
-            if self.p:
-                w = self._tri(self.R_B, self.B.T @ t - ry, trans="T")
-                uy = self._tri(self.R_B, w)
-                t = t - self.B @ uy
-            else:
-                uy = np.zeros(0)
-            ux = self._tri(self.R, t)
-            uz = self.sc.Winv(self.Gs @ ux - rzs)
+        rzs = self.sc.Winvt(rz)
+        if not np.all(np.isfinite(rzs)):
+            raise np.linalg.LinAlgError("non-finite reduced right-hand side")
+        t = self._tri(self.R, rx + self.Gs.T @ rzs, trans="T")
+        if self.p:
+            w = self._tri(self.R_B, self.B.T @ t - ry, trans="T")
+            uy = self._tri(self.R_B, w)
+            t = t - self.B @ uy
+        else:
+            uy = np.zeros(0)
+        ux = self._tri(self.R, t)
+        uz = self.sc.Winv(self.Gs @ ux - rzs)
         return ux, uy, uz
 
     def _residual(self, rx, ry, rz, ux, uy, uz):
@@ -1137,6 +1142,7 @@ class _SchurKkt(_KktFactor):
     :meth:`_solve_once` checks its right-hand side itself."""
 
     _DELTA = 1e-14    # the regularization of the (1,1) block
+    _exact = np.longdouble
 
     def __init__(self, plan: _SchurPlan, sc: _Scaling):
         self.plan = plan
@@ -1185,34 +1191,33 @@ class _SchurKkt(_KktFactor):
         nf, p = plan.nf, plan.p
         rhs = np.empty(self.lu.shape[0])
         ux, uz = np.empty(plan.nx), np.empty(plan.m)
-        with np.errstate(all="ignore"):
-            if nf:
-                rhs[:nf] = rx[plan.free]
-            w = rhs[nf:]
-            w[:p] = ry
-            for rows, at, kind, Finvt, _ in self._dense:
-                _apply(kind, Finvt, rz[rows], w[at])
-            ts = []
-            for rows, cols, U, _, Et, qt, qi in self._sel:
-                t = qt * _eigen(U, rx[cols]) - qi * _eigen(U, rz[rows])
-                w -= Et @ t
-                ts.append(t)
-            if not np.isfinite(rhs).all():
-                raise np.linalg.LinAlgError("non-finite reduced right-hand side")
-            sol = _getrs(self.lu, self.piv, rhs, overwrite_b=True)[0] if rhs.size else rhs
-            if nf:
-                ux[plan.free] = sol[:nf]
-            w = sol[nf:]
-            for rows, at, kind, _, Finv in self._dense:
-                _apply(kind, Finv, w[at], uz[rows])
-            wz = np.concatenate([w[:p], uz[plan.dense_rows]]) if p else uz[plan.dense_rows]
-            for (rows, cols, _, Ut, Et, qt, _), t, GAt in zip(self._sel, ts, plan.GAt):
-                ux[cols] = _eigen(Ut, t - qt * (w @ Et))
-                # the x_b rows: 1e-14 ux_b + A_b.T uy + G_D,b.T uz_D - uz_b = rx_b
-                ub = uz[rows]
-                np.dot(GAt, wz, out=ub)
-                ub -= rx[cols]
-                ub += self._DELTA * ux[cols]
+        if nf:
+            rhs[:nf] = rx[plan.free]
+        w = rhs[nf:]
+        w[:p] = ry
+        for rows, at, kind, Finvt, _ in self._dense:
+            _apply(kind, Finvt, rz[rows], w[at])
+        ts = []
+        for rows, cols, U, _, Et, qt, qi in self._sel:
+            t = qt * _eigen(U, rx[cols]) - qi * _eigen(U, rz[rows])
+            w -= Et @ t
+            ts.append(t)
+        if not np.isfinite(rhs).all():
+            raise np.linalg.LinAlgError("non-finite reduced right-hand side")
+        sol = _getrs(self.lu, self.piv, rhs, overwrite_b=True)[0] if rhs.size else rhs
+        if nf:
+            ux[plan.free] = sol[:nf]
+        w = sol[nf:]
+        for rows, at, kind, _, Finv in self._dense:
+            _apply(kind, Finv, w[at], uz[rows])
+        wz = np.concatenate([w[:p], uz[plan.dense_rows]]) if p else uz[plan.dense_rows]
+        for (rows, cols, _, Ut, Et, qt, _), t, GAt in zip(self._sel, ts, plan.GAt):
+            ux[cols] = _eigen(Ut, t - qt * (w @ Et))
+            # the x_b rows: 1e-14 ux_b + A_b.T uy + G_D,b.T uz_D - uz_b = rx_b
+            ub = uz[rows]
+            np.dot(GAt, wz, out=ub)
+            ub -= rx[cols]
+            ub += self._DELTA * ux[cols]
         return ux, w[:p], uz
 
     def _residual(self, rx, ry, rz, ux, uy, uz):
@@ -1222,17 +1227,17 @@ class _SchurKkt(_KktFactor):
         # np.dot, not @: for longdouble both sum each entry's products in
         # index order from zero, so the results are the same to the bit, but
         # matmul's generic loop takes two to three times as long
-        e1 = rx.astype(long) - np.dot(plan.G_D_lt, uz_l[plan.dense_rows])
+        e1 = np.asarray(rx, long) - np.dot(plan.G_D_lt, uz_l[plan.dense_rows])
         for rows, cols, *_ in self._sel:
             e1[cols] += uz_l[rows]
         if plan.p:
             e1 -= np.dot(plan.A_l.T, uy.astype(long))
-            e2 = ry.astype(long) - np.dot(plan.A_l, ux_l)
+            e2 = np.asarray(ry, long) - np.dot(plan.A_l, ux_l)
         else:
             e2 = np.zeros(0)
         # rz - G ux + W.T W uz: G ux through G_D_l on the dense rows and as
         # -ux_b on the rows of each selection block
-        e3 = rz.astype(long) + _blockwise(self._WtW_l, uz_l)
+        e3 = np.asarray(rz, long) + _blockwise(self._WtW_l, uz_l)
         e3[plan.dense_rows] -= np.dot(plan.G_D_l, ux_l)
         for rows, cols, *_ in self._sel:
             e3[rows] += ux_l[cols]

@@ -51,7 +51,8 @@ class EigenDecomp:
 
     ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``;
     the columns are orthonormal and ``Q @ diag(w) @ Q.T`` reconstructs the
-    input to machine precision.
+    input to machine precision.  Rank, range, nullspace and pseudoinverse
+    are queries on it, so one decomposition serves all of them.
     """
 
     eigenvalues: np.ndarray
@@ -61,6 +62,35 @@ class EigenDecomp:
     def n(self) -> int:
         return self.eigenvalues.shape[0]
 
+    def rank(self, tol: float | None = None) -> int:
+        """See :func:`rank_tol`."""
+        cut = _threshold(self.eigenvalues, tol)
+        return int(np.count_nonzero(np.abs(self.eigenvalues) > cut))
+
+    def _psd_cut(self, tol: float | None, message: str) -> float:
+        """The rank cutoff; ``NotPsd(message)`` for an eigenvalue below minus it."""
+        cut = _threshold(self.eigenvalues, tol)
+        if self.eigenvalues[-1] < -cut:
+            raise NotPsd(message, witness=float(self.eigenvalues[-1]))
+        return cut
+
+    def range_basis(self, tol: float | None = None) -> np.ndarray:
+        """See :func:`range_basis`."""
+        cut = self._psd_cut(tol, "range basis requires a PSD matrix")
+        return self.eigenvectors[:, self.eigenvalues > cut].copy()
+
+    def null_basis(self, tol: float | None = None) -> np.ndarray:
+        """See :func:`null_basis`."""
+        cut = self._psd_cut(tol, "null basis requires a PSD matrix")
+        return self.eigenvectors[:, self.eigenvalues <= cut].copy()
+
+    def pinv(self, tol: float | None = None) -> np.ndarray:
+        """See :func:`pinv`."""
+        inv = np.zeros_like(self.eigenvalues)
+        keep = np.abs(self.eigenvalues) > _threshold(self.eigenvalues, tol)
+        inv[keep] = 1.0 / self.eigenvalues[keep]
+        return symmetrize(self.eigenvectors @ (inv[:, None] * self.eigenvectors.T))
+
 
 def eigh_desc(s) -> EigenDecomp:
     """Eigendecomposition of a symmetric matrix with descending eigenvalues."""
@@ -69,12 +99,17 @@ def eigh_desc(s) -> EigenDecomp:
     return EigenDecomp(eigenvalues=w[::-1].copy(), eigenvectors=q[:, ::-1].copy())
 
 
+def is_zero(s) -> bool:
+    """``rank_tol(s) == 0`` without a decomposition: the rank cutoff is
+    relative and its tolerance below 1, so the rank is 0 exactly when
+    ``symmetrize(s)`` is the zero matrix (antisymmetric ``s`` included)."""
+    return not symmetrize(s).any()
+
+
 def rank_tol(s, tol: float | None = None) -> int:
     """Numerical rank: the count of eigenvalues exceeding ``tol`` relative
     to the largest absolute eigenvalue (0 for the zero matrix)."""
-    dec = eigh_desc(s)
-    cut = _threshold(dec.eigenvalues, tol)
-    return int(np.count_nonzero(np.abs(dec.eigenvalues) > cut))
+    return eigh_desc(s).rank(tol)
 
 
 def is_psd(s, tol: float | None = None) -> tuple[bool, float]:
@@ -98,24 +133,12 @@ def range_basis(s, tol: float | None = None) -> np.ndarray:
 
     Raises ``NotPsd`` when ``s`` has an eigenvalue below ``-threshold``.
     """
-    dec = eigh_desc(s)
-    cut = _threshold(dec.eigenvalues, tol)
-    if dec.eigenvalues[-1] < -cut:
-        raise NotPsd("range basis requires a PSD matrix",
-                     witness=float(dec.eigenvalues[-1]))
-    keep = dec.eigenvalues > cut
-    return dec.eigenvectors[:, keep].copy()
+    return eigh_desc(s).range_basis(tol)
 
 
 def null_basis(s, tol: float | None = None) -> np.ndarray:
     """Orthonormal basis (columns) of the nullspace of a PSD matrix."""
-    dec = eigh_desc(s)
-    cut = _threshold(dec.eigenvalues, tol)
-    if dec.eigenvalues[-1] < -cut:
-        raise NotPsd("null basis requires a PSD matrix",
-                     witness=float(dec.eigenvalues[-1]))
-    keep = dec.eigenvalues <= cut
-    return dec.eigenvectors[:, keep].copy()
+    return eigh_desc(s).null_basis(tol)
 
 
 def psd_factor(m, tol: float | None = None) -> np.ndarray:
@@ -126,10 +149,7 @@ def psd_factor(m, tol: float | None = None) -> np.ndarray:
     zero instead of raising.
     """
     dec = eigh_desc(m)
-    cut = _threshold(dec.eigenvalues, tol)
-    if dec.eigenvalues[-1] < -cut:
-        raise NotPsd("cannot factor a matrix with negative eigenvalues",
-                     witness=float(dec.eigenvalues[-1]))
+    cut = dec._psd_cut(tol, "cannot factor a matrix with negative eigenvalues")
     w = np.clip(dec.eigenvalues, 0.0, None)
     keep = w > cut
     if not np.any(keep):
@@ -139,9 +159,4 @@ def psd_factor(m, tol: float | None = None) -> np.ndarray:
 
 def pinv(s, tol: float | None = None) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric matrix via its eigendecomposition."""
-    dec = eigh_desc(s)
-    cut = _threshold(dec.eigenvalues, tol)
-    inv = np.zeros_like(dec.eigenvalues)
-    keep = np.abs(dec.eigenvalues) > cut
-    inv[keep] = 1.0 / dec.eigenvalues[keep]
-    return symmetrize(dec.eigenvectors @ (inv[:, None] * dec.eigenvectors.T))
+    return eigh_desc(s).pinv(tol)

@@ -84,24 +84,23 @@ def project_packing(problem: PackingProblem) -> tuple[ReducedProblem, LiftMap]:
     ok, idx = analysis.check_feasible(problem)
     if not ok:
         raise InfeasibleInput(f"right-hand side {idx} is negative")
-    cert = analysis.check_bounded(problem)
+    sum_dec = linalg.eigh_desc(problem.mat_sum())
+    cert = analysis.bounded_certificate(problem, sum_dec)
     if not cert.bounded:
         raise UnboundedInput("objective range leaves the constraint range",
                              ray=cert.ray)
 
     b = problem.b
     cut = ZERO_B_RTOL * max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-    dropped = [i for i, m in enumerate(problem.mats) if linalg.rank_tol(m) == 0]
+    dropped = [i for i, m in enumerate(problem.mats) if linalg.is_zero(m)]
     zeroed = [i for i in range(problem.l)
               if i not in dropped and abs(b[i]) <= cut]
     kept = [i for i in range(problem.l)
             if i not in dropped and i not in zeroed]
 
-    S = problem.mat_sum()
-    if linalg.rank_tol(S) == problem.n:
-        U = np.eye(problem.n)  # identity reduction when the sum has full rank
-    else:
-        U = linalg.range_basis(S)
+    full_rank = sum_dec.rank() == problem.n
+    # identity reduction when the sum has full rank
+    U = np.eye(problem.n) if full_rank else sum_dec.range_basis()
     if U.shape[1] == 0:
         return _empty_reduction(kept, zeroed, dropped, problem.n)
 
@@ -114,15 +113,20 @@ def project_packing(problem: PackingProblem) -> tuple[ReducedProblem, LiftMap]:
     if B.shape[1] == 0:
         return _empty_reduction(kept, zeroed, dropped, problem.n)
 
+    def restrict(m):
+        # with B = I, B.T m B is m but for -0.0 entries, which the products turn to +0.0
+        return linalg.symmetrize(m) + 0.0 if full_rank and not zeroed \
+            else linalg.symmetrize(B.T @ m @ B)
+
     mats_red, kept_final = [], []
     for i in kept:
-        m = linalg.symmetrize(B.T @ problem.mats[i] @ B)
-        if linalg.rank_tol(m) == 0:
+        m = restrict(problem.mats[i])
+        if linalg.is_zero(m):
             dropped.append(i)
         else:
             mats_red.append(m)
             kept_final.append(i)
-    C_red = linalg.symmetrize(B.T @ problem.C @ B)
+    C_red = restrict(problem.C)
     if not kept_final:
         # every surviving direction is unconstrained; boundedness forces C'=0
         return _empty_reduction(kept_final, zeroed, sorted(dropped), problem.n)
@@ -164,8 +168,7 @@ def embed_dual(reduced: ReducedProblem, mu_reduced: np.ndarray, l: int) -> np.nd
     """Place reduced dual multipliers at their original indices (zeros
     elsewhere)."""
     mu = np.zeros(l)
-    for j, i in enumerate(reduced.kept):
-        mu[i] = mu_reduced[j]
+    mu[list(reduced.kept)] = mu_reduced
     return mu
 
 
@@ -218,9 +221,10 @@ class SocpProblem:
 def rank_one_vector(C: np.ndarray) -> np.ndarray:
     """Factor a numerically rank-one PSD matrix as ``c c^T`` and return ``c``
     with its first nonzero entry positive."""
-    if linalg.rank_tol(C) != 1:
-        raise RankNotOne(f"objective matrix has rank {linalg.rank_tol(C)}, not 1")
     dec = linalg.eigh_desc(C)
+    rank = dec.rank()
+    if rank != 1:
+        raise RankNotOne(f"objective matrix has rank {rank}, not 1")
     c = np.sqrt(dec.eigenvalues[0]) * dec.eigenvectors[:, 0]
     nz = np.flatnonzero(np.abs(c) > 1e-12 * np.max(np.abs(c)))
     if nz.size and c[nz[0]] < 0:

@@ -295,9 +295,9 @@ def solve_sdp(problem, opts: SolveOptions | None = None):
                         objective=math.inf, numerical_rank=1,
                         mu=np.zeros(problem.l), status=Status.UNBOUNDED)
 
-    S = problem.mat_sum()
-    if linalg.rank_tol(S) < problem.n:
-        U = linalg.range_basis(S)
+    sum_dec = linalg.eigh_desc(problem.mat_sum())
+    if sum_dec.rank() < problem.n:
+        U = sum_dec.range_basis()
         inner = PackingProblem(
             C=linalg.symmetrize(U.T @ problem.C @ U),
             mats=tuple(linalg.symmetrize(U.T @ m @ U) for m in problem.mats),
@@ -378,9 +378,10 @@ def solve_packing_lowrank(problem: PackingProblem,
     if route not in ("auto", "socp", "eps-path"):
         raise InvalidInput(f"unknown route {route!r}")
     red, lift = reduction.project_packing(problem)
-    if red.empty or linalg.rank_tol(red.problem.C) == 0:
+    rank_c = 0 if red.empty else linalg.rank_tol(red.problem.C)
+    if rank_c == 0:
         X = np.zeros((problem.n, problem.n))
-        if linalg.rank_tol(problem.C) == 0:
+        if linalg.is_zero(problem.C):
             mu = np.zeros(problem.l)
         else:
             mu, _ = solve_dual_packing(problem, opts)
@@ -389,8 +390,7 @@ def solve_packing_lowrank(problem: PackingProblem,
                         status=Status.OPTIMAL, kkt_residuals=kkt, route="trivial")
 
     inner = red.problem
-    use_socp = (linalg.rank_tol(inner.C) == 1) if route == "auto" \
-        else (route == "socp")
+    use_socp = (rank_c == 1) if route == "auto" else (route == "socp")
     if use_socp:
         X_red, mu_red, path = _rank_one_route(inner, opts)
         route = "socp"
@@ -434,7 +434,7 @@ def _polish(problem: PackingProblem, X: np.ndarray, mu: np.ndarray):
     if active.size == 0:
         return X, mu
     dec = linalg.eigh_desc(X)
-    r = max(1, linalg.rank_tol(X, 1e-8))
+    r = max(1, dec.rank(1e-8))
     V = dec.eigenvectors[:, :r] * np.sqrt(np.clip(dec.eigenvalues[:r], 0.0, None))
     mu_a = mu[active].copy()
     nr = n * r
@@ -445,19 +445,7 @@ def _polish(problem: PackingProblem, X: np.ndarray, mu: np.ndarray):
         F = np.r_[(S @ V).ravel(),
                   [float(np.sum(V * (problem.mats[i] @ V))) - problem.b[i]
                    for i in active]]
-        J = np.zeros((nr + active.size, nr + active.size))
-        col = 0
-        for j in range(n):
-            for k in range(r):
-                E = np.zeros((n, r))
-                E[j, k] = 1.0
-                J[:nr, col] = (S @ E).ravel()
-                for a, i in enumerate(active):
-                    J[nr + a, col] = 2.0 * float(np.sum(V * (problem.mats[i] @ E)))
-                col += 1
-        for a, i in enumerate(active):
-            J[:nr, col] = (problem.mats[i] @ V).ravel()
-            col += 1
+        J = _polish_jacobian(S, V, [problem.mats[i] for i in active])
         try:
             delta = np.linalg.lstsq(J, -F, rcond=None)[0]
         except np.linalg.LinAlgError:
@@ -468,9 +456,9 @@ def _polish(problem: PackingProblem, X: np.ndarray, mu: np.ndarray):
         X_new = linalg.symmetrize(V @ V.T)
         traces_new = np.array([float(np.trace(m @ X_new)) for m in problem.mats])
         if float(np.max(traces_new - problem.b)) <= 1e-9 * scale:
-            X, mu = X_new, np.zeros(l)
+            X, mu, dec = X_new, np.zeros(l), None
             mu[active] = mu_a
-    R = linalg.range_basis(X, tol=1e-8)
+    R = (dec if dec is not None else linalg.eigh_desc(X)).range_basis(1e-8)
     if R.shape[1] == 0:
         return X, mu
     cols = np.column_stack([(problem.mats[i] @ R).ravel() for i in active])
@@ -478,6 +466,23 @@ def _polish(problem: PackingProblem, X: np.ndarray, mu: np.ndarray):
     mu = np.zeros(l)
     mu[active] = fit
     return X, mu
+
+
+def _polish_jacobian(S: np.ndarray, V: np.ndarray, mats: list) -> np.ndarray:
+    """Jacobian of :func:`_polish`'s system in ``(V, mu_A)`` (``mats``: the
+    active ``M_i``).  Column ``j r + k`` is the derivative along the unit
+    matrix ``E_jk``; the ``E_jk`` go as one stack through one product per
+    matrix (one gemm per slice) and each ``<V, M_i E_jk>`` is one sum over a
+    contiguous slice, so it is a loop over the ``E_jk``'s Jacobian to the bit."""
+    n, r = V.shape
+    nr, na = n * r, len(mats)
+    E = np.eye(nr).reshape(nr, n, r)
+    J = np.zeros((nr + na, nr + na))
+    J[:nr, :nr] = (S @ E).reshape(nr, nr).T
+    for a, m in enumerate(mats):
+        J[nr + a, :nr] = 2.0 * (V * (m @ E)).reshape(nr, nr).sum(axis=1)
+        J[:nr, nr + a] = (m @ V).ravel()
+    return J
 
 
 def _rank_one_route(inner: PackingProblem, opts: SolveOptions):

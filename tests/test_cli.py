@@ -319,6 +319,27 @@ class TestEnvAndFormats:
         assert code == 2
         assert "--tol" in doc["message"]
 
+    def test_parser_built_once(self, capsys, tmp_path, monkeypatch):
+        # main reuses one parser; each call's report carries its own --tol
+        prob = write(tmp_path, "p.json", {
+            "kind": "packing", "C": [[1.0, 0.0], [0.0, 0.0]],
+            "constraints": [{"M": [[1.0, 0.0], [0.0, 1.0]], "b": 1.0}]})
+        sol = write(tmp_path, "s.json", {
+            "kind": "solution", "X": [[1.0, 0.0], [0.0, 0.0]],
+            "objective": 1.0, "numerical_rank": 1, "mu": [1.0],
+            "status": "optimal"})
+        monkeypatch.delenv("SDPACK_TOL", raising=False)
+        builds, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        for tol in (1e-6, 1e-3):
+            code, doc = run(capsys, ["verify", prob, sol, "--tol", str(tol)])
+            assert code == 0
+            assert doc["tol"] == tol
+        code, doc = run(capsys, ["verify", prob, sol])
+        assert doc["tol"] == 1e-8
+        assert builds == [1]
+
     def test_text_report(self, capsys, rank1_file):
         code = cli.main(["analyze", rank1_file, "--report", "text"])
         out = capsys.readouterr().out

@@ -118,9 +118,10 @@ class TestRunWideOps:
                 np.testing.assert_allclose(getattr(layout, name)(*args), want,
                                            rtol=1e-13)
             for name, args in (("max_step", (lam, v)), ("margin", (v,))):
-                want = min(getattr(one, name)(*(a[sl] for a in args))
-                           for sl, one in singles)
-                assert getattr(layout, name)(*args) == pytest.approx(want, rel=1e-13)
+                def call(lay, *a):
+                    return lay.max_step(a[0], [a[1]]) if name == "max_step" else lay.margin(*a)
+                want = min(call(one, *(a[sl] for a in args)) for sl, one in singles)
+                assert call(layout, *args) == pytest.approx(want, rel=1e-13)
 
     def test_identity_and_push_interior(self):
         layout = _Layout(SOC_RUNS)
@@ -144,7 +145,7 @@ def _push_interior_at_005(layout, v, e):
     """The warm-start push before the residual-balanced rule: every block
     to a margin of 0.05 (|mean| + 1), whatever the warm point's residual."""
     out = v.copy()
-    for (kind, sl, blocks), margin in zip(layout.runs, layout._block_margins(v)):
+    for (kind, sl, blocks), (margin,) in zip(layout.runs, layout._block_margins(v)):
         U = _rows(out, sl, blocks)
         if kind == "nn":
             mean = np.mean(np.abs(U), axis=1)
@@ -322,7 +323,7 @@ class TestJordanOps:
             v = rng.standard_normal(layout.m)
             np.testing.assert_allclose(layout.circ_solve(sc.lam, v, sc.sigma),
                                        layout.circ_solve(sc.lam, v), rtol=1e-12)
-            assert layout.max_step(sc.lam, v, sc.sigma) == layout.max_step(sc.lam, v)
+            assert layout.max_step(sc.lam, [v], sc.sigma) == layout.max_step(sc.lam, [v])
 
     def test_max_step_tied_eigenvalues(self):
         # tied eigenvalues take the generic path
@@ -330,7 +331,7 @@ class TestJordanOps:
         d = np.array([2.0, 1.0, 1.0])
         lam = svec(np.diag(d))
         v = np.random.default_rng(9).standard_normal(layout.m)
-        assert layout.max_step(lam, v, [d]) == layout.max_step(lam, v)
+        assert layout.max_step(lam, [v], [d]) == layout.max_step(lam, [v])
 
     def test_margin_nan_in_any_block(self):
         layout = _Layout((("nn", 1), ("soc", 2), ("soc", 2)))
@@ -345,12 +346,45 @@ class TestJordanOps:
         e = layout.identity()
         for _ in range(20):
             d = rng.standard_normal(layout.m)
-            a = layout.max_step(e, d)
+            a = layout.max_step(e, [d])
             if not np.isfinite(a):
                 assert layout.margin(e + 100.0 * d) >= -1e-9
                 continue
             assert layout.margin(e + 0.999 * a * d) >= -1e-9
             assert layout.margin(e + 1.01 * a * d + 0.001 * d) <= 1e-9
+
+
+class TestBatchedChecks:
+    """One max_step over both directions of a step, and margins of s and z
+    at once, equal the per-direction and per-vector calls to the bit."""
+
+    @pytest.mark.parametrize("name", ["eps_path", "trace_cap", "dual_packing",
+                                      "dual_phase1", "mixed_runs", "nn_pair",
+                                      "soc_runs"])
+    def test_equal_to_single_calls(self, name, monkeypatch):
+        cones = SOC_RUNS if name == "soc_runs" else _program_shape(name, monkeypatch)[0].cones
+        layout = _Layout(cones)
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            s, z = _interior_point(rng, cones), _interior_point(rng, cones)
+            sc = _Scaling(layout, s, z)
+            ds, dz = rng.standard_normal((2, layout.m))
+            for sigma in (sc.sigma, None):
+                one = [layout.max_step(sc.lam, [d], sigma) for d in (ds, dz)]
+                assert layout.max_step(sc.lam, (ds, dz), sigma) == min(one)
+            for v, got in zip((s, z), layout.margins(s, z)):
+                want = min(_one_block_margin(b, v) for b in layout.blocks)
+                assert got == want == layout.margin(v)
+
+
+def _one_block_margin(b, v):
+    """The smallest cone eigenvalue of one block of ``v``, computed alone."""
+    if b.kind == "psd":
+        return float(np.linalg.eigvalsh(smat(v[b.sl], b.order))[0])
+    U = _rows(v, b.sl, [b])
+    if b.kind == "nn":
+        return float(U.min())
+    return float(U[0, 0] - np.linalg.norm(U[:, 1:], axis=1)[0])
 
 
 class TestConeProgramValidation:

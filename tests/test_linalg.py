@@ -61,6 +61,26 @@ class TestRank:
         with pytest.raises(InvalidInput):
             linalg.rank_tol(np.eye(2), tol=-1.0)
 
+    @pytest.mark.parametrize("kind", ["zero", "negative_zero", "tiny_psd",
+                                      "antisymmetric", "rank_one"])
+    def test_zero_test_agrees_with_rank(self, kind):
+        a = np.random.default_rng(31).standard_normal((4, 4))
+        m = {"zero": np.zeros((4, 4)),
+             "negative_zero": np.where(a > 0, 0.0, -0.0),
+             "tiny_psd": 1e-300 * (a @ a.T),
+             "antisymmetric": a - a.T,
+             "rank_one": np.outer(a[0], a[0])}[kind]
+        assert linalg.is_zero(m) == (linalg.rank_tol(m) == 0)
+        assert linalg.is_zero(m) == (kind in ("zero", "negative_zero", "antisymmetric"))
+
+    def test_queries_on_one_decomposition(self):
+        m = random_psd(np.random.default_rng(32), 5, rank=3)
+        dec = linalg.eigh_desc(m)
+        assert dec.rank() == linalg.rank_tol(m) == 3
+        assert np.array_equal(dec.range_basis(), linalg.range_basis(m))
+        assert np.array_equal(dec.null_basis(), linalg.null_basis(m))
+        assert np.array_equal(dec.pinv(), linalg.pinv(m))
+
 
 class TestBases:
     def test_range_identity(self):

@@ -415,6 +415,37 @@ class TestLowRank:
         # roundoff, a multiplier of 6e13 to 1e16
         assert certified >= 17
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_polish_jacobian_matches_column_loop(self, r):
+        def column_loop(S, V, mats):
+            # the Jacobian as _polish built it before: one product per unit matrix
+            n = V.shape[0]
+            nr, na = n * r, len(mats)
+            J = np.zeros((nr + na, nr + na))
+            col = 0
+            for j in range(n):
+                for k in range(r):
+                    E = np.zeros((n, r))
+                    E[j, k] = 1.0
+                    J[:nr, col] = (S @ E).ravel()
+                    for a, m in enumerate(mats):
+                        J[nr + a, col] = 2.0 * float(np.sum(V * (m @ E)))
+                    col += 1
+            for m in mats:
+                J[:nr, col] = (m @ V).ravel()
+                col += 1
+            return J
+
+        rng = np.random.default_rng(34)
+        for n in (3, 7, 13, 40):
+            for na in (1, 4):
+                S = rng.standard_normal((n, n))
+                S = S + S.T
+                V = rng.standard_normal((n, r))
+                mats = [random_psd(rng, n) for _ in range(na)]
+                assert np.array_equal(sv._polish_jacobian(S, V, mats),
+                                      column_loop(S, V, mats))
+
     def test_forced_eps_path_on_rank_one(self):
         prob = c_opt_instance()
         sol = sv.solve_packing_lowrank(prob, route="eps-path")

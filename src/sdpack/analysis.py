@@ -78,22 +78,19 @@ def dual_scalar_bound(problem: PackingProblem) -> float:
     return cert.lam
 
 
-def check_bounded(problem: PackingProblem) -> BoundednessCertificate:
+def check_bounded(problem: PackingProblem,
+                  sum_dec: linalg.EigenDecomp | None = None) -> BoundednessCertificate:
     """Boundedness certificate for a feasible packing problem.
 
     Bounded iff every positive-eigenvalue eigenvector of C stays in the
     range of ``sum(M_i)`` (projector residual at most 1e-8 relative).  The
     unbounded certificate is the kernel direction maximizing ``h . C h``
     over the nullspace of the constraint sum: the strongest ray, and
-    deterministic.
+    deterministic.  ``sum_dec``, ``eigh_desc(problem.mat_sum())``, may come
+    from a caller that needs it too; it is decomposed here otherwise.
     """
-    return bounded_certificate(problem, linalg.eigh_desc(problem.mat_sum()))
-
-
-def bounded_certificate(problem: PackingProblem,
-                        sum_dec: linalg.EigenDecomp) -> BoundednessCertificate:
-    """:func:`check_bounded` given ``sum_dec = eigh_desc(problem.mat_sum())``,
-    which a caller may need as well."""
+    if sum_dec is None:
+        sum_dec = linalg.eigh_desc(problem.mat_sum())
     U = sum_dec.range_basis()
     cks, _ = _positive_eigvecs(problem.C)
     if cks.shape[1]:

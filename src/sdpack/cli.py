@@ -316,7 +316,10 @@ def _exit_code(exc: Exception) -> int:
     return EXIT_INPUT
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process and shared (parsing
+    leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="sdpack",
         description="semidefinite packing problems: certificates, "
@@ -350,14 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built once per process (parsing leaves it as it was)."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "analyze": cmd_analyze,
         "reduce": cmd_reduce,

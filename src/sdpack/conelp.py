@@ -231,8 +231,7 @@ class _Layout:
         return e
 
     def _block_margins(self, *vs: np.ndarray):
-        """Per-run ``(len(vs), k)`` arrays of each block's smallest cone
-        eigenvalue in each vector; all psd blocks go through one ``eigvalsh``."""
+        """Per-run ``(len(vs), k)`` arrays of each block's smallest cone eigenvalue."""
         for kind, sl, blocks in self.runs:
             if kind == "nn":
                 yield np.stack([_rows(v, sl, blocks).min(axis=1) for v in vs])
@@ -244,8 +243,7 @@ class _Layout:
                 yield np.linalg.eigvalsh(mats)[:, 0].reshape(len(vs), len(blocks))
 
     def margins(self, *vs: np.ndarray) -> np.ndarray:
-        """Smallest cone eigenvalue across blocks of each vector (>= 0 iff
-        it is in K; nan if any of its blocks holds a nan)."""
+        """Smallest cone eigenvalue of each vector (>= 0 iff in K; nan if any block is)."""
         return np.concatenate(list(self._block_margins(*vs)), axis=1).min(axis=1)
 
     def margin(self, v: np.ndarray) -> float:
@@ -480,9 +478,7 @@ class _Scaling:
 def _soc_scaling(s: np.ndarray, z: np.ndarray):
     """NT scaling of ``k`` soc blocks of order ``d`` at once: ``s`` and ``z``
     are ``(k, d)``; returns ``W`` and ``W^{-1}`` as ``(k, d, d)`` and
-    ``lam = W z`` as ``(k, d)``.  ``W = eta (2 v v.T - J)`` and ``W^{-1} =
-    (2 Jv (Jv).T - J) / eta`` are built in place, entry for entry as the
-    broadcast expressions (off the diagonal, ``x - 0.0`` is ``x``)."""
+    ``lam = W z`` as ``(k, d)``; ``W`` and ``W^{-1}`` are built in place."""
     s0, z0 = s[:, 0], z[:, 0]
     # relative floors keep the scaling finite when an iterate touches the
     # boundary; the solver then stops on its stall test instead of overflowing

@@ -51,8 +51,7 @@ class EigenDecomp:
 
     ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``;
     the columns are orthonormal and ``Q @ diag(w) @ Q.T`` reconstructs the
-    input to machine precision.  Rank, range, nullspace and pseudoinverse
-    are queries on it, so one decomposition serves all of them.
+    input to machine precision.  Rank, range, nullspace and pseudoinverse are queries on it.
     """
 
     eigenvalues: np.ndarray

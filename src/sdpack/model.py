@@ -16,7 +16,6 @@ reproduces every entry bit for bit.
 from __future__ import annotations
 
 import enum
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -199,22 +198,27 @@ def _need(doc: dict, key: str):
     return doc[key]
 
 
-def _as_array(obj, key: str, ndim: int) -> np.ndarray:
-    """A finite float array of ``ndim`` dimensions (2: a matrix, 1: a vector)."""
-    what = "matrix" if ndim == 2 else "vector"
+def _as_matrix(obj, key: str) -> np.ndarray:
     try:
         a = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{key}: not a numeric {what}") from exc
-    if a.ndim != ndim:
-        raise SchemaError(f"{key}: expected a {ndim}-d array, got {a.ndim}-d")
+        raise SchemaError(f"{key}: not a numeric matrix") from exc
+    if a.ndim != 2:
+        raise SchemaError(f"{key}: expected a 2-d array, got {a.ndim}-d")
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{key}: non-finite entries", witness=key)
     return a
 
-
-_as_matrix = functools.partial(_as_array, ndim=2)
-_as_vector = functools.partial(_as_array, ndim=1)
+def _as_vector(obj, key: str) -> np.ndarray:
+    try:
+        a = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{key}: not a numeric vector") from exc
+    if a.ndim != 1:
+        raise SchemaError(f"{key}: expected a 1-d array, got {a.ndim}-d")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{key}: non-finite entries", witness=key)
+    return a
 
 
 def _sym_psd(obj, key: str) -> np.ndarray:
@@ -468,17 +472,25 @@ def _kkt_doc(k: KktResiduals | None) -> dict | None:
 
 def to_document(obj) -> dict:
     """Convert a problem or solution to a JSON-ready dict."""
-    if isinstance(obj, (PackingProblem, CombinedProblem)):
-        doc = {
+    if isinstance(obj, PackingProblem):
+        return {
             "kind": "packing",
             "C": _mat(obj.C),
             "constraints": [{"M": _mat(m), "b": float(bi)}
                             for m, bi in zip(obj.mats, obj.b)],
         }
-        if isinstance(obj, CombinedProblem):
-            doc.update(kind="combined", R0=_mat(obj.R0), R=[_mat(r) for r in obj.Rs],
-                       h0=_vec(obj.h0), h=[_vec(h) for h in obj.hs], H=_mat(obj.H))
-        return doc
+    if isinstance(obj, CombinedProblem):
+        return {
+            "kind": "combined",
+            "C": _mat(obj.C),
+            "constraints": [{"M": _mat(m), "b": float(bi)}
+                            for m, bi in zip(obj.mats, obj.b)],
+            "R0": _mat(obj.R0),
+            "R": [_mat(r) for r in obj.Rs],
+            "h0": _vec(obj.h0),
+            "h": [_vec(h) for h in obj.hs],
+            "H": _mat(obj.H),
+        }
     if isinstance(obj, DesignProblem):
         doc = {
             "kind": "design",

@@ -85,7 +85,7 @@ def project_packing(problem: PackingProblem) -> tuple[ReducedProblem, LiftMap]:
     if not ok:
         raise InfeasibleInput(f"right-hand side {idx} is negative")
     sum_dec = linalg.eigh_desc(problem.mat_sum())
-    cert = analysis.bounded_certificate(problem, sum_dec)
+    cert = analysis.check_bounded(problem, sum_dec)
     if not cert.bounded:
         raise UnboundedInput("objective range leaves the constraint range",
                              ray=cert.ray)
@@ -168,7 +168,8 @@ def embed_dual(reduced: ReducedProblem, mu_reduced: np.ndarray, l: int) -> np.nd
     """Place reduced dual multipliers at their original indices (zeros
     elsewhere)."""
     mu = np.zeros(l)
-    mu[list(reduced.kept)] = mu_reduced
+    for j, i in enumerate(reduced.kept):
+        mu[i] = mu_reduced[j]
     return mu
 
 

@@ -470,10 +470,8 @@ def _polish(problem: PackingProblem, X: np.ndarray, mu: np.ndarray):
 
 def _polish_jacobian(S: np.ndarray, V: np.ndarray, mats: list) -> np.ndarray:
     """Jacobian of :func:`_polish`'s system in ``(V, mu_A)`` (``mats``: the
-    active ``M_i``).  Column ``j r + k`` is the derivative along the unit
-    matrix ``E_jk``; the ``E_jk`` go as one stack through one product per
-    matrix (one gemm per slice) and each ``<V, M_i E_jk>`` is one sum over a
-    contiguous slice, so it is a loop over the ``E_jk``'s Jacobian to the bit."""
+    active ``M_i``); column ``j r + k`` is the derivative along the unit
+    matrix ``E_jk``, the ``E_jk`` stacked through one product per matrix."""
     n, r = V.shape
     nr, na = n * r, len(mats)
     E = np.eye(nr).reshape(nr, n, r)

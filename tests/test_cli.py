@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 
@@ -329,16 +330,17 @@ class TestEnvAndFormats:
             "objective": 1.0, "numerical_rank": 1, "mu": [1.0],
             "status": "optimal"})
         monkeypatch.delenv("SDPACK_TOL", raising=False)
-        builds, build = [], cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
-        cli._parser.cache_clear()
+        assert cli.build_parser() is cli.build_parser()
+        made, parser_class = [], argparse.ArgumentParser
+        monkeypatch.setattr(argparse, "ArgumentParser",
+                            lambda *a, **k: made.append(1) or parser_class(*a, **k))
         for tol in (1e-6, 1e-3):
             code, doc = run(capsys, ["verify", prob, sol, "--tol", str(tol)])
             assert code == 0
             assert doc["tol"] == tol
         code, doc = run(capsys, ["verify", prob, sol])
         assert doc["tol"] == 1e-8
-        assert builds == [1]
+        assert made == []
 
     def test_text_report(self, capsys, rank1_file):
         code = cli.main(["analyze", rank1_file, "--report", "text"])

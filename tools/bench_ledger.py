@@ -6,19 +6,20 @@
 Each file is the record that ``perfbench/run.py --trace 0`` writes to
 ``perfbench/results/<workload>-seed<seed>-trace0.json``, copied aside after
 each run (the next run of the same workload and seed overwrites it).  The
-i-th parent and the i-th change file of a workload, in the order given,
-form one pair; run them at the same time or alternate their order, so that
-both sides of a pair see the same machine.
+i-th parent and the i-th change file of a workload and seed, in the order
+given, form one pair; run them at the same time or alternate their order,
+so that both sides of a pair see the same machine.
 
-For every workload and every end-to-end metric of ``BENCHMARK.json`` the
-ledger records the pair count, the per-pair values, how many pairs the
-change wins (by the metric's ``better`` direction), both sides' medians
-and quartiles, the parent's interquartile range, and whether the change's
-median lies beyond the parent's median by more than that range.  It also
-records the machine (nproc, BLAS threads) and both sides' git and source
-shas.  Per-layer metrics are left out: they are means per call, and a
-time-bounded run of a faster commit covers a different mix of calls, so
-they do not compare like with like.
+For every workload and seed (keyed ``<workload>/seed<N>``) and every
+end-to-end metric of ``BENCHMARK.json`` the ledger records the pair count,
+the per-pair values, how many pairs the change wins (by the metric's
+``better`` direction), both sides' medians and quartiles, the parent's
+interquartile range, and whether the change's median lies beyond the
+parent's median by more than that range.  It also records the machine
+(nproc, BLAS threads) and both sides' git and source shas.  Per-layer
+metrics are left out: they are means per call, and a time-bounded run of a
+faster commit covers a different mix of calls, so they do not compare like
+with like.
 """
 
 import argparse
@@ -31,15 +32,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _load(paths):
-    """Records by workload, in the order given."""
-    by_workload = {}
+    """Records by workload and seed, in the order given."""
+    runs = {}
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         if doc.get("trace") != 0:
             raise SystemExit(f"{path}: not an untraced (--trace 0) run")
-        by_workload.setdefault(doc["workload"], []).append(doc)
-    return by_workload
+        runs.setdefault(f"{doc['workload']}/seed{doc['seed']}", []).append(doc)
+    return runs
 
 
 def _quartiles(values):
@@ -80,16 +81,15 @@ def ledger(parent_paths, change_paths, label: str) -> dict:
         metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     parent, change = _load(parent_paths), _load(change_paths)
     if sorted(parent) != sorted(change):
-        raise SystemExit("parent and change runs cover different workloads")
+        raise SystemExit("parent and change runs cover different workloads or seeds")
     out = {"label": label, "workloads": {}}
-    for workload in sorted(parent):
-        p_runs, c_runs = parent[workload], change[workload]
+    for key in sorted(parent):
+        p_runs, c_runs = parent[key], change[key]
         if len(p_runs) != len(c_runs):
-            raise SystemExit(f"{workload}: {len(p_runs)} parent runs, "
+            raise SystemExit(f"{key}: {len(p_runs)} parent runs, "
                              f"{len(c_runs)} change runs")
         runs = p_runs + c_runs
-        out["workloads"][workload] = {
-            "seeds": sorted({r["seed"] for r in runs}),
+        out["workloads"][key] = {
             "seconds": sorted({r["seconds"] for r in runs}),
             "nproc": _side(runs, "nproc"),
             "blas_threads": _side(runs, "blas_threads"),

@@ -295,9 +295,9 @@ def solve_sdp(problem, opts: SolveOptions | None = None):
                         objective=math.inf, numerical_rank=1,
                         mu=np.zeros(problem.l), status=Status.UNBOUNDED)
 
-    sum_dec = linalg.eigh_desc(problem.mat_sum())
-    if sum_dec.rank() < problem.n:
-        U = sum_dec.range_basis()
+    S = problem.mat_sum()
+    if linalg.rank_tol(S) < problem.n:
+        U = linalg.range_basis(S)
         inner = PackingProblem(
             C=linalg.symmetrize(U.T @ problem.C @ U),
             mats=tuple(linalg.symmetrize(U.T @ m @ U) for m in problem.mats),

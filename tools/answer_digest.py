@@ -122,7 +122,7 @@ def _tap_engine(sink: list):
     return undo
 
 
-def digest_cases(workload: str, seed: int) -> dict:
+def digest_cases(workload: str, seed: int) -> list:
     """Per-case digests of one workload and seed (engine results and the
     returned object), in case order."""
     import workloads
@@ -186,7 +186,6 @@ def main(argv=None) -> int:
     if args.per_case:   # child of --against: raw per-case digests
         print(json.dumps(run(args.src, args.workloads, args.seeds)))
         return 0
-    other = None
     if args.against is not None:
         src = os.path.join(os.path.abspath(args.against), "src")
         if not os.path.isfile(os.path.join(src, "sdpack", "__init__.py")):

@@ -244,7 +244,8 @@ class _Layout:
 
     def margins(self, *vs: np.ndarray) -> np.ndarray:
         """Smallest cone eigenvalue of each vector (>= 0 iff in K; nan if any block is)."""
-        return np.concatenate(list(self._block_margins(*vs)), axis=1).min(axis=1)
+        parts = [np.full((len(vs), 1), math.inf), *self._block_margins(*vs)]
+        return np.concatenate(parts, axis=1).min(axis=1)
 
     def margin(self, v: np.ndarray) -> float:
         """:meth:`margins` of one vector."""
@@ -303,9 +304,8 @@ class _Layout:
         sig = iter(sigma) if sigma is not None else None
         for kind, sl, blocks in self.runs:
             if kind == "nn":
-                lb = lam[sl]
                 for d in ds:
-                    db = d[sl]
+                    lb, db = lam[sl], d[sl]
                     neg = db < 0
                     if np.any(neg):
                         out = min(out, float(np.min(-lb[neg] / db[neg])))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -117,11 +119,10 @@ class TestRunWideOps:
                                        for sl, one in singles])
                 np.testing.assert_allclose(getattr(layout, name)(*args), want,
                                            rtol=1e-13)
-            for name, args in (("max_step", (lam, v)), ("margin", (v,))):
-                def call(lay, *a):
-                    return lay.max_step(a[0], [a[1]]) if name == "max_step" else lay.margin(*a)
-                want = min(call(one, *(a[sl] for a in args)) for sl, one in singles)
-                assert call(layout, *args) == pytest.approx(want, rel=1e-13)
+            want = min(one.max_step(lam[sl], [v[sl]]) for sl, one in singles)
+            assert layout.max_step(lam, [v]) == pytest.approx(want, rel=1e-13)
+            want = min(one.margin(v[sl]) for sl, one in singles)
+            assert layout.margin(v) == pytest.approx(want, rel=1e-13)
 
     def test_identity_and_push_interior(self):
         layout = _Layout(SOC_RUNS)
@@ -375,6 +376,12 @@ class TestBatchedChecks:
             for v, got in zip((s, z), layout.margins(s, z)):
                 want = min(_one_block_margin(b, v) for b in layout.blocks)
                 assert got == want == layout.margin(v)
+
+    def test_empty_layout(self):
+        # no cone rows: every vector is in K, and no direction limits a step
+        layout = _Layout((("nn", 0),))
+        assert layout.margin(np.zeros(0)) == math.inf
+        assert layout.max_step(np.zeros(0), [np.zeros(0)] * 2) == math.inf
 
 
 def _one_block_margin(b, v):

@@ -20,7 +20,6 @@ by default (``--report text`` rounds to 9 significant digits).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -316,10 +315,7 @@ def _exit_code(exc: Exception) -> int:
     return EXIT_INPUT
 
 
-@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built once per process and shared (parsing
-    leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="sdpack",
         description="semidefinite packing problems: certificates, "

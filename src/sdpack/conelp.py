@@ -230,26 +230,23 @@ class _Layout:
                     e[b.sl] = svec(np.eye(b.order))
         return e
 
-    def _block_margins(self, *vs: np.ndarray):
-        """Per-run ``(len(vs), k)`` arrays of each block's smallest cone eigenvalue."""
+    def _block_margins(self, v: np.ndarray):
+        """Per-run arrays of each block's smallest cone eigenvalue."""
         for kind, sl, blocks in self.runs:
             if kind == "nn":
-                yield np.stack([_rows(v, sl, blocks).min(axis=1) for v in vs])
+                yield _rows(v, sl, blocks).min(axis=1)
             elif kind == "soc":
-                yield np.stack([U[:, 0] - np.linalg.norm(U[:, 1:], axis=1)
-                                for U in (_rows(v, sl, blocks) for v in vs)])
+                U = _rows(v, sl, blocks)
+                yield U[:, 0] - np.linalg.norm(U[:, 1:], axis=1)
             else:
-                mats = np.stack([smat(v[b.sl], b.order) for v in vs for b in blocks])
-                yield np.linalg.eigvalsh(mats)[:, 0].reshape(len(vs), len(blocks))
-
-    def margins(self, *vs: np.ndarray) -> np.ndarray:
-        """Smallest cone eigenvalue of each vector (>= 0 iff in K; nan if any block is)."""
-        parts = [np.full((len(vs), 1), math.inf), *self._block_margins(*vs)]
-        return np.concatenate(parts, axis=1).min(axis=1)
+                yield np.array([np.linalg.eigvalsh(smat(v[b.sl], b.order))[0]
+                                for b in blocks])
 
     def margin(self, v: np.ndarray) -> float:
-        """:meth:`margins` of one vector."""
-        return float(self.margins(v)[0])
+        """Smallest cone eigenvalue across blocks (>= 0 iff ``v`` in K; nan
+        if any block holds a nan)."""
+        margins = list(self._block_margins(v))
+        return float(np.min(np.concatenate(margins))) if margins else math.inf
 
     def circ(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.empty(self.m)
@@ -790,7 +787,7 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
         s = s + alpha * dsv
         tau += alpha * dtau
         kappa += alpha * dkappa
-        if tau <= 0 or kappa < 0 or np.any(layout.margins(s, z) <= 0):
+        if tau <= 0 or kappa < 0 or layout.margin(s) <= 0 or layout.margin(z) <= 0:
             # should not happen with fraction-to-boundary steps
             reason = StopReason.LEFT_CONE
             break
@@ -836,7 +833,7 @@ def _push_interior(layout: _Layout, v: np.ndarray, e: np.ndarray,
     its entries), is moved along the identity until it lies there; the
     others are left as they are.  ``push`` comes from :func:`_warm_margin`."""
     out = v.copy()
-    for (kind, sl, blocks), (margin,) in zip(layout.runs, layout._block_margins(v)):
+    for (kind, sl, blocks), margin in zip(layout.runs, layout._block_margins(v)):
         U = _rows(out, sl, blocks)
         if kind == "nn":
             mean = np.mean(np.abs(U), axis=1)

@@ -98,9 +98,10 @@ def project_packing(problem: PackingProblem) -> tuple[ReducedProblem, LiftMap]:
     kept = [i for i in range(problem.l)
             if i not in dropped and i not in zeroed]
 
-    full_rank = sum_dec.rank() == problem.n
-    # identity reduction when the sum has full rank
-    U = np.eye(problem.n) if full_rank else sum_dec.range_basis()
+    if sum_dec.rank() == problem.n:
+        U = np.eye(problem.n)  # identity reduction when the sum has full rank
+    else:
+        U = sum_dec.range_basis()
     if U.shape[1] == 0:
         return _empty_reduction(kept, zeroed, dropped, problem.n)
 
@@ -113,20 +114,15 @@ def project_packing(problem: PackingProblem) -> tuple[ReducedProblem, LiftMap]:
     if B.shape[1] == 0:
         return _empty_reduction(kept, zeroed, dropped, problem.n)
 
-    def restrict(m):
-        # with B = I, B.T m B is m but for -0.0 entries, which the products turn to +0.0
-        return linalg.symmetrize(m) + 0.0 if full_rank and not zeroed \
-            else linalg.symmetrize(B.T @ m @ B)
-
     mats_red, kept_final = [], []
     for i in kept:
-        m = restrict(problem.mats[i])
+        m = linalg.symmetrize(B.T @ problem.mats[i] @ B)
         if linalg.is_zero(m):
             dropped.append(i)
         else:
             mats_red.append(m)
             kept_final.append(i)
-    C_red = restrict(problem.C)
+    C_red = linalg.symmetrize(B.T @ problem.C @ B)
     if not kept_final:
         # every surviving direction is unconstrained; boundedness forces C'=0
         return _empty_reduction(kept_final, zeroed, sorted(dropped), problem.n)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -146,7 +144,7 @@ def _push_interior_at_005(layout, v, e):
     """The warm-start push before the residual-balanced rule: every block
     to a margin of 0.05 (|mean| + 1), whatever the warm point's residual."""
     out = v.copy()
-    for (kind, sl, blocks), (margin,) in zip(layout.runs, layout._block_margins(v)):
+    for (kind, sl, blocks), margin in zip(layout.runs, layout._block_margins(v)):
         U = _rows(out, sl, blocks)
         if kind == "nn":
             mean = np.mean(np.abs(U), axis=1)
@@ -356,8 +354,8 @@ class TestJordanOps:
 
 
 class TestBatchedChecks:
-    """One max_step over both directions of a step, and margins of s and z
-    at once, equal the per-direction and per-vector calls to the bit."""
+    """One max_step over both directions of a step equals the per-direction
+    calls to the bit."""
 
     @pytest.mark.parametrize("name", ["eps_path", "trace_cap", "dual_packing",
                                       "dual_phase1", "mixed_runs", "nn_pair",
@@ -373,25 +371,6 @@ class TestBatchedChecks:
             for sigma in (sc.sigma, None):
                 one = [layout.max_step(sc.lam, [d], sigma) for d in (ds, dz)]
                 assert layout.max_step(sc.lam, (ds, dz), sigma) == min(one)
-            for v, got in zip((s, z), layout.margins(s, z)):
-                want = min(_one_block_margin(b, v) for b in layout.blocks)
-                assert got == want == layout.margin(v)
-
-    def test_empty_layout(self):
-        # no cone rows: every vector is in K, and no direction limits a step
-        layout = _Layout((("nn", 0),))
-        assert layout.margin(np.zeros(0)) == math.inf
-        assert layout.max_step(np.zeros(0), [np.zeros(0)] * 2) == math.inf
-
-
-def _one_block_margin(b, v):
-    """The smallest cone eigenvalue of one block of ``v``, computed alone."""
-    if b.kind == "psd":
-        return float(np.linalg.eigvalsh(smat(v[b.sl], b.order))[0])
-    U = _rows(v, b.sl, [b])
-    if b.kind == "nn":
-        return float(U.min())
-    return float(U[0, 0] - np.linalg.norm(U[:, 1:], axis=1)[0])
 
 
 class TestConeProgramValidation:

@@ -21,21 +21,6 @@ class TestProjection:
         assert red.kept == (0, 1)
         assert not red.zeroed and not red.dropped
 
-    def test_identity_reduction_matches_products_bitwise(self):
-        # with a full-rank sum the basis is I; the reduced data skip the
-        # products B.T M B but keep their bits, signed zeros included (the
-        # a-design's Kronecker blocks hold -0.0 entries)
-        rng = np.random.default_rng(33)
-        K = rng.standard_normal((3, 2))
-        mats = tuple(np.outer(a, a) + 0.1 * np.eye(3) for a in rng.standard_normal((4, 3)))
-        prob = rd.build_a_optimal(DesignProblem(K=K, criterion=Criterion.A_OPT, mats=mats))
-        assert any(np.signbit(m[m == 0.0]).any() for m in prob.mats)
-        red, lift = rd.project_packing(prob)
-        B = lift.basis
-        assert np.array_equal(B, np.eye(prob.n)) and red.kept == tuple(range(prob.l))
-        for got, m in zip((red.problem.C,) + red.problem.mats, (prob.C,) + prob.mats):
-            assert got.tobytes() == linalg.symmetrize(B.T @ m @ B).tobytes()
-
     def test_zero_b_reduction_by_hand(self):
         e1 = np.diag([1.0, 0.0])
         prob = packing(np.diag([0.0, 1.0]), [e1, np.eye(2)], [0.0, 1.0])

@@ -141,8 +141,7 @@ def cmd_solve(path: str, args) -> dict:
             "file": path,
             "status": sol.status.value,
             "objective": _num(sol.objective),
-            "rank": linalg.rank_tol(sol.X, solving._RANK_THRESHOLD)
-            if sol.X.size else 0,
+            "rank": sol.ranks[-1],
             "lambda": model._vec(sol.lam),
             "gamma": [float(g) for g in sol.gamma],
             "ranks": list(sol.ranks),

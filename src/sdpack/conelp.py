@@ -56,6 +56,11 @@ the trace-cap path's answers at low rank.
 
 Every exit of :func:`solve_cone_program` records a :class:`StopReason`.
 
+Every program sdpack builds is assembled by :func:`cone_program` from its
+cone blocks in row order, and the block ``X >= 0`` of a psd variable comes
+from :func:`psd_variable`: its ``-I`` rows are the selection blocks the
+psd KKT solve eliminates.
+
 This is an internal engine; the user-facing entry points are in
 ``sdpack.solve``.
 """
@@ -176,6 +181,26 @@ class ConeProgram:
         if self.A is not None and (self.A.shape[1] != self.c.shape[0]
                                    or self.A.shape[0] != self.b.shape[0]):
             raise InvalidInput("A/b shapes inconsistent with objective")
+
+
+def cone_program(c, blocks, A=None, b=None) -> ConeProgram:
+    """The :class:`ConeProgram` of ``blocks``, each ``(kind, order, G_rows,
+    h_rows)`` in row order: the rows of ``G`` and ``h`` are the blocks'
+    rows stacked as given, every entry kept to the bit."""
+    return ConeProgram(c=c, G=np.vstack([blk[2] for blk in blocks]),
+                       h=np.concatenate([blk[3] for blk in blocks]),
+                       cones=[blk[:2] for blk in blocks], A=A, b=b)
+
+
+def psd_variable(order: int, nx: int, start: int = 0) -> tuple:
+    """The block ``X >= 0`` of a psd variable of ``order`` packed at the
+    columns from ``start`` of ``nx``: rows ``-I`` on those columns (a
+    selection block, see :func:`_selection_blocks`), zero elsewhere and in
+    ``h``."""
+    L = svec_dim(order)
+    G = np.zeros((L, nx))
+    G[:, start:start + L] = -np.eye(L)
+    return "psd", order, G, np.zeros(L)
 
 
 class _Block:

@@ -221,6 +221,20 @@ def _as_vector(obj, key: str) -> np.ndarray:
     return a
 
 
+def _as_list(obj, key: str) -> list:
+    if not isinstance(obj, list):
+        raise SchemaError(f"{key}: expected a list, got {type(obj).__name__}")
+    return obj
+
+
+def _sym_or_empty(obj, key: str) -> np.ndarray:
+    """A symmetric matrix field, where null or an empty list stands for
+    order 0."""
+    if obj is None or (isinstance(obj, list) and not obj):
+        return np.zeros((0, 0))
+    return linalg.symmetrize(_as_matrix(obj, key))
+
+
 def _sym_psd(obj, key: str) -> np.ndarray:
     m = linalg.symmetrize(_as_matrix(obj, key))
     ok, witness = linalg.is_psd(m)
@@ -246,7 +260,8 @@ def _parse_packing_fields(doc: dict) -> tuple[np.ndarray, tuple, np.ndarray]:
                 witness=(m.shape[0], C.shape[0]))
         mats.append(m)
         bi = _need(row, "b")
-        if not isinstance(bi, (int, float)) or not np.isfinite(bi):
+        if isinstance(bi, bool) or not isinstance(bi, (int, float)) \
+                or not np.isfinite(bi):
             raise SchemaError(f"constraints[{i}].b: expected a finite number")
         b.append(float(bi))
     return C, tuple(mats), np.asarray(b)
@@ -261,21 +276,18 @@ def _parse_combined(doc: dict) -> CombinedProblem:
     C, mats, b = _parse_packing_fields(doc)
     l = len(mats)
 
-    if doc.get("R0") is not None:
-        R0 = linalg.symmetrize(_as_matrix(doc["R0"], "R0")) if len(doc["R0"]) else np.zeros((0, 0))
-    else:
-        R0 = np.zeros((0, 0))
+    R0 = _sym_or_empty(doc.get("R0"), "R0")
     p = R0.shape[0]
     rs_doc = doc.get("R")
     if rs_doc is None:
         Rs = tuple(np.zeros((p, p)) for _ in range(l))
     else:
-        if len(rs_doc) != l:
+        if len(_as_list(rs_doc, "R")) != l:
             raise ValidationError(f"R: expected {l} matrices, got {len(rs_doc)}",
                                   witness=(len(rs_doc), l))
         Rs = []
         for i, ri in enumerate(rs_doc):
-            m = linalg.symmetrize(_as_matrix(ri, f"R[{i}]")) if len(ri) else np.zeros((0, 0))
+            m = _sym_or_empty(ri, f"R[{i}]")
             if m.shape[0] != p:
                 raise ValidationError(f"R[{i}]: dimension {m.shape[0]} != {p}",
                                       witness=(m.shape[0], p))
@@ -287,7 +299,9 @@ def _parse_combined(doc: dict) -> CombinedProblem:
     hs_doc = doc.get("h")
     H_doc = None
     if doc.get("H") is not None:
-        H_doc = _as_matrix(doc["H"], "H") if len(doc["H"]) else np.zeros((q, l))
+        H_doc = doc["H"]
+        H_doc = (np.zeros((q, l)) if isinstance(H_doc, list) and not H_doc
+                 else _as_matrix(H_doc, "H"))
         if H_doc.shape != (q, l):
             raise ValidationError(f"H: shape {H_doc.shape} != ({q}, {l})",
                                   witness=(H_doc.shape, (q, l)))
@@ -296,7 +310,7 @@ def _parse_combined(doc: dict) -> CombinedProblem:
     if hs_doc is None:
         hs = tuple(np.zeros(q) for _ in range(l))
     else:
-        if len(hs_doc) != l:
+        if len(_as_list(hs_doc, "h")) != l:
             raise ValidationError(f"h: expected {l} vectors, got {len(hs_doc)}",
                                   witness=(len(hs_doc), l))
         hs = []
@@ -333,7 +347,7 @@ def _parse_design(doc: dict) -> DesignProblem:
     obs = None
     if doc.get("A") is not None:
         obs = []
-        for i, ai in enumerate(doc["A"]):
+        for i, ai in enumerate(_as_list(doc["A"], "A")):
             a = _as_matrix(ai, f"A[{i}]")
             if a.shape[1] != n:
                 raise ValidationError(f"A[{i}]: {a.shape[1]} columns != {n}",
@@ -343,7 +357,7 @@ def _parse_design(doc: dict) -> DesignProblem:
 
     if doc.get("M") is not None:
         mats = []
-        for i, mi in enumerate(doc["M"]):
+        for i, mi in enumerate(_as_list(doc["M"], "M")):
             m = _sym_psd(mi, f"M[{i}]")
             if m.shape[0] != n:
                 raise ValidationError(f"M[{i}]: dimension {m.shape[0]} != {n}",
@@ -370,6 +384,8 @@ def _parse_design(doc: dict) -> DesignProblem:
     resource = None
     if doc.get("resource") is not None:
         res = doc["resource"]
+        if not isinstance(res, dict):
+            raise SchemaError("resource: expected an object with 'P' and 'd'")
         P = _as_matrix(_need(res, "P"), "resource.P")
         d = _as_vector(_need(res, "d"), "resource.d")
         if P.shape[1] != len(mats):
@@ -399,7 +415,7 @@ def parse_problem(text) -> PackingProblem | CombinedProblem | DesignProblem:
     """Parse a JSON document (string or dict) into a validated problem."""
     doc = _load(text)
     kind = _need(doc, "kind")
-    parser = _PROBLEM_PARSERS.get(kind)
+    parser = _PROBLEM_PARSERS.get(kind) if isinstance(kind, str) else None
     if parser is None:
         raise SchemaError(f"unknown problem kind {kind!r}")
     return parser(doc)

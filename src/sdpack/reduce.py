@@ -11,7 +11,9 @@ sides, and any reduced solution lifts back through the orthonormal basis
 When the objective matrix has rank one the whole problem collapses to a
 second-order cone program over the factor vectors, and the same rewrite
 covers combined problems with free variables via the hyperbolic identity
-``|z|^2 <= a  <=>  |(2z; a-1)| <= a+1``.
+``|z|^2 <= a  <=>  |(2z; a-1)| <= a+1``.  The cone programs solved here
+(phase 1 of combined problems, a design's strictly positive allocation)
+are assembled by :func:`sdpack.conelp.cone_program`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, linalg
-from .conelp import ConeProgram, solve_cone_program, svec, svec_dim
+from .conelp import cone_program, psd_variable, solve_cone_program, svec, svec_dim
 from .errors import (DimensionMismatch, InfeasibleDesign, InfeasibleDual,
                      InfeasibleInput, InfeasiblePrimal, NonzeroH0, NonzeroR,
                      RankNotOne, UnboundedInput, WrongCriterion)
@@ -253,34 +255,13 @@ def to_socp_rank1(problem: PackingProblem) -> SocpProblem:
 def combined_primal_phase1(cmb: CombinedProblem) -> tuple[bool, float]:
     """Maximize the worst constraint slack over (Y, lam) with X = 0."""
     p, q, l = cmb.p, cmb.q, cmb.l
-    Lp = svec_dim(p) if p else 0
-    nv = Lp + q + 1
-    c = np.zeros(nv)
-    c[-1] = -1.0
-    rows = []
-    h = []
-    for m, bi, r, hi in zip(cmb.mats, cmb.b, cmb.Rs, cmb.hs):
-        row = np.zeros(nv)
-        if p:
-            row[:Lp] = -svec(r)
-        row[Lp:Lp + q] = -hi
-        row[-1] = 1.0
-        rows.append(row)
-        h.append(float(bi))
-    cap = np.zeros(nv)
-    cap[-1] = 1.0
-    rows.append(cap)
-    h.append(1.0)
-    G = np.vstack(rows)
-    hv = np.asarray(h)
-    cones = [("nn", l + 1)]
+    nv = svec_dim(p) + q + 1
+    rows = [np.r_[-svec(r), -hi, 1.0] for r, hi in zip(cmb.Rs, cmb.hs)]
+    rows.append(np.r_[np.zeros(nv - 1), 1.0])
+    blocks = [("nn", l + 1, np.array(rows), np.r_[cmb.b, 1.0])]
     if p:
-        Gp = np.zeros((Lp, nv))
-        Gp[:, :Lp] = -np.eye(Lp)
-        G = np.vstack([G, Gp])
-        hv = np.r_[hv, np.zeros(Lp)]
-        cones.append(("psd", p))
-    res = solve_cone_program(ConeProgram(c=c, G=G, h=hv, cones=cones),
+        blocks.append(psd_variable(p, nv))
+    res = solve_cone_program(cone_program(np.r_[np.zeros(nv - 1), -1.0], blocks),
                              reltol=1e-9)
     if not res.optimal:
         return False, -math.inf
@@ -291,33 +272,17 @@ def combined_dual_phase1(cmb: CombinedProblem) -> tuple[bool, np.ndarray, float]
     """Minimize the uniform relaxation ``t`` of the dual constraints; the
     dual is feasible exactly when the minimum is nonpositive."""
     l, n, p, q = cmb.l, cmb.n, cmb.p, cmb.q
-    c = np.zeros(l + 1)
-    c[-1] = 1.0
     G_nn = np.zeros((l + 1, l + 1))
     G_nn[:l, :l] = -np.eye(l)
     G_nn[l, l] = -1.0          # t >= -1 keeps the relaxation bounded
-    h_nn = np.r_[np.zeros(l), 1.0]
-    Ln = svec_dim(n)
-    G_psd = np.zeros((Ln, l + 1))
-    for i, m in enumerate(cmb.mats):
-        G_psd[:, i] = -svec(m)
-    G_psd[:, l] = -svec(np.eye(n))
-    h_psd = -svec(cmb.C)
-    G = np.vstack([G_nn, G_psd])
-    h = np.r_[h_nn, h_psd]
-    cones = [("nn", l + 1), ("psd", n)]
+    G_psd = -np.column_stack([svec(m) for m in cmb.mats] + [svec(np.eye(n))])
+    blocks = [("nn", l + 1, G_nn, np.r_[np.zeros(l), 1.0]),
+              ("psd", n, G_psd, -svec(cmb.C))]
     if p:
-        Lp = svec_dim(p)
-        G_r = np.zeros((Lp, l + 1))
-        for i, r in enumerate(cmb.Rs):
-            G_r[:, i] = svec(r)
-        G_r[:, l] = -svec(np.eye(p))
-        G = np.vstack([G, G_r])
-        h = np.r_[h, -svec(cmb.R0)]
-        cones.append(("psd", p))
-    A = np.hstack([cmb.H, np.zeros((q, 1))]) if q else None
-    beq = -cmb.h0 if q else None
-    res = solve_cone_program(ConeProgram(c=c, G=G, h=h, cones=cones, A=A, b=beq),
+        G_r = np.column_stack([svec(r) for r in cmb.Rs] + [-svec(np.eye(p))])
+        blocks.append(("psd", p, G_r, -svec(cmb.R0)))
+    A, beq = (np.hstack([cmb.H, np.zeros((q, 1))]), -cmb.h0) if q else (None, None)
+    res = solve_cone_program(cone_program(np.r_[np.zeros(l), 1.0], blocks, A, beq),
                              reltol=1e-9)
     if res.x is None:
         return False, np.zeros(l), math.inf
@@ -438,8 +403,7 @@ def build_resource_constrained(design: DesignProblem) -> ResourceSocpPair:
     G[q:q + l, l] = 1.0
     G[q + l, l] = 1.0
     h = np.r_[d, np.zeros(l), 1.0]
-    res = solve_cone_program(ConeProgram(c=cv, G=G, h=h, cones=[("nn", q + l + 1)]),
-                             reltol=1e-9)
+    res = solve_cone_program(cone_program(cv, [("nn", q + l + 1, G, h)]), reltol=1e-9)
     if not res.optimal or -res.pcost <= 1e-9:
         raise InfeasibleDesign("no strictly positive allocation satisfies the "
                                "resource constraints")

@@ -14,7 +14,8 @@ dual is not solved again, because with a zero budget it has no Slater
 point and need not attain its optimum.  Combined problems go through a
 trace-cap path ``cap * (tr X + tr Y) <= 1`` instead, whose values decrease
 to the supremum from below as the cap loosens; an unattained supremum shows
-up as iterate norms diverging while the values converge.
+up as iterate norms diverging while the values converge.  Every cone
+program here is assembled by :func:`sdpack.conelp.cone_program`.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import scipy.optimize
 
 from . import linalg, reduce as reduction
 from .analysis import check_bounded, check_feasible
-from .conelp import (ConeProgram, ConeResult, smat, solve_cone_program, svec,
-                     svec_dim)
+from .conelp import (ConeProgram, ConeResult, cone_program, psd_variable, smat,
+                     solve_cone_program, svec, svec_dim)
 from .errors import (InfeasibleDual, InfeasiblePrimal, InvalidInput,
                      MaxIterations, NumericalFailure, PathDiverged,
                      PathNotMonotone, ZeroDual)
@@ -132,25 +133,14 @@ def kkt_check(problem: PackingProblem, X: np.ndarray, mu: np.ndarray,
 
 
 def _socp_to_cone_program(socp: reduction.SocpProblem) -> tuple[ConeProgram, int]:
-    blocks, G_rows, h_rows = [], [], []
+    blocks = [("soc", con.F.shape[0] + 1, -np.vstack([con.f[None, :], con.F]),
+               np.r_[con.d, con.g]) for con in socp.cones]
     n_ineq = 0
     if socp.lin_ineq is not None:
-        A_ub, e_ub = socp.lin_ineq
-        n_ineq = A_ub.shape[0]
-        blocks.append(("nn", n_ineq))
-        G_rows.append(A_ub)
-        h_rows.append(e_ub)
-    for con in socp.cones:
-        k = con.F.shape[0]
-        blocks.append(("soc", k + 1))
-        G_rows.append(-np.vstack([con.f[None, :], con.F]))
-        h_rows.append(np.r_[con.d, con.g])
-    G = np.vstack(G_rows)
-    h = np.concatenate(h_rows)
+        n_ineq = socp.lin_ineq[0].shape[0]
+        blocks.insert(0, ("nn", n_ineq, *socp.lin_ineq))
     c = -socp.objective if socp.sense == "max" else socp.objective.copy()
-    A, b = (socp.lin_eq if socp.lin_eq is not None else (None, None))
-    prog = ConeProgram(c=c, G=G, h=h, cones=blocks, A=A, b=b)
-    return prog, n_ineq
+    return cone_program(c, blocks, *(socp.lin_eq or (None, None))), n_ineq
 
 
 _ENGINE_STATUS = {"optimal": Status.OPTIMAL,
@@ -164,7 +154,8 @@ def _classify(res: ConeResult, prog: ConeProgram, tol: float, best) -> Status:
     residuals and gap are clean is a bounded value that no finite point
     attains (near-unattained); a stop within ``1e3 * tol`` of the target
     is reported as ``MAX_ITERATIONS``; anything further off raises
-    ``MaxIterations`` carrying ``best(Status.MAX_ITERATIONS)``."""
+    ``MaxIterations`` carrying ``best(Status.MAX_ITERATIONS)``, its message
+    naming the engine's stop reason."""
     if res.status != "max_iterations":
         return _ENGINE_STATUS[res.status]
     scale = 1.0 + float(np.linalg.norm(prog.h)) \
@@ -176,8 +167,13 @@ def _classify(res: ConeResult, prog: ConeProgram, tol: float, best) -> Status:
         return Status.NEAR_UNATTAINED
     if max(res.pres, res.dres, res.relgap) <= 1e3 * tol:
         return Status.MAX_ITERATIONS
-    raise MaxIterations("iteration limit before convergence",
+    raise MaxIterations(f"stopped before convergence ({_stop_reason(res)})",
                         best=best(Status.MAX_ITERATIONS))
+
+
+def _stop_reason(res: ConeResult) -> str:
+    """The engine's stop reason as text, for error messages."""
+    return getattr(res.stop_reason, "value", str(res.stop_reason))
 
 
 def _report_from_cone(res: ConeResult, status: Status, sense: str) -> SolveReport:
@@ -232,27 +228,21 @@ def _socp_result(socp, res, n_ineq, status) -> SocpResult:
 
 def _packing_cone_program(C, mats, b, eps: float = 0.0) -> ConeProgram:
     n = C.shape[0]
-    L = svec_dim(n)
-    l = len(mats)
     eye = np.eye(n)
-    G = np.vstack([np.array([svec(m + eps * eye) for m in mats]),
-                   -np.eye(L)])
-    h = np.r_[np.asarray(b, float), np.zeros(L)]
-    return ConeProgram(c=-svec(C), G=G, h=h, cones=[("nn", l), ("psd", n)])
+    rows = np.array([svec(m + eps * eye) for m in mats])
+    return cone_program(-svec(C), [("nn", len(mats), rows, np.asarray(b, float)),
+                                   psd_variable(n, svec_dim(n))])
 
 
 def solve_dual_packing(problem: PackingProblem,
                        opts: SolveOptions | None = None) -> tuple[np.ndarray, float]:
     """Solve ``min b.mu  s.t.  sum mu_i M_i >= C, mu >= 0`` directly."""
     opts = opts or SolveOptions()
-    l, n = problem.l, problem.n
-    G = np.zeros((l + svec_dim(n), l))
-    G[:l, :l] = -np.eye(l)
-    for i, m in enumerate(problem.mats):
-        G[l:, i] = -svec(m)
-    h = np.r_[np.zeros(l), -svec(problem.C)]
-    prog = ConeProgram(c=problem.b.copy(), G=G, h=h,
-                       cones=[("nn", l), ("psd", n)])
+    l = problem.l
+    psd_rows = -np.column_stack([svec(m) for m in problem.mats])
+    prog = cone_program(problem.b.copy(),
+                        [("nn", l, -np.eye(l), np.zeros(l)),
+                         ("psd", problem.n, psd_rows, -svec(problem.C))])
     res = solve_cone_program(prog, reltol=opts.tol, max_iter=opts.max_iter)
     if res.x is None:
         raise NumericalFailure(f"dual solve ended with {res.status}")
@@ -510,15 +500,16 @@ def _follow_path(build, schedule, max_iter: int, what: str,
     iterations; a warm point that already meets the new stage, as when a
     looser trace cap does not bind, is re-centred in full instead.  A stage
     that returns a certificate instead of an iterate raises
-    ``NumericalFailure`` naming ``what`` and ``v``; an optimal or
-    ``max_iterations`` stage is kept."""
+    ``NumericalFailure`` naming ``what``, ``v`` and the engine's stop
+    reason; an optimal or ``max_iterations`` stage is kept."""
     warm, results = None, []
     for v in schedule:
         res = solve_cone_program(build(v), reltol=_PATH_RELTOL,
                                  feastol=_PATH_FEASTOL, max_iter=max_iter,
                                  warm=warm)
         if res.x is None:
-            raise NumericalFailure(f"{what}={v:g} ended with {res.status}")
+            raise NumericalFailure(f"{what}={v:g} ended with {res.status} "
+                                   f"({_stop_reason(res)})")
         if warm_start:
             warm = (res.x, res.y, res.s, res.z)
         results.append(res)
@@ -554,43 +545,19 @@ def _eps_path_route(inner: PackingProblem, opts: SolveOptions):
 def _combined_cone_program(cmb: CombinedProblem, cap: float,
                            eps: float) -> ConeProgram:
     """Trace-capped, constraint-perturbed combined problem as a cone program."""
-    n, p, q, l = cmb.n, cmb.p, cmb.q, cmb.l
-    Lx, Lp = svec_dim(n), (svec_dim(p) if p else 0)
-    nv = Lx + Lp + q
+    n, p = cmb.n, cmb.p
+    Lx = svec_dim(n)
+    nv = Lx + svec_dim(p) + cmb.q
     eye_n = np.eye(n)
-    rows, h = [], []
-    for m, bi, r, hi in zip(cmb.mats, cmb.b, cmb.Rs, cmb.hs):
-        row = np.zeros(nv)
-        row[:Lx] = svec(m + eps * eye_n)
-        if p:
-            row[Lx:Lx + Lp] = -svec(r)
-        row[Lx + Lp:] = -hi
-        rows.append(row)
-        h.append(float(bi))
-    trace_row = np.zeros(nv)
-    trace_row[:Lx] = cap * svec(eye_n)
+    rows = [np.r_[svec(m + eps * eye_n), -svec(r), -hi]
+            for m, r, hi in zip(cmb.mats, cmb.Rs, cmb.hs)]
+    rows.append(np.r_[cap * svec(eye_n), cap * svec(np.eye(p)), np.zeros(cmb.q)])
+    blocks = [("nn", cmb.l + 1, np.array(rows), np.r_[cmb.b, 1.0]),
+              psd_variable(n, nv)]
     if p:
-        trace_row[Lx:Lx + Lp] = cap * svec(np.eye(p))
-    rows.append(trace_row)
-    h.append(1.0)
-    G_nn = np.vstack(rows)
-    G_x = np.zeros((Lx, nv))
-    G_x[:, :Lx] = -np.eye(Lx)
-    G = np.vstack([G_nn, G_x])
-    hv = np.r_[np.asarray(h), np.zeros(Lx)]
-    cones = [("nn", l + 1), ("psd", n)]
-    if p:
-        G_y = np.zeros((Lp, nv))
-        G_y[:, Lx:Lx + Lp] = -np.eye(Lp)
-        G = np.vstack([G, G_y])
-        hv = np.r_[hv, np.zeros(Lp)]
-        cones.append(("psd", p))
-    c = np.zeros(nv)
-    c[:Lx] = -svec(cmb.C)
-    if p:
-        c[Lx:Lx + Lp] = -svec(cmb.R0)
-    c[Lx + Lp:] = -cmb.h0
-    return ConeProgram(c=c, G=G, h=hv, cones=cones)
+        blocks.append(psd_variable(p, nv, Lx))
+    c = np.r_[-svec(cmb.C), -svec(cmb.R0), -cmb.h0]
+    return cone_program(c, blocks)
 
 
 def solve_combined_eta(cmb: CombinedProblem,

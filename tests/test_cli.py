@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -157,6 +158,53 @@ class TestSolve:
         assert isinstance(docs, list) and len(docs) == 2
         assert docs[0]["status"] == "optimal"
         assert docs[1]["error"] == "InfeasibleInput"
+
+
+DEMO_DATA = pathlib.Path(__file__).parent.parent / "demos" / "data"
+
+# one wrong-typed field per document: (subcommand, demo file, key, value)
+MALFORMED = [("solve", "combined_unattained.json", "R0", 5),
+             ("solve", "combined_unattained.json", "R", 7),
+             ("solve", "combined_unattained.json", "H", 3.0),
+             ("solve", "combined_unattained.json", "h", 2),
+             ("design", "design_resource.json", "A", 3),
+             ("design", "design_resource.json", "resource", 4)]
+
+
+class TestMalformedDocuments:
+    """A field of the wrong type is a schema error (exit 2) with its own
+    report, never a crash that takes the rest of a batch with it."""
+
+    @staticmethod
+    def _probe(tmp_path, name, key, value):
+        doc = json.loads((DEMO_DATA / name).read_text())
+        doc[key] = value
+        return write(tmp_path, f"bad_{key}.json", doc)
+
+    @pytest.mark.parametrize("command,name,key,value", MALFORMED)
+    def test_alone(self, capsys, tmp_path, command, name, key, value):
+        code, doc = run(capsys, [command, self._probe(tmp_path, name, key, value)])
+        assert code == 2
+        assert doc["error"] == "SchemaError"
+        assert doc["message"].startswith(key)
+
+    @pytest.mark.parametrize("command,name,key,value", MALFORMED)
+    def test_in_a_batch(self, capsys, tmp_path, command, name, key, value):
+        bad = self._probe(tmp_path, name, key, value)
+        code, docs = run(capsys, [command, bad, str(DEMO_DATA / name)])
+        assert code == 2
+        assert docs[0]["error"] == "SchemaError"
+        assert docs[1]["status"] in ("optimal", "asymptotic_sup")
+
+    def test_boolean_budget_rejected(self, capsys, tmp_path, rank1_file):
+        doc = json.loads(pathlib.Path(rank1_file).read_text())
+        doc["constraints"][0]["b"] = True
+        bad = write(tmp_path, "bool_b.json", doc)
+        code, docs = run(capsys, ["solve", bad, rank1_file])
+        assert code == 2
+        assert docs[0]["error"] == "SchemaError"
+        assert "constraints[0].b" in docs[0]["message"]
+        assert docs[1]["status"] == "optimal"
 
 
 class TestDesign:

@@ -59,6 +59,11 @@ class TestParse:
         with pytest.raises(SchemaError):
             model.parse_problem({"kind": "mystery"})
 
+    @pytest.mark.parametrize("kind", [["packing"], {"a": 1}])
+    def test_unhashable_kind(self, kind):
+        with pytest.raises(SchemaError):
+            model.parse_problem({"kind": kind})
+
     def test_missing_key(self):
         with pytest.raises(SchemaError):
             model.parse_problem({"kind": "packing", "C": [[1.0]]})

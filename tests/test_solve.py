@@ -12,7 +12,7 @@ from sdpack import linalg
 from sdpack import reduce as rd
 from sdpack import solve as sv
 from sdpack.analysis import check_bounded
-from sdpack.conelp import ConeProgram, ConeResult
+from sdpack.conelp import ConeProgram, ConeResult, StopReason
 from sdpack.errors import (InfeasibleInput, InfeasiblePrimal, InvalidInput,
                            MaxIterations, NumericalFailure, PathDiverged,
                            PathNotMonotone, UnboundedInput, ZeroDual)
@@ -110,16 +110,18 @@ class TestClassify:
         assert exc.value.best == ("best", Status.MAX_ITERATIONS)
 
 
-def _stopped_engine(monkeypatch, resid, x_scale=1.0):
+def _stopped_engine(monkeypatch, resid, x_scale=1.0,
+                    reason=StopReason.ITERATION_LIMIT):
     """Make the engine end every solve as a ``max_iterations`` stop at its
-    real answer, with the given residuals and the iterate scaled."""
+    real answer, with the given residuals, the iterate scaled and the given
+    stop reason."""
     engine = sv.solve_cone_program
 
     def stopped(*args, **kw):
         res = engine(*args, **kw)
         return dataclasses.replace(res, status="max_iterations",
                                    x=x_scale * res.x, pres=resid, dres=resid,
-                                   relgap=resid)
+                                   relgap=resid, stop_reason=reason)
 
     monkeypatch.setattr(sv, "solve_cone_program", stopped)
 
@@ -162,6 +164,23 @@ class TestStoppedSolves:
                             lambda *a, **k: ConeResult(status="primal_infeasible"))
         with pytest.raises(NumericalFailure,
                            match=r"test stage at v=0\.5 ended with primal_infeasible"):
+            sv._follow_path(lambda v: None, (0.5, 0.25), 10, "test stage at v")
+
+    @pytest.mark.parametrize("reason", [StopReason.ITERATION_LIMIT, StopReason.STALL,
+                                        StopReason.TINY_STEP, StopReason.LEFT_CONE,
+                                        StopReason.FACTOR_FAILURE])
+    def test_far_stop_names_the_stop_reason(self, reason, monkeypatch):
+        _stopped_engine(monkeypatch, 1e-3, reason=reason)
+        for run in (lambda: sv.solve_socp(rd.to_socp_rank1(c_opt_instance())),
+                    lambda: sv.solve_sdp(c_opt_instance())):
+            with pytest.raises(MaxIterations, match=rf"\({reason.value}\)$"):
+                run()
+
+    def test_path_stage_names_the_stop_reason(self, monkeypatch):
+        monkeypatch.setattr(sv, "solve_cone_program", lambda *a, **k: ConeResult(
+            status="dual_infeasible", stop_reason=StopReason.DUAL_INFEASIBLE))
+        with pytest.raises(NumericalFailure, match=r"v=0\.5 ended with "
+                           r"dual_infeasible \(dual_infeasible\)$"):
             sv._follow_path(lambda v: None, (0.5, 0.25), 10, "test stage at v")
 
 

@@ -22,10 +22,16 @@ the callers in ``sdpack.solve``.  The scaling is
 kept per cone block (a diagonal for nn blocks, a d x d matrix for soc
 blocks, the n x n scaling matrix ``R`` of the congruence ``V -> R.T V R``
 for psd blocks, applied to n x n matrices).
-Consecutive blocks of one kind and order form a run: the scaling of a run
-is stored and applied as one stacked operator, and for nn and soc runs it
-is also built, and the Jordan-algebra operations and step lengths
-computed, for the whole run at once.
+Consecutive blocks of one kind and order form a run: an nn or soc run's
+scaling is built, stored and applied as one stacked operator, and its
+Jordan-algebra operations and step lengths computed, for the whole run at
+once; a psd block's scaling is applied by one congruence.  The operators
+``W``, ``W.T``, ``W^{-1}`` and ``W^{-T}`` are bound once per scaling
+(:class:`_BlockOp`), and the KKT factor binds its own (its eigenbasis
+transforms and its ``longdouble`` ``W.T W``) once per factor, so an
+iteration applies them without dispatching on the cone kinds each time.
+Every such trim leaves each floating-point operation, and its order, as it
+was: the answers are the same to the bit.
 
 On a psd block the scaled point is diagonal, ``lam = diag(sigma)``, and
 the iteration hands ``sigma`` to the Jordan division and the step-length
@@ -204,13 +210,19 @@ def psd_variable(order: int, nx: int, start: int = 0) -> tuple:
 
 
 class _Block:
-    __slots__ = ("kind", "dim", "sl", "order")
+    """One cone block: its rows ``sl``, and for a psd block its packed
+    coordinates ``index`` (:func:`_svec_index`) and the packed positions
+    ``diag`` of its diagonal."""
+
+    __slots__ = ("kind", "dim", "sl", "order", "index", "diag")
 
     def __init__(self, kind: str, order: int, start: int):
         self.kind = kind
         self.order = order
         self.dim = svec_dim(order) if kind == "psd" else order
         self.sl = slice(start, start + self.dim)
+        self.index = _svec_index(order) if kind == "psd" else None
+        self.diag = self.index[0].diagonal() if kind == "psd" else None
 
 
 def _rows(v: np.ndarray, sl: slice, blocks: list[_Block]) -> np.ndarray:
@@ -259,22 +271,38 @@ class _Layout:
         """Per-run arrays of each block's smallest cone eigenvalue."""
         for kind, sl, blocks in self.runs:
             if kind == "nn":
-                yield _rows(v, sl, blocks).min(axis=1)
+                yield np.minimum.reduce(_rows(v, sl, blocks), axis=1)
             elif kind == "soc":
                 U = _rows(v, sl, blocks)
                 yield U[:, 0] - np.linalg.norm(U[:, 1:], axis=1)
             else:
-                yield np.array([np.linalg.eigvalsh(smat(v[b.sl], b.order))[0]
+                yield np.array([np.linalg.eigvalsh(v[b.sl][b.index[0]] / b.index[1])[0]
                                 for b in blocks])
 
     def margin(self, v: np.ndarray) -> float:
         """Smallest cone eigenvalue across blocks (>= 0 iff ``v`` in K; nan
         if any block holds a nan)."""
         margins = list(self._block_margins(v))
-        return float(np.min(np.concatenate(margins))) if margins else math.inf
+        return float(np.minimum.reduce(np.concatenate(margins))) if margins else math.inf
 
-    def circ(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def margin_at_least(self, v: np.ndarray, floor: float) -> bool:
+        """``margin(v) >= floor``, decided run by run in row order: the first
+        run whose smallest eigenvalue is below ``floor`` or nan decides, and
+        the runs after it are not looked at (so a psd block there that holds
+        a nan, on which :meth:`margin` raises, is not reached).  An empty
+        layout passes."""
+        for margins in self._block_margins(v):
+            if not np.minimum.reduce(margins) >= floor:
+                return False
+        return True
+
+    def circ(self, u: np.ndarray, v: np.ndarray, sigma: list | None = None) -> np.ndarray:
+        """``u o v``.  ``sigma``, when given, says that ``u`` and ``v`` are
+        both the scaled point (as in :meth:`circ_solve`): a psd block of
+        ``lam o lam`` is then ``svec(diag(sigma[k] ** 2))``, taken as the
+        two n x n products of ``diag(sigma[k])`` give it, to the bit."""
         out = np.empty(self.m)
+        sig = iter(sigma) if sigma is not None else None
         for kind, sl, blocks in self.runs:
             if kind == "nn":
                 out[sl] = u[sl] * v[sl]
@@ -285,8 +313,19 @@ class _Layout:
                 O[:, 1:] = U[:, :1] * V[:, 1:] + V[:, :1] * U[:, 1:]
             else:
                 for b in blocks:
-                    U, V = smat(u[b.sl], b.order), smat(v[b.sl], b.order)
-                    out[b.sl] = svec(0.5 * (U @ V + V @ U))
+                    ob = out[b.sl]
+                    if sig is None:
+                        pos, scale_nn, flat, scale = b.index
+                        U, V = u[b.sl][pos] / scale_nn, v[b.sl][pos] / scale_nn
+                        np.multiply((0.5 * (U @ V + V @ U)).ravel()[flat], scale, out=ob)
+                    else:
+                        # each diagonal entry of the products sums one
+                        # square and exact zeros, each off-diagonal one
+                        # exact zeros only
+                        d = next(sig)
+                        dd = d * d
+                        ob.fill(0.0)
+                        ob[b.diag] = 0.5 * (dd + dd)
         return out
 
     def circ_solve(self, lam: np.ndarray, v: np.ndarray,
@@ -314,8 +353,9 @@ class _Layout:
                         out[b.sl] = _psd_circ_solve(lam[b.sl], v[b.sl], b.order)
                     else:
                         d = next(sig)
-                        out[b.sl] = svec(2.0 * smat(v[b.sl], b.order)
-                                         / np.add.outer(d, d))
+                        pos, scale_nn, flat, scale = b.index
+                        U = 2.0 * (v[b.sl][pos] / scale_nn) / np.add.outer(d, d)
+                        np.multiply(U.ravel()[flat], scale, out=out[b.sl])
         return out
 
     def max_step(self, lam: np.ndarray, ds, sigma: list | None = None) -> float:
@@ -329,8 +369,8 @@ class _Layout:
                 for d in ds:
                     lb, db = lam[sl], d[sl]
                     neg = db < 0
-                    if np.any(neg):
-                        out = min(out, float(np.min(-lb[neg] / db[neg])))
+                    if np.logical_or.reduce(neg):
+                        out = min(out, float(np.minimum.reduce(-lb[neg] / db[neg])))
             elif kind == "soc":
                 # roots of |l1 + a d1|^2 = (l0 + a d0)^2, block by block
                 L = _rows(lam, sl, blocks)
@@ -344,20 +384,22 @@ class _Layout:
                     out = min(out, float(np.min(_smallest_positive_root(p2, p1, p0))))
             else:
                 for b in blocks:
-                    Ds = [smat(d[b.sl], b.order) for d in ds]
+                    pos, scale_nn = b.index[:2]
+                    # the directions' blocks as one (len(ds), n, n) stack
+                    Ds = np.array([d[b.sl] for d in ds])[:, pos] / scale_nn
                     sv = next(sig) if sig is not None else None
-                    if sv is not None and np.all(sv[:-1] > sv[1:]):
+                    if sv is not None and np.logical_and.reduce(sv[:-1] > sv[1:]):
                         # eigh of diag(sv) returns sv ascending and the
                         # reversal permutation, so this is its congruence
                         # entry for entry, to the bit
                         r = 1.0 / np.sqrt(np.maximum(sv[::-1], 1e-300))
-                        Dm = [(r[:, None] * D[::-1, ::-1]) * r[None, :] for D in Ds]
+                        Dm = (r[:, None] * Ds[:, ::-1, ::-1]) * r[None, :]
                     else:
-                        w, Q = np.linalg.eigh(smat(lam[b.sl], b.order))
+                        w, Q = np.linalg.eigh(lam[b.sl][pos] / scale_nn)
                         w = np.maximum(w, 1e-300)
                         scale = Q / np.sqrt(w)[None, :]
-                        Dm = [scale.T @ D @ scale for D in Ds]
-                    for lo in np.linalg.eigvalsh(np.stack(Dm))[:, 0].tolist():
+                        Dm = np.stack([scale.T @ D @ scale for D in Ds])
+                    for lo in np.linalg.eigvalsh(Dm)[:, 0].tolist():
                         if lo < 0:
                             out = min(out, -1.0 / lo)
         return out
@@ -394,107 +436,121 @@ def _smallest_positive_root(p2: np.ndarray, p1: np.ndarray,
     return out
 
 
-def _blockwise(ops, v: np.ndarray) -> np.ndarray:
-    """Apply a block-diagonal operator to a vector or to the rows of a
-    matrix.  ``ops`` holds ``(kind, slice, F)`` triples that cover the cone
-    rows, each applied by :func:`_apply`."""
-    out = np.empty(v.shape, dtype=np.longdouble if v.dtype == np.longdouble else float)
-    for kind, sl, F in ops:
-        _apply(kind, F, v[sl], out[sl])
+class _BlockOp:
+    """A block-diagonal operator bound once: ``out[dst] = F v[src]`` for each
+    part ``(kind, src, dst, F, index)``, ``v`` a vector or a matrix whose
+    rows ``F`` mixes (``out`` may be ``v`` when each part's ``src`` is its
+    ``dst``).  For nn ``F`` is a diagonal, for soc a ``(k, d, d)`` stack of
+    ``k`` consecutive d x d blocks, and for one psd block the n x n matrix
+    of the congruence ``V -> F.T V F`` with ``index`` the block's packed
+    coordinates in the operator's ``dtype`` (see :func:`_congruence`)."""
+
+    __slots__ = ("parts", "dtype")
+
+    def __init__(self, parts: list, dtype=float):
+        self.parts, self.dtype = parts, dtype
+
+    def __call__(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(v.shape, dtype=self.dtype)
+        for kind, src, dst, F, index in self.parts:
+            vb = v[src]
+            if kind == "psd":
+                _congruence(F, index, vb, out[dst])
+            elif kind == "soc":
+                k, d, _ = F.shape
+                cols = vb.shape[1] if vb.ndim == 2 else 1
+                out[dst] = (F @ vb.reshape(k, d, cols)).reshape(vb.shape)
+            else:
+                np.multiply(F if vb.ndim == 1 else F[:, None], vb, out=out[dst])
+        return out
+
+
+def _congruence(F: np.ndarray, index: tuple, v: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """``svec(F.T smat(v) F)`` for one psd block, computed on n x n
+    matrices: ``v`` is a packed vector or a matrix of packed columns, and
+    ``index`` the block's packed coordinates (:func:`_svec_index`) in
+    ``v``'s dtype (``out`` may be ``v``; a vector's is allocated when not
+    given)."""
+    pos, scale_nn, flat, scale = index
+    if v.ndim == 1:
+        # ndarray.dot: bitwise the same as matmul on one matrix, and for
+        # longdouble about twice as fast
+        T = F.T.dot(v[pos] / scale_nn).dot(F)
+        return np.multiply(T.ravel()[flat], scale, out=out)
+    T = F.T @ (v.T[:, pos] / scale_nn) @ F
+    out[...] = (T.reshape(-1, F.size)[:, flat] * scale).T
     return out
 
 
-def _apply(kind: str, F: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
-    """``out = F v`` for one part of a block-diagonal operator, ``v`` a
-    vector or a matrix whose rows ``F`` mixes (``out`` may be ``v``).  For
-    nn ``F`` is a diagonal; for soc a ``(k, d, d)`` stack of ``k``
-    consecutive d x d blocks; for psd a ``(k, n, n)`` stack of congruences
-    (see :func:`_congruence`)."""
-    if kind == "psd":
-        L = svec_dim(F.shape[1])
-        for j in range(F.shape[0]):
-            _congruence(F[j], v[j * L:(j + 1) * L], out[j * L:(j + 1) * L])
-    elif F.ndim == 3:
-        k, d, _ = F.shape
-        cols = v.shape[1] if v.ndim == 2 else 1
-        out[...] = (F @ v.reshape(k, d, cols)).reshape(v.shape)
-    else:
-        np.multiply(F if v.ndim == 1 else F[:, None], v, out=out)
-
-
-def _congruence(F: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
-    """``out = svec(F.T smat(v) F)`` for one psd block, computed on n x n
-    matrices: ``v`` is a packed vector or a matrix of packed columns, in
-    any float dtype (``out`` may be ``v``)."""
-    pos, scale_nn, flat, scale = _svec_index(F.shape[0], v.dtype)
-    if v.ndim == 1:
-        # np.dot: bitwise the same as matmul on one matrix, and for
-        # longdouble about twice as fast
-        T = np.dot(np.dot(F.T, v[pos] / scale_nn), F)
-        np.multiply(T.ravel()[flat], scale, out=out)
-    else:
-        T = F.T @ (v.T[:, pos] / scale_nn) @ F
-        out[...] = (T.reshape(-1, F.size)[:, flat] * scale).T
-
-
 class _Scaling:
-    """Nesterov-Todd scaling kept as one stacked operator per run of blocks.
+    """Nesterov-Todd scaling, with its operators bound once per scaling.
 
-    ``lam = W z = W^{-T} s`` is the scaled point.  Each run of consecutive
-    blocks of one kind and order has its own ``W`` and ``W^{-1}``: the
+    ``lam = W z = W^{-T} s`` is the scaled point.  ``runs`` keeps, per run
+    of consecutive blocks of one kind and order, ``(kind, W, W^{-1})``: the
     diagonal as a vector for an nn run, ``(k, d, d)`` symmetric hyperbolic
-    Householder matrices for a soc run, built for the whole run at once, and
-    for a psd run the ``(k, n, n)`` scaling matrices ``R`` and ``R^{-1}``,
-    with ``W`` the congruence ``V -> R.T V R`` on n x n matrices (so ``W.T``
-    is ``V -> R V R.T``, the congruence by the transposed view).  Each run is
-    applied by one batched product; no operator is formed on the packed
-    coordinates, and ``W`` never as an m x m matrix.
+    Householder matrices for a soc run, built for the whole run at once,
+    and for a psd run the lists of each block's n x n scaling matrix ``R``
+    and ``R^{-1}``, with ``W`` the congruence ``V -> R.T V R`` on n x n
+    matrices (so ``W.T`` is ``V -> R V R.T``, the congruence by the
+    transposed view).  ``W``, ``Wt``, ``Winv`` and ``Winvt`` are
+    :class:`_BlockOp` operators built from them here, each applying an nn
+    or soc run by one batched product and a psd block by one congruence; no
+    operator is formed on the packed coordinates, and ``W`` never as an
+    m x m matrix.
 
     On a psd block ``lam`` is diagonal, ``svec(diag(sigma))``; ``sigma``
     keeps those eigenvalues (decreasing) per psd block, so that
-    :meth:`_Layout.circ_solve` and :meth:`_Layout.max_step` need no
-    eigendecomposition of ``lam``.
+    :meth:`_Layout.circ`, :meth:`_Layout.circ_solve` and
+    :meth:`_Layout.max_step` need no eigendecomposition of ``lam``.
     """
 
     def __init__(self, layout: _Layout, s: np.ndarray, z: np.ndarray):
         self.lam = np.zeros(layout.m)
         self.sigma: list[np.ndarray] = []
-        self._W, self._Wt, self._Winv, self._Winvt = [], [], [], []
+        self.runs: list[tuple] = []
+        W, Wt, Winv, Winvt = [], [], [], []
         for kind, run, blocks in layout.runs:
+            if kind == "psd":
+                Rs, Rinvs = [], []
+                for b in blocks:
+                    R, Rinv, sig = _psd_scaling(s[b.sl], z[b.sl], b.index)
+                    self.sigma.append(sig)
+                    self.lam[b.sl][b.diag] = sig
+                    Rs.append(R)
+                    Rinvs.append(Rinv)
+                    W.append((kind, b.sl, b.sl, R, b.index))
+                    Wt.append((kind, b.sl, b.sl, R.T, b.index))
+                    Winv.append((kind, b.sl, b.sl, Rinv, b.index))
+                    Winvt.append((kind, b.sl, b.sl, Rinv.T, b.index))
+                self.runs.append((kind, Rs, Rinvs))
+                continue
             if kind == "nn":
                 w = np.sqrt(s[run] / z[run])
-                W, Wi, lam = w, 1.0 / w, np.sqrt(s[run] * z[run])
-            elif kind == "soc":
-                W, Wi, lam = _soc_scaling(_rows(s, run, blocks), _rows(z, run, blocks))
+                F, Fi, lam = w, 1.0 / w, np.sqrt(s[run] * z[run])
             else:
-                parts = [_psd_scaling(s[b.sl], z[b.sl], b.order) for b in blocks]
-                W, Wi, sig = (np.stack(a) for a in zip(*parts))
-                self.sigma.extend(sig)
-                lam = np.stack([svec(np.diag(d)) for d in sig])
+                F, Fi, lam = _soc_scaling(_rows(s, run, blocks), _rows(z, run, blocks))
             self.lam[run] = lam.ravel()
-            symmetric = kind != "psd"
-            self._W.append((kind, run, W))
-            self._Wt.append((kind, run, W if symmetric else W.transpose(0, 2, 1)))
-            self._Winv.append((kind, run, Wi))
-            self._Winvt.append((kind, run, Wi if symmetric else Wi.transpose(0, 2, 1)))
+            self.runs.append((kind, F, Fi))
+            # nn and soc scalings are symmetric
+            W.append((kind, run, run, F, None))
+            Wt.append((kind, run, run, F, None))
+            Winv.append((kind, run, run, Fi, None))
+            Winvt.append((kind, run, run, Fi, None))
+        self.W, self.Wt = _BlockOp(W), _BlockOp(Wt)
+        self.Winv, self.Winvt = _BlockOp(Winv), _BlockOp(Winvt)
 
-    def W(self, v: np.ndarray) -> np.ndarray:
-        return _blockwise(self._W, v)
-
-    def Wt(self, v: np.ndarray) -> np.ndarray:
-        return _blockwise(self._Wt, v)
-
-    def Winv(self, v: np.ndarray) -> np.ndarray:
-        return _blockwise(self._Winv, v)
-
-    def Winvt(self, v: np.ndarray) -> np.ndarray:
-        return _blockwise(self._Winvt, v)
-
-    def gram(self) -> list:
-        """``W.T W`` as ``(kind, slice, F)`` block operators for
-        :func:`_blockwise` (on a psd block the congruence by ``R R.T``)."""
-        return [(kind, sl, F * F if kind == "nn" else F @ Ft)
-                for (kind, sl, F), (_, _, Ft) in zip(self._W, self._Wt)]
+    def gram(self, dtype=float) -> _BlockOp:
+        """``W.T W`` as a :class:`_BlockOp` in ``dtype`` (on a psd block
+        the congruence by ``R R.T``)."""
+        parts = []
+        for (kind, rows, _, F, index), (_, _, _, Ft, _) in zip(self.W.parts, self.Wt.parts):
+            Q = F * F if kind == "nn" else F @ Ft
+            if kind == "psd":
+                index = _svec_index(F.shape[0], dtype)
+            parts.append((kind, rows, rows, Q.astype(dtype, copy=False), index))
+        return _BlockOp(parts, dtype)
 
 
 def _soc_scaling(s: np.ndarray, z: np.ndarray):
@@ -539,11 +595,13 @@ def _chol_or_eig(S: np.ndarray) -> np.ndarray:
         return Q * np.sqrt(w)[None, :]
 
 
-def _psd_scaling(s: np.ndarray, z: np.ndarray, n: int):
-    """NT scaling of one psd block: the n x n scaling matrix ``R`` of
-    ``W: V -> R.T V R`` and its inverse, and the eigenvalues ``sigma``
-    (decreasing) of the scaled point ``lam = diag(sigma)``."""
-    S, Z = smat(s, n), smat(z, n)
+def _psd_scaling(s: np.ndarray, z: np.ndarray, index: tuple):
+    """NT scaling of one psd block packed by ``index`` (:func:`_svec_index`):
+    the n x n scaling matrix ``R`` of ``W: V -> R.T V R`` and its inverse,
+    and the eigenvalues ``sigma`` (decreasing) of the scaled point ``lam =
+    diag(sigma)``."""
+    pos, scale_nn = index[:2]
+    S, Z = s[pos] / scale_nn, z[pos] / scale_nn
     Ls = _chol_or_eig(S)
     Lz = _chol_or_eig(Z)
     U, sv, Vt = np.linalg.svd(Lz.T @ Ls)
@@ -650,9 +708,12 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
             tau = 1.0
             kappa = max((s @ z) / deg, 1e-8)
 
-    norm_b = max(1.0, float(np.linalg.norm(b))) if p else 1.0
-    norm_h = max(1.0, float(np.linalg.norm(h)))
-    norm_c = max(1.0, float(np.linalg.norm(c)))
+    # a norm is math.sqrt(v @ v), numpy's own definition for a real vector
+    norm_b = max(1.0, math.sqrt(b @ b)) if p else 1.0
+    norm_h = max(1.0, math.sqrt(h @ h))
+    norm_c = max(1.0, math.sqrt(c @ c))
+    # the zero vectors that stand in for the equality rows when there are none
+    zero_p, zero_x = np.zeros(0), np.zeros(nx)
 
     best: ConeResult | None = None
     best_metric = math.inf
@@ -665,7 +726,7 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
     for it in range(max_iter + 1):
         # residuals of the embedding
         r_x = G.T @ z + (A.T @ y if p else 0.0) + c * tau
-        r_y = A @ x - b * tau if p else np.zeros(0)
+        r_y = A @ x - b * tau if p else zero_p
         r_z = G @ x + s - h * tau
         r_tau = c @ x + (b @ y if p else 0.0) + h @ z + kappa
         mu = (s @ z + tau * kappa) / (deg + 1)
@@ -679,18 +740,17 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
         gap = float(st @ zt)
         relgap = gap / max(1.0, abs(pcost), abs(dcost))
         Gx = G @ xt
-        pres = float(np.linalg.norm(Gx + st - h)
-                     / max(norm_h, float(np.linalg.norm(Gx)),
-                           float(np.linalg.norm(st))))
+        res = Gx + st - h
+        pres = math.sqrt(res @ res) / max(norm_h, math.sqrt(Gx @ Gx), math.sqrt(st @ st))
         if p:
             Ax = A @ xt
-            pres = max(pres, float(np.linalg.norm(Ax - b)
-                                   / max(norm_b, float(np.linalg.norm(Ax)))))
+            res = Ax - b
+            pres = max(pres, math.sqrt(res @ res) / max(norm_b, math.sqrt(Ax @ Ax)))
         Gtz = G.T @ zt
-        Aty = A.T @ yt if p else np.zeros(nx)
-        dres = float(np.linalg.norm(Gtz + Aty + c)
-                     / max(norm_c, float(np.linalg.norm(Gtz)),
-                           float(np.linalg.norm(Aty))))
+        Aty = A.T @ yt if p else zero_x
+        res = Gtz + Aty + c
+        dres = math.sqrt(res @ res) / max(norm_c, math.sqrt(Gtz @ Gtz),
+                                          math.sqrt(Aty @ Aty))
 
         metric = max(pres, dres, relgap)
         if metric < best_metric:
@@ -709,8 +769,9 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
         # infeasibility certificates
         omega = -((b @ y if p else 0.0) + h @ z)
         if omega > feastol * max(tau, kappa):
-            resid = np.linalg.norm(G.T @ (z / omega) + (A.T @ (y / omega) if p else 0.0))
-            if resid <= feastol * norm_c and layout.margin(z / omega) >= -feastol:
+            res = G.T @ (z / omega) + (A.T @ (y / omega) if p else 0.0)
+            if (math.sqrt(res @ res) <= feastol * norm_c
+                    and layout.margin_at_least(z / omega, -feastol)):
                 return ConeResult(status="primal_infeasible", iterations=it,
                                   infeas_cert=(y / omega, z / omega),
                                   pres=pres, dres=dres, gap=gap, relgap=relgap,
@@ -718,10 +779,10 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
         omega_d = -(c @ x)
         if omega_d > feastol * max(tau, kappa):
             xr = x / omega_d
-            sray = -G @ xr
-            ok = layout.margin(sray) >= -feastol * norm_h
-            if p:
-                ok = ok and np.linalg.norm(A @ xr) <= feastol * norm_b
+            ok = layout.margin_at_least(-G @ xr, -feastol * norm_h)
+            if ok and p:
+                res = A @ xr
+                ok = math.sqrt(res @ res) <= feastol * norm_b
             if ok:
                 return ConeResult(status="dual_infeasible", iterations=it, ray=xr,
                                   pres=pres, dres=dres, gap=gap, relgap=relgap,
@@ -748,19 +809,19 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
             reason = StopReason.FACTOR_FAILURE
             break
         denom = c @ dx1 + (b @ dy1 if p else 0.0) + h @ dz1 - kappa / tau
-        if not np.isfinite(denom) or abs(denom) < 1e-14:
+        if not math.isfinite(denom) or abs(denom) < 1e-14:
             reason = StopReason.TAU_DENOMINATOR
             break
 
         lam, sigma_lam = sc.lam, sc.sigma
-        lam_lam = layout.circ(lam, lam)
+        lam_lam = layout.circ(lam, lam, sigma_lam)
 
         def direction(sigma, corr_s, corr_tk):
             ds = sigma * mu * e - lam_lam - corr_s
             dtk = sigma * mu - tau * kappa - corr_tk
             fac = 1.0 - sigma
             rx2 = -fac * r_x
-            ry2 = -fac * r_y if p else np.zeros(0)
+            ry2 = -fac * r_y if p else zero_p
             wds = sc.Wt(layout.circ_solve(lam, ds, sigma_lam))
             rz2 = -fac * r_z - wds
             dx2, dy2, dz2 = kkt.solve(rx2, ry2, rz2)
@@ -802,7 +863,7 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
             reason = StopReason.FACTOR_FAILURE
             break
         alpha = step(sc.Winvt(dsv), dz_sc, dtau, dkappa)
-        if not np.isfinite(alpha) or alpha < 1e-12:
+        if not math.isfinite(alpha) or alpha < 1e-12:
             reason = StopReason.TINY_STEP
             break
 
@@ -829,7 +890,7 @@ def _warm_residual(c, G, h, A, b, x, y, s, z) -> float:
     are equality rows, ``|A x - b|``, each over ``max(1, |h|)``,
     ``max(1, |c|)`` and ``max(1, |b|)``."""
     def rel(r, d):
-        return float(np.linalg.norm(r)) / max(1.0, float(np.linalg.norm(d)))
+        return math.sqrt(r @ r) / max(1.0, math.sqrt(d @ d))
 
     rho = max(rel(G @ x + s - h, h), rel(G.T @ z + A.T @ y + c, c))
     if A.shape[0]:
@@ -888,7 +949,9 @@ class _KktFactor:
     share the refinement loop of :meth:`solve`, which refines against the
     unreduced equations for at most ``_REFINE_ROUNDS`` rounds, keeps the
     best of them, and returns as soon as a residual falls below
-    ``1e-14 (1 + max|rx|)``:
+    ``1e-14 (1 + max|rx|)``.  Each factorization is built once per scaling
+    and binds the operators its solves apply (see :class:`_BlockOp`); a
+    solve converts its right-hand side once to the residual's dtype:
 
     * :class:`_QrKkt`, for programs with no psd block: a QR factor of the
       stacked ``[Gs; 1e-7 I]`` gives ``R.T R = Gs.T Gs + 1e-14 I`` without
@@ -910,17 +973,20 @@ class _KktFactor:
     _exact = float    # the dtype of the refinement residual
 
     def solve(self, rx, ry, rz):
-        ry = np.asarray(ry, dtype=float)
-        if not (np.all(np.isfinite(rx)) and np.all(np.isfinite(rz))):
+        """The refined solution for the float vectors ``rx``, ``ry`` and
+        ``rz``, each converted once to the residual's dtype."""
+        every, finite = np.logical_and.reduce, np.isfinite
+        if not (every(finite(rx)) and every(finite(rz))):
             raise np.linalg.LinAlgError("non-finite right-hand side")
-        rhs = tuple(np.asarray(r, dtype=self._exact) for r in (rx, ry, rz))
+        exact = self._exact
+        rhs = (np.asarray(rx, exact), np.asarray(ry, exact), np.asarray(rz, exact))
         with np.errstate(all="ignore"):
             ux, uy, uz = self._solve_once(rx, ry, rz)
-            if not np.all(np.isfinite(ux)):
+            if not every(finite(ux)):
                 raise np.linalg.LinAlgError("singular reduced system")
             best = (ux, uy, uz)
             best_norm = math.inf
-            done = 1e-14 * (1.0 + float(np.max(np.abs(rx))))
+            done = 1e-14 * (1.0 + float(np.maximum.reduce(np.abs(rx))))
             for _ in range(_REFINE_ROUNDS):
                 e1, e2, e3 = self._residual(*rhs, ux, uy, uz)
                 norm = _max_abs(e1, e2, e3)
@@ -939,7 +1005,7 @@ class _KktFactor:
 
 def _max_abs(*parts: np.ndarray) -> float:
     """The largest magnitude over a residual's parts (``nan`` if any is)."""
-    return float(np.max(np.abs(np.concatenate(parts))))
+    return float(np.maximum.reduce(np.abs(np.concatenate(parts))))
 
 
 def _kkt_factory(G: np.ndarray, A: np.ndarray, layout: _Layout):
@@ -953,7 +1019,7 @@ def _kkt_factory(G: np.ndarray, A: np.ndarray, layout: _Layout):
 
 def _scaled_rows(G: np.ndarray, sc: _Scaling) -> np.ndarray:
     Gs = sc.Winvt(G)
-    if not np.all(np.isfinite(Gs)):
+    if not np.isfinite(Gs).all():
         raise np.linalg.LinAlgError("scaling overflowed")
     return Gs
 
@@ -998,7 +1064,7 @@ class _QrKkt(_KktFactor):
 
     def _solve_once(self, rx, ry, rz):
         rzs = self.sc.Winvt(rz)
-        if not np.all(np.isfinite(rzs)):
+        if not np.logical_and.reduce(np.isfinite(rzs)):
             raise np.linalg.LinAlgError("non-finite reduced right-hand side")
         t = self._tri(self.R, rx + self.Gs.T @ rzs, trans="T")
         if self.p:
@@ -1018,7 +1084,7 @@ class _QrKkt(_KktFactor):
             e2 = ry - self.A @ ux
         else:
             e2 = np.zeros(0)
-        e3 = rz - (self.G @ ux - _blockwise(self._WtW, uz))
+        e3 = rz - (self.G @ ux - self._WtW(uz))
         return e1, e2, e3
 
 
@@ -1056,8 +1122,9 @@ class _SchurPlan:
     ``sel`` holds ``(kind, run, part, rows, cols)`` per nn or psd selection
     block (see :func:`_selection_blocks`) and ``dense`` ``(kind, run, part,
     rows, at)`` per other block: ``run`` indexes ``_Layout.runs``, ``part``
-    picks the block's share of that run's scaling operator (an entry range
-    of an nn run's diagonal, else a one-block range of the run's stack) and
+    picks the block's share of that run's scaling in ``_Scaling.runs`` (an
+    entry range of an nn run's diagonal, a one-block range of a soc run's
+    stack, the position of a psd block in its run's list) and
     ``at`` its rows in ``GA = [A; G_D]``, the equality rows stacked over
     the dense rows ``G_D = G[dense_rows]``.  ``GAt`` holds the transposed
     columns of ``GA`` per selection block, ``free`` the columns of no
@@ -1074,7 +1141,7 @@ class _SchurPlan:
         for r, (kind, run, blocks) in enumerate(layout.runs):
             for j, blk in enumerate(blocks):
                 part = (slice(blk.sl.start - run.start, blk.sl.stop - run.start)
-                        if kind == "nn" else slice(j, j + 1))
+                        if kind == "nn" else j if kind == "psd" else slice(j, j + 1))
                 cols = chosen.get(blk.sl.start)
                 if cols is not None:
                     self.sel.append((kind, r, part, blk.sl, cols))
@@ -1091,18 +1158,6 @@ class _SchurPlan:
         self.G_D_l = G_D.astype(np.longdouble)
         self.G_D_lt = np.ascontiguousarray(self.G_D_l.T)
         self.A_l = A.astype(np.longdouble) if self.p else None
-
-
-def _eigen(U, v: np.ndarray) -> np.ndarray:
-    """``svec(U.T smat(v) U)`` of a packed ``v``, or of each row of a matrix
-    of them: a psd selection block's ``v`` into the eigenbasis ``U`` of its
-    ``W.T W``, or back with ``U.T``; ``v`` itself on an nn block (``U`` is
-    ``None``)."""
-    if U is None:
-        return v
-    out = np.empty(v.shape[::-1])
-    _congruence(U, v.T, out)
-    return out.T
 
 
 class _SchurKkt(_KktFactor):
@@ -1138,7 +1193,11 @@ class _SchurKkt(_KktFactor):
     ``p_i p_j``.  (The SVD of ``R`` keeps its conditioning; ``eigh(R R.T)``
     would square it.)  ``E_b`` is turned into that basis once per factor,
     so ``sum_b E_b Qt_b E_b.T`` is a Gram matrix of the scaled rows and no
-    operator on a block's packed coordinates is formed.  (A soc block of
+    operator on a block's packed coordinates is formed.  The factor binds,
+    once, each psd block's transforms into and out of its eigenbasis (the
+    congruences by ``U`` and ``U.T``), ``inv(W_D).T`` and ``inv(W_D)`` on
+    the dense rows, and the ``longdouble`` ``W.T W`` of the residual, as
+    :class:`_BlockOp` operators or bound congruences.  (A soc block of
     ``-I`` rows, which no program sdpack builds has next to a psd block,
     stays in the bordered system.)
 
@@ -1165,28 +1224,43 @@ class _SchurKkt(_KktFactor):
     def __init__(self, plan: _SchurPlan, sc: _Scaling):
         self.plan = plan
         delta, nf, p = self._DELTA, plan.nf, plan.p
-        self._dense = [(rows, at, kind, sc._Winvt[r][2][part], sc._Winv[r][2][part])
-                       for kind, r, part, rows, at in plan.dense]
+        # inv(W_D).T on the dense rows: in place on E's rows, from rz's rows
+        # into w's, and inv(W_D) from w's rows back into uz's
+        on_E, from_rz, to_uz = [], [], []
+        for kind, r, part, rows, at in plan.dense:
+            Finv = sc.runs[r][2][part]
+            index = _svec_index(Finv.shape[0]) if kind == "psd" else None
+            Finvt = Finv.T if kind == "psd" else Finv
+            on_E.append((kind, at, at, Finvt, index))
+            from_rz.append((kind, rows, at, Finvt, index))
+            to_uz.append((kind, at, rows, Finv, index))
+        self._rz_to_w, self._w_to_uz = _BlockOp(from_rz), _BlockOp(to_uz)
         E = plan.GA.copy()
-        for _, at, kind, Finvt, _ in self._dense:
-            _apply(kind, Finvt, E[at], E[at])
+        _BlockOp(on_E)(E, E)
         N = nf + E.shape[0]
         K = np.zeros((N, N))
         S = K[nf:, nf:]
         self._sel = []
         for kind, r, part, rows, cols in plan.sel:
-            F = sc._W[r][2][part]
+            F = sc.runs[r][1][part]
             if kind == "nn":
-                U, q = None, F * F
+                to_basis = from_basis = None
+                q = F * F
+                Et = E[:, cols]
             else:
-                U, s, _ = np.linalg.svd(F[0])
-                q = np.outer(s * s, s * s).ravel()[_svec_index(len(U))[2]]
+                index = _svec_index(F.shape[0])
+                U, s, _ = np.linalg.svd(F)
+                ss = s * s
+                q = np.multiply.outer(ss, ss).ravel()[index[2]]
+                to_basis = functools.partial(_congruence, U, index)
+                from_basis = functools.partial(_congruence, U.T, index)
+                Et = _congruence(U, index, E[:, cols].T,
+                                 np.empty((len(q), E.shape[0]))).T
             d = 1.0 + delta * q
             qt, qi = q / d, 1.0 / d
-            Et = _eigen(U, E[:, cols])
             H = Et * np.sqrt(qt)
             S -= H @ H.T
-            self._sel.append((rows, cols, U, None if U is None else U.T, Et, qt, qi))
+            self._sel.append((rows, cols, to_basis, from_basis, Et, qt, qi))
         if nf:
             Ef = E[:, plan.free]
             K.flat[:nf * (N + 1):N + 1] = delta
@@ -1202,7 +1276,7 @@ class _SchurKkt(_KktFactor):
         self.lu, self.piv, info = _getrf(K.T, overwrite_a=True) if N else (K, None, 0)
         if info < 0:
             raise ValueError(f"getrf rejected argument {-info}")
-        self._WtW_l = [(kind, sl, F.astype(np.longdouble)) for kind, sl, F in sc.gram()]
+        self._WtW_l = sc.gram(np.longdouble)
 
     def _solve_once(self, rx, ry, rz):
         plan = self.plan
@@ -1213,27 +1287,29 @@ class _SchurKkt(_KktFactor):
             rhs[:nf] = rx[plan.free]
         w = rhs[nf:]
         w[:p] = ry
-        for rows, at, kind, Finvt, _ in self._dense:
-            _apply(kind, Finvt, rz[rows], w[at])
+        self._rz_to_w(rz, w)
         ts = []
-        for rows, cols, U, _, Et, qt, qi in self._sel:
-            t = qt * _eigen(U, rx[cols]) - qi * _eigen(U, rz[rows])
+        for rows, cols, to_basis, _, Et, qt, qi in self._sel:
+            if to_basis is None:
+                t = qt * rx[cols] - qi * rz[rows]
+            else:
+                t = qt * to_basis(rx[cols]) - qi * to_basis(rz[rows])
             w -= Et @ t
             ts.append(t)
-        if not np.isfinite(rhs).all():
+        if not np.logical_and.reduce(np.isfinite(rhs)):
             raise np.linalg.LinAlgError("non-finite reduced right-hand side")
         sol = _getrs(self.lu, self.piv, rhs, overwrite_b=True)[0] if rhs.size else rhs
         if nf:
             ux[plan.free] = sol[:nf]
         w = sol[nf:]
-        for rows, at, kind, _, Finv in self._dense:
-            _apply(kind, Finv, w[at], uz[rows])
+        self._w_to_uz(w, uz)
         wz = np.concatenate([w[:p], uz[plan.dense_rows]]) if p else uz[plan.dense_rows]
-        for (rows, cols, _, Ut, Et, qt, _), t, GAt in zip(self._sel, ts, plan.GAt):
-            ux[cols] = _eigen(Ut, t - qt * (w @ Et))
+        for (rows, cols, _, from_basis, Et, qt, _), t, GAt in zip(self._sel, ts, plan.GAt):
+            u = t - qt * (w @ Et)
+            ux[cols] = u if from_basis is None else from_basis(u)
             # the x_b rows: 1e-14 ux_b + A_b.T uy + G_D,b.T uz_D - uz_b = rx_b
             ub = uz[rows]
-            np.dot(GAt, wz, out=ub)
+            GAt.dot(wz, out=ub)
             ub -= rx[cols]
             ub += self._DELTA * ux[cols]
         return ux, w[:p], uz
@@ -1242,21 +1318,23 @@ class _SchurKkt(_KktFactor):
         plan = self.plan
         long = np.longdouble
         ux_l, uz_l = ux.astype(long), uz.astype(long)
-        # np.dot, not @: for longdouble both sum each entry's products in
-        # index order from zero, so the results are the same to the bit, but
-        # matmul's generic loop takes two to three times as long
-        e1 = np.asarray(rx, long) - np.dot(plan.G_D_lt, uz_l[plan.dense_rows])
+        # ndarray.dot, not @: for longdouble both sum each entry's products
+        # in index order from zero, so the results are the same to the bit,
+        # but matmul's generic loop takes two to three times as long.  The
+        # right-hand side comes converted from solve (float ones promote to
+        # longdouble exactly)
+        e1 = rx - plan.G_D_lt.dot(uz_l[plan.dense_rows])
         for rows, cols, *_ in self._sel:
             e1[cols] += uz_l[rows]
         if plan.p:
-            e1 -= np.dot(plan.A_l.T, uy.astype(long))
-            e2 = np.asarray(ry, long) - np.dot(plan.A_l, ux_l)
+            e1 -= plan.A_l.T.dot(uy.astype(long))
+            e2 = ry - plan.A_l.dot(ux_l)
         else:
             e2 = np.zeros(0)
         # rz - G ux + W.T W uz: G ux through G_D_l on the dense rows and as
         # -ux_b on the rows of each selection block
-        e3 = np.asarray(rz, long) + _blockwise(self._WtW_l, uz_l)
-        e3[plan.dense_rows] -= np.dot(plan.G_D_l, ux_l)
+        e3 = rz + self._WtW_l(uz_l)
+        e3[plan.dense_rows] -= plan.G_D_l.dot(ux_l)
         for rows, cols, *_ in self._sel:
             e3[rows] += ux_l[cols]
         return e1, e2, e3

@@ -422,23 +422,30 @@ def parse_problem(text) -> PackingProblem | CombinedProblem | DesignProblem:
 
 
 def parse_solution(text) -> Solution | CombinedSolution:
-    """Parse a JSON solution document."""
+    """Parse a JSON solution document.  A field of the wrong type, or a
+    required one missing, raises :class:`SchemaError`."""
     doc = _load(text)
     kind = _need(doc, "kind")
     if kind == "solution":
         kkt = None
-        if doc.get("kkt_residuals") is not None:
-            r = doc["kkt_residuals"]
-            kkt = KktResiduals(primal=float(r["primal"]), dual=float(r["dual"]),
-                               complementarity=float(r["complementarity"]))
-        status = Status(_need(doc, "status"))
+        r = doc.get("kkt_residuals")
+        if r is not None:
+            if not isinstance(r, dict):
+                raise SchemaError("kkt_residuals: expected an object, "
+                                  f"got {type(r).__name__}")
+            keys = ("primal", "dual", "complementarity")
+            missing = [key for key in keys if key not in r]
+            if missing:
+                raise SchemaError(f"kkt_residuals: missing required key {missing[0]!r}")
+            kkt = KktResiduals(*(_number(r[key], f"kkt_residuals.{key}") for key in keys))
+        status = _status(_need(doc, "status"))
         obj_val = _need(doc, "objective")
         if obj_val is None:
             obj_val = math.inf if status is Status.UNBOUNDED else math.nan
         return Solution(
             X=linalg.symmetrize(_as_matrix(_need(doc, "X"), "X")),
-            objective=float(obj_val),
-            numerical_rank=int(_need(doc, "numerical_rank")),
+            objective=_number(obj_val, "objective"),
+            numerical_rank=_integer(_need(doc, "numerical_rank"), "numerical_rank"),
             mu=_as_vector(_need(doc, "mu"), "mu"),
             status=status,
             kkt_residuals=kkt)
@@ -448,11 +455,37 @@ def parse_solution(text) -> Solution | CombinedSolution:
             X=linalg.symmetrize(_as_matrix(_need(doc, "X"), "X")),
             Y=(linalg.symmetrize(_as_matrix(y, "Y")) if y else np.zeros((0, 0))),
             lam=_as_vector(doc.get("lambda", []), "lambda"),
-            objective=float(_need(doc, "objective")),
-            status=Status(_need(doc, "status")),
-            gamma=tuple(float(g) for g in doc.get("gamma", [])),
-            ranks=tuple(int(r) for r in doc.get("ranks", [])))
+            objective=_number(_need(doc, "objective"), "objective"),
+            status=_status(_need(doc, "status")),
+            gamma=tuple(_number(g, f"gamma[{i}]")
+                        for i, g in enumerate(_as_list(doc.get("gamma", []), "gamma"))),
+            ranks=tuple(_integer(r, f"ranks[{i}]")
+                        for i, r in enumerate(_as_list(doc.get("ranks", []), "ranks"))))
     raise SchemaError(f"unknown solution kind {kind!r}")
+
+
+def _number(obj, key: str) -> float:
+    """A JSON number (not a bool) as a float."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise SchemaError(f"{key}: expected a number, got {type(obj).__name__}")
+    try:
+        return float(obj)
+    except OverflowError as exc:
+        raise SchemaError(f"{key}: {obj} is out of range") from exc
+
+
+def _integer(obj, key: str) -> int:
+    """A JSON integer (not a bool, not a fraction)."""
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise SchemaError(f"{key}: expected an integer, got {type(obj).__name__}")
+    return obj
+
+
+def _status(obj) -> Status:
+    try:
+        return Status(obj)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"status: unknown status {obj!r}") from exc
 
 
 def _load(text) -> dict:

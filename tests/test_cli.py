@@ -325,6 +325,53 @@ class TestVerify:
         code, doc = run(capsys, ["verify", prob, sol])
         assert code == 2
 
+    # wrong-typed or missing fields of a solution document: each is a
+    # SchemaError report (exit 2) naming the field, not a traceback
+    @pytest.mark.parametrize("kind, field, value", [
+        ("solution", "kkt_residuals", 5),
+        ("solution", "kkt_residuals", {"primal": 0}),
+        ("solution", "kkt_residuals", {"primal": 0, "dual": "x", "complementarity": 0}),
+        ("solution", "numerical_rank", "a"),
+        ("solution", "numerical_rank", 1.7),
+        ("solution", "numerical_rank", True),
+        ("solution", "numerical_rank", None),
+        ("solution", "objective", "abc"),
+        ("solution", "objective", 10 ** 400),
+        ("solution", "status", [1]),
+        ("solution", "status", "solved"),
+        ("solution", "mu", "abc"),
+        ("solution", "mu", None),
+        ("combined_solution", "objective", None),
+        ("combined_solution", "status", 3),
+        ("combined_solution", "lambda", {"a": 1}),
+        ("combined_solution", "gamma", 5),
+        ("combined_solution", "gamma", ["x"]),
+        ("combined_solution", "ranks", [1.5]),
+        ("combined_solution", "ranks", [False]),
+    ])
+    def test_wrong_typed_solution_field_exit_2(self, capsys, tmp_path, kind, field, value):
+        prob = write(tmp_path, "p.json", {
+            "kind": "packing", "C": [[1.0]], "constraints": [{"M": [[1.0]], "b": 1.0}]})
+        doc = {"kind": kind, "X": [[1.0]], "objective": 1.0, "status": "optimal"}
+        doc.update({"numerical_rank": 1, "mu": [1.0]} if kind == "solution" else
+                   {"Y": [], "lambda": [], "gamma": [1.0], "ranks": [1]})
+        doc[field] = value
+        code, report = run(capsys, ["verify", prob, write(tmp_path, "s.json", doc)])
+        assert code == 2
+        assert report["error"] == "SchemaError"
+        assert field in report["message"]
+
+    @pytest.mark.parametrize("field", ["status", "objective", "numerical_rank", "mu"])
+    def test_missing_solution_field_exit_2(self, capsys, tmp_path, field):
+        prob = write(tmp_path, "p.json", {
+            "kind": "packing", "C": [[1.0]], "constraints": [{"M": [[1.0]], "b": 1.0}]})
+        doc = {"kind": "solution", "X": [[1.0]], "objective": 1.0,
+               "numerical_rank": 1, "mu": [1.0], "status": "optimal"}
+        del doc[field]
+        code, report = run(capsys, ["verify", prob, write(tmp_path, "s.json", doc)])
+        assert code == 2
+        assert report["error"] == "SchemaError" and field in report["message"]
+
     def test_lifted_socp_solution_verifies(self, capsys, tmp_path, rank1_file):
         from sdpack import model, solve as sv
         prob = model.parse_problem(open(rank1_file).read())

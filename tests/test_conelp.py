@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 from sdpack import conelp
 from sdpack import reduce as rd
 from sdpack import solve as sv
-from sdpack.conelp import (_WARM_MARGIN, ConeProgram, StopReason, _apply, _blockwise,
+from sdpack.conelp import (_WARM_MARGIN, ConeProgram, StopReason, _congruence,
                            _kkt_factory, _KktFactor, _Layout, _push_interior, _QrKkt, _rows,
                            _Scaling, _scaled_rows, _SchurKkt, _SchurPlan, _selection_blocks,
                            _smallest_positive_root, _svec_index, _warm_margin,
@@ -81,7 +81,7 @@ class TestScalingIdentities:
             W = sc.W(eye)
             assert np.allclose(sc.Wt(eye), W.T, atol=1e-9)
             assert np.allclose(sc.Winvt(eye), sc.Winv(eye).T, atol=1e-9)
-            assert np.allclose(_blockwise(sc.gram(), eye), W.T @ W, atol=1e-9)
+            assert np.allclose(sc.gram()(eye), W.T @ W, atol=1e-9)
 
 
 class TestRunWideOps:
@@ -285,8 +285,8 @@ class TestSvecCongruence:
         for j, v in enumerate(V.T):
             loop[:, j] = svec(R.T @ smat(v, n) @ R)
         got, one = np.empty((dim, 5)), np.empty(dim)
-        _apply("psd", R[None], V, got)
-        _apply("psd", R[None], V[:, 0], one)
+        _congruence(R, _svec_index(n), V, got)
+        _congruence(R, _svec_index(n), V[:, 0], one)
         # bitwise: the path tests' 1e-9 monotonicity slack cannot absorb a
         # rewrite of this product that is only equal to rounding
         assert np.array_equal(got, loop) and np.array_equal(one, loop[:, 0])
@@ -679,7 +679,7 @@ def _eps_path_operators(prog, sc):
     G_nn`` on the X columns, ``Qt = Q inv(I + 1e-14 Q)`` and ``inv(I + 1e-14
     Q)`` with ``Q = W_X.T W_X`` (L x L)."""
     l, L = prog.cones[0][1], prog.G.shape[1]
-    E = sc._Winvt[0][2][:, None] * prog.G[:l]
+    E = sc.runs[0][2][:, None] * prog.G[:l]
     Wx = sc.W(np.eye(prog.G.shape[0]))[l:, l:]
     Q = Wx.T @ Wx
     inv = np.linalg.inv(np.eye(L) + 1e-14 * Q)
@@ -707,10 +707,10 @@ class TestLuKkt:
             ux, uy, uz = kkt._solve_once(rx, ry, rz)
             rhs = solved[-1]
             t = Qt @ rx - inv @ rz[l:]
-            want = sc._Winvt[0][2] * rz[:l] - E @ t
+            want = sc.runs[0][2] * rz[:l] - E @ t
             np.testing.assert_allclose(rhs, want, rtol=0, atol=1e-10 * np.abs(want).max())
             w = scipy.linalg.lu_solve((lu, piv), rhs)
-            assert np.array_equal(uz[:l], sc._Winv[0][2] * w) and uy.size == 0
+            assert np.array_equal(uz[:l], sc.runs[0][2] * w) and uy.size == 0
             np.testing.assert_allclose(ux, t - Qt @ (E.T @ w), rtol=1e-9,
                                        atol=1e-9 * np.abs(ux).max())
             np.testing.assert_allclose(uz[l:], G[:l].T @ uz[:l] - rx + 1e-14 * ux,
@@ -800,10 +800,9 @@ def _matmul_residual(G, A, sc, rx, ry, rz, ux, uy, uz):
     whole ``G``."""
     long = np.longdouble
     ux_l, uy_l, uz_l = (v.astype(long) for v in (ux, uy, uz))
-    WtW_l = [(kind, sl, F.astype(long)) for kind, sl, F in sc.gram()]
     return (rx.astype(long) - G.astype(long).T @ uz_l - A.astype(long).T @ uy_l,
             ry.astype(long) - A.astype(long) @ ux_l,
-            rz.astype(long) + _blockwise(WtW_l, uz_l) - G.astype(long) @ ux_l)
+            rz.astype(long) + sc.gram(long)(uz_l) - G.astype(long) @ ux_l)
 
 
 class _FullLu(_KktFactor):
@@ -1044,3 +1043,376 @@ class TestSelectionElimination:
             factored.clear()
             solve_cone_program(prog, max_iter=3)
             assert [a.shape for a in factored] == [(order, order)] * 3
+
+
+# ---------------------------------------------------------------------------
+# the engine's helpers as they were before the scaling and factor bound their
+# operators once, kept here as the bitwise reference of their replacements
+
+
+def _ref_congruence(F, v, out):
+    pos, scale_nn, flat, scale = _svec_index(F.shape[0], v.dtype)
+    if v.ndim == 1:
+        T = np.dot(np.dot(F.T, v[pos] / scale_nn), F)
+        np.multiply(T.ravel()[flat], scale, out=out)
+    else:
+        T = F.T @ (v.T[:, pos] / scale_nn) @ F
+        out[...] = (T.reshape(-1, F.size)[:, flat] * scale).T
+
+
+def _ref_apply(kind, F, v, out):
+    if kind == "psd":
+        L = svec_dim(F.shape[1])
+        for j in range(F.shape[0]):
+            _ref_congruence(F[j], v[j * L:(j + 1) * L], out[j * L:(j + 1) * L])
+    elif F.ndim == 3:
+        k, d, _ = F.shape
+        cols = v.shape[1] if v.ndim == 2 else 1
+        out[...] = (F @ v.reshape(k, d, cols)).reshape(v.shape)
+    else:
+        np.multiply(F if v.ndim == 1 else F[:, None], v, out=out)
+
+
+def _ref_blockwise(ops, v):
+    out = np.empty(v.shape, dtype=np.longdouble if v.dtype == np.longdouble else float)
+    for kind, sl, F in ops:
+        _ref_apply(kind, F, v[sl], out[sl])
+    return out
+
+
+def _ref_eigen(U, v):
+    if U is None:
+        return v
+    out = np.empty(v.shape[::-1])
+    _ref_congruence(U, v.T, out)
+    return out.T
+
+
+def _ref_scaling(layout, s, z):
+    """The scaled point and the ``(kind, rows, F)`` run operators of ``W``,
+    ``W.T``, ``inv(W)``, ``inv(W).T`` and ``W.T W``, psd runs stacked."""
+    lam = np.zeros(layout.m)
+    ops = {name: [] for name in ("W", "Wt", "Winv", "Winvt")}
+    for kind, run, blocks in layout.runs:
+        if kind == "nn":
+            w = np.sqrt(s[run] / z[run])
+            W, Wi, lam_run = w, 1.0 / w, np.sqrt(s[run] * z[run])
+        elif kind == "soc":
+            W, Wi, lam_run = conelp._soc_scaling(_rows(s, run, blocks), _rows(z, run, blocks))
+        else:
+            parts = [conelp._psd_scaling(s[b.sl], z[b.sl], _svec_index(b.order))
+                     for b in blocks]
+            W, Wi, sig = (np.stack(a) for a in zip(*parts))
+            lam_run = np.stack([svec(np.diag(d)) for d in sig])
+        lam[run] = lam_run.ravel()
+        symmetric = kind != "psd"
+        ops["W"].append((kind, run, W))
+        ops["Wt"].append((kind, run, W if symmetric else W.transpose(0, 2, 1)))
+        ops["Winv"].append((kind, run, Wi))
+        ops["Winvt"].append((kind, run, Wi if symmetric else Wi.transpose(0, 2, 1)))
+    ops["gram"] = [(kind, sl, F * F if kind == "nn" else F @ Ft)
+                   for (kind, sl, F), (_, _, Ft) in zip(ops["W"], ops["Wt"])]
+    return lam, ops
+
+
+def _ref_circ(layout, u, v):
+    out = np.empty(layout.m)
+    for kind, sl, blocks in layout.runs:
+        if kind == "nn":
+            out[sl] = u[sl] * v[sl]
+        elif kind == "soc":
+            U, V = _rows(u, sl, blocks), _rows(v, sl, blocks)
+            O = _rows(out, sl, blocks)
+            O[:, 0] = np.einsum("ij,ij->i", U, V)
+            O[:, 1:] = U[:, :1] * V[:, 1:] + V[:, :1] * U[:, 1:]
+        else:
+            for b in blocks:
+                U, V = smat(u[b.sl], b.order), smat(v[b.sl], b.order)
+                out[b.sl] = svec(0.5 * (U @ V + V @ U))
+    return out
+
+
+def _ref_circ_solve(layout, lam, v, sigma):
+    """``circ_solve`` given a scaled point's ``sigma``."""
+    out = np.empty(layout.m)
+    sig = iter(sigma)
+    for kind, sl, blocks in layout.runs:
+        if kind == "nn":
+            out[sl] = v[sl] / lam[sl]
+        elif kind == "soc":
+            L, V = _rows(lam, sl, blocks), _rows(v, sl, blocks)
+            O = _rows(out, sl, blocks)
+            a = L[:, 0] ** 2 - np.einsum("ij,ij->i", L[:, 1:], L[:, 1:])
+            u0 = (L[:, 0] * V[:, 0] - np.einsum("ij,ij->i", L[:, 1:], V[:, 1:])) / a
+            O[:, 0] = u0
+            O[:, 1:] = (V[:, 1:] - u0[:, None] * L[:, 1:]) / L[:, :1]
+        else:
+            for b in blocks:
+                d = next(sig)
+                out[b.sl] = svec(2.0 * smat(v[b.sl], b.order) / np.add.outer(d, d))
+    return out
+
+
+def _ref_max_step(layout, lam, ds, sigma):
+    out = np.inf
+    sig = iter(sigma) if sigma is not None else None
+    for kind, sl, blocks in layout.runs:
+        if kind == "nn":
+            for d in ds:
+                lb, db = lam[sl], d[sl]
+                neg = db < 0
+                if np.any(neg):
+                    out = min(out, float(np.min(-lb[neg] / db[neg])))
+        elif kind == "soc":
+            L = _rows(lam, sl, blocks)
+            p0 = np.einsum("ij,ij->i", L[:, 1:], L[:, 1:]) - L[:, 0] ** 2
+            for d in ds:
+                D = _rows(d, sl, blocks)
+                p2 = np.einsum("ij,ij->i", D[:, 1:], D[:, 1:]) - D[:, 0] ** 2
+                p1 = 2.0 * (np.einsum("ij,ij->i", L[:, 1:], D[:, 1:]) - L[:, 0] * D[:, 0])
+                out = min(out, float(np.min(_smallest_positive_root(p2, p1, p0))))
+        else:
+            for b in blocks:
+                Ds = [smat(d[b.sl], b.order) for d in ds]
+                sv = next(sig) if sig is not None else None
+                if sv is not None and np.all(sv[:-1] > sv[1:]):
+                    r = 1.0 / np.sqrt(np.maximum(sv[::-1], 1e-300))
+                    Dm = [(r[:, None] * D[::-1, ::-1]) * r[None, :] for D in Ds]
+                else:
+                    w, Q = np.linalg.eigh(smat(lam[b.sl], b.order))
+                    w = np.maximum(w, 1e-300)
+                    scale = Q / np.sqrt(w)[None, :]
+                    Dm = [scale.T @ D @ scale for D in Ds]
+                for lo in np.linalg.eigvalsh(np.stack(Dm))[:, 0].tolist():
+                    if lo < 0:
+                        out = min(out, -1.0 / lo)
+    return out
+
+
+def _ref_solve(kkt, residual, rx, ry, rz):
+    """The refinement loop of ``_KktFactor.solve`` with its residual."""
+    ry = np.asarray(ry, dtype=float)
+    if not (np.all(np.isfinite(rx)) and np.all(np.isfinite(rz))):
+        raise np.linalg.LinAlgError("non-finite right-hand side")
+    rhs = tuple(np.asarray(r, dtype=kkt._exact) for r in (rx, ry, rz))
+
+    def max_abs(*parts):
+        return float(np.max(np.abs(np.concatenate(parts))))
+
+    with np.errstate(all="ignore"):
+        ux, uy, uz = kkt._solve_once(rx, ry, rz)
+        if not np.all(np.isfinite(ux)):
+            raise np.linalg.LinAlgError("singular reduced system")
+        best = (ux, uy, uz)
+        best_norm = np.inf
+        done = 1e-14 * (1.0 + float(np.max(np.abs(rx))))
+        for _ in range(conelp._REFINE_ROUNDS):
+            e1, e2, e3 = residual(*rhs, ux, uy, uz)
+            norm = max_abs(e1, e2, e3)
+            if norm < best_norm:
+                best, best_norm = (ux, uy, uz), norm
+            if norm < done:
+                return best
+            cx, cy, cz = kkt._solve_once(e1.astype(float), e2.astype(float),
+                                         e3.astype(float))
+            ux, uy, uz = ux + cx, uy + cy, uz + cz
+        if max_abs(*residual(*rhs, ux, uy, uz)) < best_norm:
+            best = (ux, uy, uz)
+    return best
+
+
+def _ref_schur_residual(kkt, WtW_l):
+    """``_SchurKkt._residual`` with ``W.T W`` applied by ``_ref_blockwise``."""
+    plan, long = kkt.plan, np.longdouble
+
+    def residual(rx, ry, rz, ux, uy, uz):
+        ux_l, uz_l = ux.astype(long), uz.astype(long)
+        e1 = np.asarray(rx, long) - np.dot(plan.G_D_lt, uz_l[plan.dense_rows])
+        for rows, cols, *_ in kkt._sel:
+            e1[cols] += uz_l[rows]
+        if plan.p:
+            e1 -= np.dot(plan.A_l.T, uy.astype(long))
+            e2 = np.asarray(ry, long) - np.dot(plan.A_l, ux_l)
+        else:
+            e2 = np.zeros(0)
+        e3 = np.asarray(rz, long) + _ref_blockwise(WtW_l, uz_l)
+        e3[plan.dense_rows] -= np.dot(plan.G_D_l, ux_l)
+        for rows, cols, *_ in kkt._sel:
+            e3[rows] += ux_l[cols]
+        return e1, e2, e3
+
+    return residual
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+# an nn run before a psd block (the eps-path), two soc runs around an nn
+# block, a run of two psd blocks, and every kind with psd blocks of two orders
+BOUND_LAYOUTS = [(("nn", 4), ("psd", 3)), SOC_RUNS, (("nn", 2), ("psd", 3), ("psd", 3)),
+                 (("nn", 3), ("soc", 4), ("psd", 3), ("psd", 2), ("nn", 1))]
+
+
+class TestBoundOperatorsBitwise:
+    """Every helper the bound operators replaced, to the bit (equal arrays
+    and equal signs of zeros) against the helper as it was."""
+
+    @pytest.mark.parametrize("cones", BOUND_LAYOUTS)
+    def test_scaling_operators(self, cones):
+        rng = np.random.default_rng(31)
+        layout = _Layout(cones)
+        long = np.longdouble
+        for scale in (1e-6, 1.0, 1e4):
+            s = scale * _interior_point(rng, cones)
+            z = _interior_point(rng, cones) / scale
+            sc = _Scaling(layout, s, z)
+            lam, ops = _ref_scaling(layout, s, z)
+            assert _same_bits(sc.lam, lam)
+            v, M = rng.standard_normal(layout.m), rng.standard_normal((layout.m, 5))
+            for name in ("W", "Wt", "Winv", "Winvt"):
+                op = getattr(sc, name)
+                assert _same_bits(op(v), _ref_blockwise(ops[name], v)), name
+                assert _same_bits(op(M), _ref_blockwise(ops[name], M)), name
+            assert _same_bits(sc.gram()(v), _ref_blockwise(ops["gram"], v))
+            assert _same_bits(sc.gram()(M), _ref_blockwise(ops["gram"], M))
+            gram_l = [(kind, sl, F.astype(long)) for kind, sl, F in ops["gram"]]
+            assert _same_bits(sc.gram(long)(v.astype(long)),
+                              _ref_blockwise(gram_l, v.astype(long)))
+
+    @pytest.mark.parametrize("cones", BOUND_LAYOUTS)
+    def test_jordan_products_and_steps(self, cones):
+        # lam o lam from sigma against the two n x n products, and the
+        # unpacking without smat's checks in circ, circ_solve and max_step
+        rng = np.random.default_rng(32)
+        layout = _Layout(cones)
+        for scale in (1e-6, 1.0, 1e4):
+            sc = _Scaling(layout, scale * _interior_point(rng, cones),
+                          _interior_point(rng, cones) / scale)
+            lam = sc.lam
+            assert _same_bits(layout.circ(lam, lam, sc.sigma), _ref_circ(layout, lam, lam))
+            u, v = rng.standard_normal((2, layout.m))
+            assert _same_bits(layout.circ(u, v), _ref_circ(layout, u, v))
+            assert _same_bits(layout.circ_solve(lam, v, sc.sigma),
+                              _ref_circ_solve(layout, lam, v, sc.sigma))
+            for sigma in (sc.sigma, None):
+                assert (layout.max_step(lam, (u, v), sigma)
+                        == _ref_max_step(layout, lam, (u, v), sigma))
+
+    @pytest.mark.parametrize("name", ["eps_path", "trace_cap", "dual_packing",
+                                      "mixed_runs", "nn_pair"])
+    def test_factor_transforms(self, name, monkeypatch):
+        # the eigenbasis transforms and the dense rows' inv(W).T against
+        # _eigen and _apply, on programs with psd, nn and no selection blocks
+        prog, _ = _program_shape(name, monkeypatch)
+        G = prog.G
+        A = prog.A if prog.A is not None else np.zeros((0, G.shape[1]))
+        layout = _Layout(prog.cones)
+        plan = _SchurPlan(G, A, layout)
+        rng = np.random.default_rng(33)
+        for scale in (1e-3, 1.0, 1e3):
+            sc = _Scaling(layout, scale * _interior_point(rng, prog.cones),
+                          _interior_point(rng, prog.cones) / scale)
+            kkt = _SchurKkt(plan, sc)
+            E = plan.GA.copy()
+            for kind, r, part, _, at in plan.dense:
+                Finv = sc.runs[r][2][part]
+                _ref_apply(kind, Finv.T[None] if kind == "psd" else Finv, E[at], E[at])
+            rz = rng.standard_normal(layout.m)
+            w = np.empty(plan.p + sum(at.stop - at.start for *_, at in plan.dense))
+            kkt._rz_to_w(rz, w)
+            for kind, r, part, rows, at in plan.dense:
+                Finv = sc.runs[r][2][part]
+                want = np.empty(at.stop - at.start)
+                _ref_apply(kind, Finv.T[None] if kind == "psd" else Finv, rz[rows], want)
+                assert _same_bits(w[at], want)
+            for (kind, r, part, rows, cols), sel in zip(plan.sel, kkt._sel):
+                _, _, to_basis, from_basis, Et, _, _ = sel
+                U = None if kind == "nn" else np.linalg.svd(sc.runs[r][1][part])[0]
+                assert _same_bits(Et, _ref_eigen(U, E[:, cols]))
+                assert Et.flags.f_contiguous == _ref_eigen(U, E[:, cols]).flags.f_contiguous
+                if U is None:
+                    assert to_basis is None and from_basis is None
+                    continue
+                x = rng.standard_normal(cols.stop - cols.start)
+                assert _same_bits(to_basis(x), _ref_eigen(U, x))
+                assert _same_bits(from_basis(x), _ref_eigen(U.T, x))
+
+    @pytest.mark.parametrize("name", ["eps_path", "trace_cap", "mixed_runs", "qr"])
+    def test_kkt_solve_matches_the_loop(self, name, monkeypatch):
+        # the same triple from the same number of _solve_once calls, on
+        # full-size and tiny right-hand sides (the loop's early return)
+        rng = np.random.default_rng(34)
+        if name == "qr":
+            cones = (("nn", 3),) + SOC_RUNS
+            layout = _Layout(cones)
+            G, A = rng.standard_normal((layout.m, 6)), rng.standard_normal((2, 6))
+        else:
+            prog, _ = _program_shape(name, monkeypatch)
+            G, layout = prog.G, _Layout(prog.cones)
+            A = prog.A if prog.A is not None else np.zeros((0, G.shape[1]))
+            cones = prog.cones
+        factory = _kkt_factory(G, A, layout)
+        early = 0
+        for scale in np.geomspace(1e-4, 1e2, 4):
+            s, z = scale * _interior_point(rng, cones), _interior_point(rng, cones) / scale
+            kkt = factory(_Scaling(layout, s, z))
+            if name == "qr":
+                assert isinstance(kkt, _QrKkt)
+                residual = kkt._residual
+            else:
+                gram = _ref_scaling(layout, s, z)[1]["gram"]
+                residual = _ref_schur_residual(
+                    kkt, [(kind, sl, F.astype(np.longdouble)) for kind, sl, F in gram])
+            calls = []
+            solve_once = kkt._solve_once
+            kkt._solve_once = lambda *a: calls.append(1) or solve_once(*a)
+            for r in (1.0, 1e-12):
+                rx, ry, rz = (r * rng.standard_normal(k) for k in (G.shape[1], A.shape[0],
+                                                                   layout.m))
+                got = kkt.solve(rx, ry, rz)
+                n_new = len(calls)
+                want = _ref_solve(kkt, residual, rx, ry, rz)
+                n_old = len(calls) - n_new
+                del calls[:]
+                assert n_new == n_old
+                early += n_new == 1
+                for u, v in zip(got, want):
+                    assert _same_bits(u, v)
+        assert early > 0
+
+    @pytest.mark.parametrize("cones", [(("nn", 3), ("psd", 3)), SOC_RUNS,
+                                       (("nn", 2), ("soc", 3), ("psd", 2), ("psd", 2)), ()])
+    def test_margin_at_least(self, cones):
+        # nan fails, and an empty layout passes.  (A nan in a psd block makes
+        # both raise LinAlgError from eigvalsh, unless an earlier run decides
+        # margin_at_least first; such points are left out here.)
+        rng = np.random.default_rng(35)
+        layout = _Layout(cones)
+        e = layout.identity()
+        points = [(_interior_point(rng, cones) if cones else np.zeros(0)) - shift * e
+                  for shift in (0.0, 0.5, 3.0)]
+        rows = [i for b in layout.blocks if b.kind != "psd"
+                for i in range(b.sl.start, b.sl.stop)]
+        for v in list(points):
+            for i in rows:
+                nan = v.copy()
+                nan[i] = np.nan
+                points.append(nan)
+        for v in points:
+            for floor in (-5.0, -1e-9, 0.0, 0.5):
+                assert layout.margin_at_least(v, floor) is (layout.margin(v) >= floor)
+
+    def test_margin_at_least_stops_at_the_first_failing_run(self, monkeypatch):
+        # the eps-path's dual-infeasibility test: an nn run below the floor
+        # decides before the psd block's eigenvalues are taken
+        layout = _Layout((("nn", 3), ("psd", 3)))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        v = layout.identity()
+        assert layout.margin_at_least(v, -1e-9) and len(calls) == 1
+        v[1] = -1.0
+        assert not layout.margin_at_least(v, -1e-9) and len(calls) == 1

@@ -33,9 +33,10 @@ iteration applies them without dispatching on the cone kinds each time.
 Every such trim leaves each floating-point operation, and its order, as it
 was: the answers are the same to the bit.
 
-On a psd block the scaled point is diagonal, ``lam = diag(sigma)``, and
-the iteration hands ``sigma`` to the Jordan division and the step-length
-search, which then need no eigendecomposition of ``lam``.
+On a psd block the scaled point is diagonal, ``lam = diag(sigma)``.  The
+operations on the scaled point alone, the division ``lam^{-1} o v`` and the
+step to the cone boundary from ``lam``, live on :class:`_Scaling`, which
+keeps ``sigma`` and so takes no eigendecomposition of ``lam``.
 
 Each search direction solves the Newton system reduced through the scaled
 rows ``inv(W).T G``, with iterative refinement against the unreduced
@@ -235,7 +236,9 @@ class _Layout:
     """Cone blocks in row order, grouped into maximal runs of consecutive
     blocks of one kind and order.  The Jordan-algebra operations work run
     by run: an nn or soc run is one ``(k, d)`` view of the vector with the
-    block formulas computed along its rows; psd blocks go one at a time."""
+    block formulas computed along its rows; psd blocks go one at a time.
+    The operations that act only on the scaled point, the division by it
+    and the step to the cone boundary from it, live on :class:`_Scaling`."""
 
     def __init__(self, cones):
         self.blocks: list[_Block] = []
@@ -268,7 +271,8 @@ class _Layout:
         return e
 
     def _block_margins(self, v: np.ndarray):
-        """Per-run arrays of each block's smallest cone eigenvalue."""
+        """Per-run arrays of each block's smallest cone eigenvalue (nan for
+        a block that holds a nan, and for a psd block that holds an inf)."""
         for kind, sl, blocks in self.runs:
             if kind == "nn":
                 yield np.minimum.reduce(_rows(v, sl, blocks), axis=1)
@@ -276,33 +280,29 @@ class _Layout:
                 U = _rows(v, sl, blocks)
                 yield U[:, 0] - np.linalg.norm(U[:, 1:], axis=1)
             else:
-                yield np.array([np.linalg.eigvalsh(v[b.sl][b.index[0]] / b.index[1])[0]
-                                for b in blocks])
-
-    def margin(self, v: np.ndarray) -> float:
-        """Smallest cone eigenvalue across blocks (>= 0 iff ``v`` in K; nan
-        if any block holds a nan)."""
-        margins = list(self._block_margins(v))
-        return float(np.minimum.reduce(np.concatenate(margins))) if margins else math.inf
+                margins = np.empty(len(blocks))
+                for k, b in enumerate(blocks):
+                    M = v[b.sl][b.index[0]] / b.index[1]
+                    # on a nan eigvalsh raises or returns finite
+                    # eigenvalues, depending on where the nan sits
+                    margins[k] = (np.linalg.eigvalsh(M)[0] if np.isfinite(M).all()
+                                  else math.nan)
+                yield margins
 
     def margin_at_least(self, v: np.ndarray, floor: float) -> bool:
-        """``margin(v) >= floor``, decided run by run in row order: the first
-        run whose smallest eigenvalue is below ``floor`` or nan decides, and
-        the runs after it are not looked at (so a psd block there that holds
-        a nan, on which :meth:`margin` raises, is not reached).  An empty
-        layout passes."""
+        """Whether every block's smallest cone eigenvalue is at least
+        ``floor`` (so ``v`` lies in K for ``floor = 0``, in its interior for
+        the least subnormal), decided run by run in row order: the first run
+        below ``floor`` or nan decides, and the runs after it are not looked
+        at.  An empty layout passes."""
         for margins in self._block_margins(v):
             if not np.minimum.reduce(margins) >= floor:
                 return False
         return True
 
-    def circ(self, u: np.ndarray, v: np.ndarray, sigma: list | None = None) -> np.ndarray:
-        """``u o v``.  ``sigma``, when given, says that ``u`` and ``v`` are
-        both the scaled point (as in :meth:`circ_solve`): a psd block of
-        ``lam o lam`` is then ``svec(diag(sigma[k] ** 2))``, taken as the
-        two n x n products of ``diag(sigma[k])`` give it, to the bit."""
+    def circ(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``u o v``."""
         out = np.empty(self.m)
-        sig = iter(sigma) if sigma is not None else None
         for kind, sl, blocks in self.runs:
             if kind == "nn":
                 out[sl] = u[sl] * v[sl]
@@ -313,108 +313,10 @@ class _Layout:
                 O[:, 1:] = U[:, :1] * V[:, 1:] + V[:, :1] * U[:, 1:]
             else:
                 for b in blocks:
-                    ob = out[b.sl]
-                    if sig is None:
-                        pos, scale_nn, flat, scale = b.index
-                        U, V = u[b.sl][pos] / scale_nn, v[b.sl][pos] / scale_nn
-                        np.multiply((0.5 * (U @ V + V @ U)).ravel()[flat], scale, out=ob)
-                    else:
-                        # each diagonal entry of the products sums one
-                        # square and exact zeros, each off-diagonal one
-                        # exact zeros only
-                        d = next(sig)
-                        dd = d * d
-                        ob.fill(0.0)
-                        ob[b.diag] = 0.5 * (dd + dd)
+                    pos, scale_nn, flat, scale = b.index
+                    U, V = u[b.sl][pos] / scale_nn, v[b.sl][pos] / scale_nn
+                    np.multiply((0.5 * (U @ V + V @ U)).ravel()[flat], scale, out=out[b.sl])
         return out
-
-    def circ_solve(self, lam: np.ndarray, v: np.ndarray,
-                   sigma: list | None = None) -> np.ndarray:
-        """Solve ``lam o u = v`` for ``u`` (``lam`` interior).  ``sigma``,
-        when given, says that ``lam`` is a scaled point: each psd block of
-        ``lam`` is ``svec(diag(sigma[k]))`` for the ``k``-th psd block, with
-        ``sigma[k]`` in decreasing order (see :class:`_Scaling`)."""
-        out = np.empty(self.m)
-        sig = iter(sigma) if sigma is not None else None
-        for kind, sl, blocks in self.runs:
-            if kind == "nn":
-                out[sl] = v[sl] / lam[sl]
-            elif kind == "soc":
-                L, V = _rows(lam, sl, blocks), _rows(v, sl, blocks)
-                O = _rows(out, sl, blocks)
-                a = L[:, 0] ** 2 - np.einsum("ij,ij->i", L[:, 1:], L[:, 1:])
-                u0 = (L[:, 0] * V[:, 0]
-                      - np.einsum("ij,ij->i", L[:, 1:], V[:, 1:])) / a
-                O[:, 0] = u0
-                O[:, 1:] = (V[:, 1:] - u0[:, None] * L[:, 1:]) / L[:, :1]
-            else:
-                for b in blocks:
-                    if sig is None:
-                        out[b.sl] = _psd_circ_solve(lam[b.sl], v[b.sl], b.order)
-                    else:
-                        d = next(sig)
-                        pos, scale_nn, flat, scale = b.index
-                        U = 2.0 * (v[b.sl][pos] / scale_nn) / np.add.outer(d, d)
-                        np.multiply(U.ravel()[flat], scale, out=out[b.sl])
-        return out
-
-    def max_step(self, lam: np.ndarray, ds, sigma: list | None = None) -> float:
-        """Largest ``a`` with ``lam + t d`` in K for all ``t in [0, a]`` and
-        every ``d`` in ``ds`` (``sigma`` as in :meth:`circ_solve`): the least
-        per-direction step, to the bit, sharing the work on ``lam``."""
-        out = math.inf
-        sig = iter(sigma) if sigma is not None else None
-        for kind, sl, blocks in self.runs:
-            if kind == "nn":
-                for d in ds:
-                    lb, db = lam[sl], d[sl]
-                    neg = db < 0
-                    if np.logical_or.reduce(neg):
-                        out = min(out, float(np.minimum.reduce(-lb[neg] / db[neg])))
-            elif kind == "soc":
-                # roots of |l1 + a d1|^2 = (l0 + a d0)^2, block by block
-                L = _rows(lam, sl, blocks)
-                # <= 0 inside
-                p0 = np.einsum("ij,ij->i", L[:, 1:], L[:, 1:]) - L[:, 0] ** 2
-                for d in ds:
-                    D = _rows(d, sl, blocks)
-                    p2 = np.einsum("ij,ij->i", D[:, 1:], D[:, 1:]) - D[:, 0] ** 2
-                    p1 = 2.0 * (np.einsum("ij,ij->i", L[:, 1:], D[:, 1:])
-                                - L[:, 0] * D[:, 0])
-                    out = min(out, float(np.min(_smallest_positive_root(p2, p1, p0))))
-            else:
-                for b in blocks:
-                    pos, scale_nn = b.index[:2]
-                    # the directions' blocks as one (len(ds), n, n) stack
-                    Ds = np.array([d[b.sl] for d in ds])[:, pos] / scale_nn
-                    sv = next(sig) if sig is not None else None
-                    if sv is not None and np.logical_and.reduce(sv[:-1] > sv[1:]):
-                        # eigh of diag(sv) returns sv ascending and the
-                        # reversal permutation, so this is its congruence
-                        # entry for entry, to the bit
-                        r = 1.0 / np.sqrt(np.maximum(sv[::-1], 1e-300))
-                        Dm = (r[:, None] * Ds[:, ::-1, ::-1]) * r[None, :]
-                    else:
-                        w, Q = np.linalg.eigh(lam[b.sl][pos] / scale_nn)
-                        w = np.maximum(w, 1e-300)
-                        scale = Q / np.sqrt(w)[None, :]
-                        Dm = np.stack([scale.T @ D @ scale for D in Ds])
-                    for lo in np.linalg.eigvalsh(Dm)[:, 0].tolist():
-                        if lo < 0:
-                            out = min(out, -1.0 / lo)
-        return out
-
-
-def _psd_circ_solve(lb: np.ndarray, vb: np.ndarray, n: int) -> np.ndarray:
-    """Solve ``lam o u = v`` on one psd block of order ``n``, for any
-    interior ``lam``: in the eigenbasis of ``lam`` the equation is
-    entrywise.  (A scaled point's diagonal form goes through the ``sigma``
-    argument of :meth:`_Layout.circ_solve` instead; no tolerance decides
-    whether a block is diagonal.)"""
-    L = smat(lb, n)
-    w, Q = np.linalg.eigh(L)
-    V = Q.T @ smat(vb, n) @ Q
-    return svec(Q @ (2.0 * V / np.add.outer(w, w)) @ Q.T)
 
 
 def _smallest_positive_root(p2: np.ndarray, p1: np.ndarray,
@@ -501,12 +403,13 @@ class _Scaling:
     m x m matrix.
 
     On a psd block ``lam`` is diagonal, ``svec(diag(sigma))``; ``sigma``
-    keeps those eigenvalues (decreasing) per psd block, so that
-    :meth:`_Layout.circ`, :meth:`_Layout.circ_solve` and
-    :meth:`_Layout.max_step` need no eigendecomposition of ``lam``.
+    keeps those eigenvalues (decreasing) per psd block.  The scaled point's
+    own operations, :meth:`divide` and :meth:`max_step`, read them and take
+    no eigendecomposition of ``lam`` (but for tied eigenvalues).
     """
 
     def __init__(self, layout: _Layout, s: np.ndarray, z: np.ndarray):
+        self.layout = layout
         self.lam = np.zeros(layout.m)
         self.sigma: list[np.ndarray] = []
         self.runs: list[tuple] = []
@@ -540,6 +443,80 @@ class _Scaling:
             Winvt.append((kind, run, run, Fi, None))
         self.W, self.Wt = _BlockOp(W), _BlockOp(Wt)
         self.Winv, self.Winvt = _BlockOp(Winv), _BlockOp(Winvt)
+
+    def divide(self, v: np.ndarray) -> np.ndarray:
+        """``lam^{-1} o v``, the ``u`` with ``lam o u = v``: on a psd block
+        ``lam = diag(sigma)`` makes the equation entrywise."""
+        lam = self.lam
+        out = np.empty(self.layout.m)
+        sig = iter(self.sigma)
+        for kind, sl, blocks in self.layout.runs:
+            if kind == "nn":
+                out[sl] = v[sl] / lam[sl]
+            elif kind == "soc":
+                L, V = _rows(lam, sl, blocks), _rows(v, sl, blocks)
+                O = _rows(out, sl, blocks)
+                a = L[:, 0] ** 2 - np.einsum("ij,ij->i", L[:, 1:], L[:, 1:])
+                u0 = (L[:, 0] * V[:, 0]
+                      - np.einsum("ij,ij->i", L[:, 1:], V[:, 1:])) / a
+                O[:, 0] = u0
+                O[:, 1:] = (V[:, 1:] - u0[:, None] * L[:, 1:]) / L[:, :1]
+            else:
+                for b in blocks:
+                    d = next(sig)
+                    pos, scale_nn, flat, scale = b.index
+                    U = 2.0 * (v[b.sl][pos] / scale_nn) / np.add.outer(d, d)
+                    np.multiply(U.ravel()[flat], scale, out=out[b.sl])
+        return out
+
+    def max_step(self, ds) -> float:
+        """Largest ``a`` with ``lam + t d`` in K for all ``t in [0, a]`` and
+        every ``d`` in ``ds``: the least per-direction step, to the bit,
+        sharing the work on ``lam``."""
+        lam = self.lam
+        out = math.inf
+        sig = iter(self.sigma)
+        for kind, sl, blocks in self.layout.runs:
+            if kind == "nn":
+                for d in ds:
+                    lb, db = lam[sl], d[sl]
+                    neg = db < 0
+                    if np.logical_or.reduce(neg):
+                        out = min(out, float(np.minimum.reduce(-lb[neg] / db[neg])))
+            elif kind == "soc":
+                # roots of |l1 + a d1|^2 = (l0 + a d0)^2, block by block
+                L = _rows(lam, sl, blocks)
+                # <= 0 inside
+                p0 = np.einsum("ij,ij->i", L[:, 1:], L[:, 1:]) - L[:, 0] ** 2
+                for d in ds:
+                    D = _rows(d, sl, blocks)
+                    p2 = np.einsum("ij,ij->i", D[:, 1:], D[:, 1:]) - D[:, 0] ** 2
+                    p1 = 2.0 * (np.einsum("ij,ij->i", L[:, 1:], D[:, 1:])
+                                - L[:, 0] * D[:, 0])
+                    out = min(out, float(np.min(_smallest_positive_root(p2, p1, p0))))
+            else:
+                for b in blocks:
+                    pos, scale_nn = b.index[:2]
+                    # the directions' blocks as one (len(ds), n, n) stack
+                    Ds = np.array([d[b.sl] for d in ds])[:, pos] / scale_nn
+                    sv = next(sig)
+                    if np.logical_and.reduce(sv[:-1] > sv[1:]):
+                        # eigh of diag(sv) returns sv ascending and the
+                        # reversal permutation, so this is its congruence
+                        # entry for entry, to the bit
+                        r = 1.0 / np.sqrt(np.maximum(sv[::-1], 1e-300))
+                        Dm = (r[:, None] * Ds[:, ::-1, ::-1]) * r[None, :]
+                    else:
+                        # tied eigenvalues (a cold start, where lam = e):
+                        # diag(sv) is lam's block unpacked, to the bit
+                        w, Q = np.linalg.eigh(np.diag(sv))
+                        w = np.maximum(w, 1e-300)
+                        scale = Q / np.sqrt(w)[None, :]
+                        Dm = np.stack([scale.T @ D @ scale for D in Ds])
+                    for lo in np.linalg.eigvalsh(Dm)[:, 0].tolist():
+                        if lo < 0:
+                            out = min(out, -1.0 / lo)
+        return out
 
     def gram(self, dtype=float) -> _BlockOp:
         """``W.T W`` as a :class:`_BlockOp` in ``dtype`` (on a psd block
@@ -813,8 +790,8 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
             reason = StopReason.TAU_DENOMINATOR
             break
 
-        lam, sigma_lam = sc.lam, sc.sigma
-        lam_lam = layout.circ(lam, lam, sigma_lam)
+        lam = sc.lam
+        lam_lam = layout.circ(lam, lam)
 
         def direction(sigma, corr_s, corr_tk):
             ds = sigma * mu * e - lam_lam - corr_s
@@ -822,7 +799,7 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
             fac = 1.0 - sigma
             rx2 = -fac * r_x
             ry2 = -fac * r_y if p else zero_p
-            wds = sc.Wt(layout.circ_solve(lam, ds, sigma_lam))
+            wds = sc.Wt(sc.divide(ds))
             rz2 = -fac * r_z - wds
             dx2, dy2, dz2 = kkt.solve(rx2, ry2, rz2)
             num = (-fac * r_tau - dtk / tau
@@ -838,7 +815,7 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
 
         def step(ds_sc, dz_sc, dtau, dkappa):
             # the fraction-to-boundary step along both scaled directions
-            alpha = layout.max_step(lam, (ds_sc, dz_sc), sigma_lam)
+            alpha = sc.max_step((ds_sc, dz_sc))
             if dtau < 0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0:
@@ -873,7 +850,10 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
         s = s + alpha * dsv
         tau += alpha * dtau
         kappa += alpha * dkappa
-        if tau <= 0 or kappa < 0 or layout.margin(s) <= 0 or layout.margin(z) <= 0:
+        # no double lies between 0 and the least subnormal, so a margin at
+        # least that is > 0 exactly (and a nan fails)
+        if (tau <= 0 or kappa < 0 or not layout.margin_at_least(s, math.ulp(0.0))
+                or not layout.margin_at_least(z, math.ulp(0.0))):
             # should not happen with fraction-to-boundary steps
             reason = StopReason.LEFT_CONE
             break

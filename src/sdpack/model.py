@@ -114,6 +114,12 @@ class ResourceBlock:
     P: np.ndarray
     d: np.ndarray
 
+    def __post_init__(self):
+        if np.any(self.P < 0):
+            idx = np.argwhere(self.P < 0)[0]
+            raise ValidationError(f"resource.P has a negative entry at {tuple(idx)}",
+                                  witness=tuple(int(v) for v in idx))
+
 
 class Criterion(str, enum.Enum):
     C_OPT = "c"
@@ -394,10 +400,6 @@ def _parse_design(doc: dict) -> DesignProblem:
         if P.shape[0] != d.shape[0]:
             raise ValidationError("resource: P rows != d length",
                                   witness=(P.shape[0], d.shape[0]))
-        if np.any(P < 0):
-            idx = np.argwhere(P < 0)[0]
-            raise ValidationError(f"resource.P has a negative entry at {tuple(idx)}",
-                                  witness=tuple(int(v) for v in idx))
         resource = ResourceBlock(P=P, d=d)
 
     return DesignProblem(K=K, criterion=criterion, obs=obs, mats=mats,

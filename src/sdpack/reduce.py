@@ -12,8 +12,8 @@ When the objective matrix has rank one the whole problem collapses to a
 second-order cone program over the factor vectors, and the same rewrite
 covers combined problems with free variables via the hyperbolic identity
 ``|z|^2 <= a  <=>  |(2z; a-1)| <= a+1``.  The cone programs solved here
-(phase 1 of combined problems, a design's strictly positive allocation)
-are assembled by :func:`sdpack.conelp.cone_program`.
+(phase 1 of combined problems) are assembled by
+:func:`sdpack.conelp.cone_program`.
 """
 
 from __future__ import annotations
@@ -394,17 +394,13 @@ def build_resource_constrained(design: DesignProblem) -> ResourceSocpPair:
     c = design.K[:, 0]
     l, n, q = design.l, design.n, P.shape[0]
 
-    # strictly positive allocation satisfying P w <= d
-    cv = np.zeros(l + 1)
-    cv[-1] = -1.0
-    G = np.zeros((q + l + 1, l + 1))
-    G[:q, :l] = P
-    G[q:q + l, :l] = -np.eye(l)
-    G[q:q + l, l] = 1.0
-    G[q + l, l] = 1.0
-    h = np.r_[d, np.zeros(l), 1.0]
-    res = solve_cone_program(cone_program(cv, [("nn", q + l + 1, G, h)]), reltol=1e-9)
-    if not res.optimal or -res.pcost <= 1e-9:
+    # a strictly positive allocation with P w <= d: the largest s with
+    # w >= s 1 and s <= 1 is, as P >= 0, the uniform w = s 1's, s* = min(1,
+    # d_j / (P 1)_j) over the rows with (P 1)_j > 0; a row with (P 1)_j = 0
+    # needs d_j >= 0
+    load = P.sum(axis=1)
+    used = load > 0
+    if np.min(d[used] / load[used], initial=1.0) <= 1e-9 or np.any(d[~used] < 0):
         raise InfeasibleDesign("no strictly positive allocation satisfies the "
                                "resource constraints")
     S = linalg.symmetrize(sum(design.mats))

@@ -8,6 +8,7 @@ to the bit, the sign of each zero included, so the engine sees the same
 input whichever assembly built it.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 
 from sdpack import reduce as rd
 from sdpack import solve as sv
-from sdpack.conelp import ConeProgram, svec, svec_dim
+from sdpack.conelp import ConeProgram, solve_cone_program, svec, svec_dim
+from sdpack.errors import InfeasibleDesign
 from sdpack.model import (Criterion, DesignProblem, PackingProblem, ResourceBlock,
                           parse_problem)
 
@@ -171,6 +173,8 @@ def _ref_dual_phase1(cmb):
 
 
 def _ref_positive_allocation(design):
+    """The allocation LP ``max s`` subject to ``P w <= d``, ``w >= s 1`` and
+    ``s <= 1``: the reference for the builder's closed-form decision."""
     P, d = design.resource.P, design.resource.d
     l, q = design.l, P.shape[0]
     cv = np.zeros(l + 1)
@@ -332,10 +336,39 @@ class TestSameAssembly:
         assert n_ineq == ref_n_ineq
         _assert_identical(got, ref)
 
-    def test_positive_allocation(self, monkeypatch):
-        design = _resource_design(np.random.default_rng(60))
-        got = _captured(monkeypatch, rd, lambda: rd.build_resource_constrained(design))
-        _assert_identical(got, _ref_positive_allocation(design))
+    def test_positive_allocation(self):
+        # the closed-form decision against the LP, on random P >= 0 with zero
+        # rows, d < 0 on a zero row and d = 0 on a positive row.  Every
+        # positive row has d_j = t_j (P 1)_j with t_j >= 1e-6 or t_j <= 0, so
+        # s* = min(1, t_j) stays clear of the 1e-9 threshold: near it the LP
+        # decides only to its own tolerance
+        base = _resource_design(np.random.default_rng(60))
+        rng = np.random.default_rng(61)
+        seen = set()
+        for k in range(40):
+            q = 1 + k % 4
+            P = rng.uniform(0.0, 1.0, (q, base.l))
+            zero = rng.random(q) < 0.3
+            P[zero] = 0.0
+            t = np.where(rng.random(q) < 0.7, rng.choice([1e-6, 1e-3, 0.5, 1.0, 3.0], q),
+                         rng.choice([0.0, -0.2], q))
+            d = t * P.sum(axis=1)
+            d[zero] = rng.choice([1.0, 0.0, -0.5], int(zero.sum()))
+            design = dataclasses.replace(base, resource=ResourceBlock(P=P, d=d))
+            res = solve_cone_program(_ref_positive_allocation(design), reltol=1e-9)
+            lp_feasible = res.optimal and -res.pcost > 1e-9
+            if lp_feasible:
+                assert -res.pcost == pytest.approx(min([1.0, *t[~zero]]), abs=1e-8)
+            try:
+                rd.build_resource_constrained(design)
+            except InfeasibleDesign as exc:
+                assert str(exc).startswith("no strictly positive allocation")
+                assert not lp_feasible
+            else:
+                assert lp_feasible
+            seen.add((lp_feasible, bool(zero.any()), bool(np.any(d[zero] < 0))))
+        assert seen >= {(True, False, False), (True, True, False), (False, False, False),
+                        (False, True, True)}
 
     def test_signed_zeros_are_present(self):
         # the instances above do exercise the sign check: the references

@@ -208,6 +208,15 @@ class TestMalformedDocuments:
 
 
 class TestDesign:
+    def test_negative_resource_entry_exits_2(self, capsys, tmp_path):
+        doc = json.loads((DEMO_DATA / "design_resource.json").read_text())
+        doc["resource"]["P"][1][0] = -0.5
+        code, out = run(capsys, ["design", write(tmp_path, "neg_p.json", doc)])
+        assert code == 2
+        assert out["error"] == "ValidationError"
+        assert out["message"].startswith("resource.P has a negative entry")
+        assert out["witness"] == [1.0, 0.0]
+
     def test_c_optimal_report(self, capsys, tmp_path):
         path = write(tmp_path, "dc.json", {
             "kind": "design", "K": [[1.0], [1.0]], "criterion": "c",

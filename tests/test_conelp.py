@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,11 +11,12 @@ from scipy.optimize import linprog
 from sdpack import conelp
 from sdpack import reduce as rd
 from sdpack import solve as sv
-from sdpack.conelp import (_WARM_MARGIN, ConeProgram, StopReason, _congruence,
-                           _kkt_factory, _KktFactor, _Layout, _push_interior, _QrKkt, _rows,
-                           _Scaling, _scaled_rows, _SchurKkt, _SchurPlan, _selection_blocks,
-                           _smallest_positive_root, _svec_index, _warm_margin,
-                           _warm_residual, smat, solve_cone_program, svec, svec_dim)
+from sdpack.conelp import (_WARM_MARGIN, ConeProgram, StopReason, _chol_or_eig,
+                           _congruence, _kkt_factory, _KktFactor, _Layout, _push_interior,
+                           _QrKkt, _rows, _Scaling, _scaled_rows, _SchurKkt, _SchurPlan,
+                           _selection_blocks, _smallest_positive_root, _svec_index,
+                           _warm_margin, _warm_residual, smat, solve_cone_program, svec,
+                           svec_dim)
 from sdpack.errors import InvalidInput
 from sdpack.model import CombinedProblem, Criterion, DesignProblem, PackingProblem, ResourceBlock
 
@@ -52,6 +55,13 @@ def _interior_point(rng, cones):
     return np.concatenate(parts)
 
 
+def _margin(layout, v):
+    """The smallest cone eigenvalue across blocks (nan if any block's is,
+    inf for no blocks)."""
+    margins = list(layout._block_margins(v))
+    return float(np.minimum.reduce(np.concatenate(margins))) if margins else math.inf
+
+
 # several soc runs, a run of one block, the degenerate order-1 cone and an nn
 # block between two runs of the same order
 SOC_RUNS = ((("soc", 3),) * 3 + (("soc", 1),) + (("soc", 4),) * 2 + (("nn", 2),)
@@ -74,7 +84,7 @@ class TestScalingIdentities:
             lam_s = sc.Winvt(s)
             assert np.allclose(lam_z, lam_s, atol=1e-9), "W z == inv(W).T s"
             assert np.allclose(sc.Winv(sc.W(eye)), eye, atol=1e-9)
-            assert layout.margin(lam_z) > 0
+            assert _margin(layout, lam_z) > 0
             # scaled point carries the duality gap
             assert lam_z @ lam_z == pytest.approx(s @ z, rel=1e-9)
             # transposed and Gram operators match the block operators
@@ -82,6 +92,17 @@ class TestScalingIdentities:
             assert np.allclose(sc.Wt(eye), W.T, atol=1e-9)
             assert np.allclose(sc.Winvt(eye), sc.Winv(eye).T, atol=1e-9)
             assert np.allclose(sc.gram()(eye), W.T @ W, atol=1e-9)
+
+
+class TestCholOrEig:
+    def test_eigendecomposition_fallback(self):
+        # a singular S, on which Cholesky raises, still gets a finite factor
+        S = np.diag([1.0, 0.0, 2.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(S)
+        F = _chol_or_eig(S)
+        assert np.all(np.isfinite(F))
+        np.testing.assert_allclose(F @ F.T, S, atol=1e-14)
 
 
 class TestRunWideOps:
@@ -112,15 +133,14 @@ class TestRunWideOps:
                           for o, (_, one) in zip(one_sc, singles)]
                 np.testing.assert_allclose(getattr(sc, op)(eye),
                                            scipy.linalg.block_diag(*blocks), rtol=1e-13)
-            for name, args in (("circ", (s, v)), ("circ_solve", (lam, v))):
-                want = np.concatenate([getattr(one, name)(*(a[sl] for a in args))
-                                       for sl, one in singles])
-                np.testing.assert_allclose(getattr(layout, name)(*args), want,
-                                           rtol=1e-13)
-            want = min(one.max_step(lam[sl], [v[sl]]) for sl, one in singles)
-            assert layout.max_step(lam, [v]) == pytest.approx(want, rel=1e-13)
-            want = min(one.margin(v[sl]) for sl, one in singles)
-            assert layout.margin(v) == pytest.approx(want, rel=1e-13)
+            want = np.concatenate([one.circ(s[sl], v[sl]) for sl, one in singles])
+            np.testing.assert_allclose(layout.circ(s, v), want, rtol=1e-13)
+            want = np.concatenate([o.divide(v[sl]) for o, (sl, _) in zip(one_sc, singles)])
+            np.testing.assert_allclose(sc.divide(v), want, rtol=1e-13)
+            want = min(o.max_step([v[sl]]) for o, (sl, _) in zip(one_sc, singles))
+            assert sc.max_step([v]) == pytest.approx(want, rel=1e-13)
+            want = min(_margin(one, v[sl]) for sl, one in singles)
+            assert _margin(layout, v) == pytest.approx(want, rel=1e-13)
 
     def test_identity_and_push_interior(self):
         layout = _Layout(SOC_RUNS)
@@ -137,7 +157,7 @@ class TestRunWideOps:
                 np.testing.assert_allclose(pushed[b.sl],
                                            _push_interior(one, v[b.sl], e[b.sl], push),
                                            rtol=1e-13)
-            assert layout.margin(pushed) > 0
+            assert _margin(layout, pushed) > 0
 
 
 def _push_interior_at_005(layout, v, e):
@@ -206,8 +226,8 @@ class TestWarmStartPush:
         for b in layout.blocks:
             one = _Layout(((b.kind, b.order),))
             target = rho * _block_scale(b.kind, b.order, v[b.sl])
-            if one.margin(v[b.sl]) < target:
-                assert one.margin(pushed[b.sl]) == pytest.approx(target, abs=1e-12)
+            if _margin(one, v[b.sl]) < target:
+                assert _margin(one, pushed[b.sl]) == pytest.approx(target, abs=1e-12)
                 moved += 1
             else:
                 assert np.array_equal(pushed[b.sl], v[b.sl])
@@ -295,62 +315,78 @@ class TestSvecCongruence:
 class TestJordanOps:
     def test_circ_solve_inverts_circ(self):
         rng = np.random.default_rng(4)
-        layout = _Layout((("nn", 3), ("soc", 4), ("psd", 3)))
+        cone = (("nn", 3), ("soc", 4), ("psd", 3))
+        layout = _Layout(cone)
         e = layout.identity()
         assert np.allclose(layout.circ(e, e), e)
         for _ in range(20):
-            lam = e + 0.5 * rng.standard_normal(layout.m)
-            if layout.margin(lam) <= 0.05:
-                continue
+            s, z = _interior_point(rng, cone), _interior_point(rng, cone)
             v = rng.standard_normal(layout.m)
-            # at scale 1e-9 every off-diagonal psd entry is below allclose's
-            # absolute tolerance, so a tolerance test for "diagonal" misfires
+            # at scale 1e-9 every entry of the scaled point is below
+            # allclose's absolute tolerance
             for scale in (1.0, 1e-9):
-                u = layout.circ_solve(scale * lam, v)
-                assert np.allclose(layout.circ(scale * lam, u), v, atol=1e-8)
+                sc = _Scaling(layout, scale * s, scale * z)
+                u = sc.divide(v)
+                assert np.allclose(layout.circ(sc.lam, u), v, atol=1e-8)
 
     @pytest.mark.parametrize("cone", [(("psd", 4),), (("nn", 2), ("psd", 3), ("psd", 3))])
     def test_scaled_point_eigenvalues(self, cone):
-        # circ_solve and max_step given a scaled point's eigenvalues agree
-        # with the generic path; max_step to the bit, since the eps-path's
-        # step lengths must not move
+        # divide and max_step, which read the scaled point's eigenvalues,
+        # agree with the generic path in the eigenbasis of lam; max_step to
+        # the bit, since the eps-path's step lengths must not move
         rng = np.random.default_rng(8)
         layout = _Layout(cone)
         for _ in range(20):
             sc = _Scaling(layout, _interior_point(rng, cone), _interior_point(rng, cone))
             assert len(sc.sigma) == sum(kind == "psd" for kind, _ in cone)
             v = rng.standard_normal(layout.m)
-            np.testing.assert_allclose(layout.circ_solve(sc.lam, v, sc.sigma),
-                                       layout.circ_solve(sc.lam, v), rtol=1e-12)
-            assert layout.max_step(sc.lam, [v], sc.sigma) == layout.max_step(sc.lam, [v])
+            np.testing.assert_allclose(sc.divide(v), _ref_circ_solve(layout, sc.lam, v, None),
+                                       rtol=1e-12)
+            assert sc.max_step([v]) == _ref_max_step(layout, sc.lam, [v], None)
 
     def test_max_step_tied_eigenvalues(self):
-        # tied eigenvalues take the generic path
+        # tied eigenvalues, as at a cold start (s = z = e), take the
+        # eigendecomposition of diag(sigma): the generic path, to the bit
         layout = _Layout((("psd", 3),))
-        d = np.array([2.0, 1.0, 1.0])
-        lam = svec(np.diag(d))
         v = np.random.default_rng(9).standard_normal(layout.m)
-        assert layout.max_step(lam, [v], [d]) == layout.max_step(lam, [v])
+        for d in (np.array([4.0, 1.0, 1.0]), np.ones(3)):
+            sc = _Scaling(layout, svec(np.diag(d)), svec(np.diag(d)))
+            assert np.array_equal(sc.sigma[0], d)
+            assert sc.max_step([v]) == _ref_max_step(layout, sc.lam, [v], None)
 
     def test_margin_nan_in_any_block(self):
         layout = _Layout((("nn", 1), ("soc", 2), ("soc", 2)))
         for i in range(layout.m):
             v = layout.identity()
             v[i] = np.nan
-            assert np.isnan(layout.margin(v))
+            assert np.isnan(_margin(layout, v))
+
+    def test_margin_nan_in_a_psd_block(self):
+        # eigvalsh raises on some nan placements and returns finite
+        # eigenvalues on others; the margin is nan either way
+        layout = _Layout((("nn", 3), ("psd", 3)))
+        for i in range(layout.m):
+            v = layout.identity()
+            v[i] = np.nan
+            assert np.isnan(_margin(layout, v))
+            for floor in (-np.inf, -1e-9, 0.0, math.ulp(0.0)):
+                assert layout.margin_at_least(v, floor) is False
 
     def test_max_step_hits_boundary(self):
         rng = np.random.default_rng(5)
         layout = _Layout((("nn", 2), ("soc", 3), ("psd", 2)))
         e = layout.identity()
+        # the scaled point of a cold start is e
+        sc = _Scaling(layout, e, e)
+        assert np.array_equal(sc.lam, e)
         for _ in range(20):
             d = rng.standard_normal(layout.m)
-            a = layout.max_step(e, [d])
+            a = sc.max_step([d])
             if not np.isfinite(a):
-                assert layout.margin(e + 100.0 * d) >= -1e-9
+                assert _margin(layout, e + 100.0 * d) >= -1e-9
                 continue
-            assert layout.margin(e + 0.999 * a * d) >= -1e-9
-            assert layout.margin(e + 1.01 * a * d + 0.001 * d) <= 1e-9
+            assert _margin(layout, e + 0.999 * a * d) >= -1e-9
+            assert _margin(layout, e + 1.01 * a * d + 0.001 * d) <= 1e-9
 
 
 class TestBatchedChecks:
@@ -368,9 +404,8 @@ class TestBatchedChecks:
             s, z = _interior_point(rng, cones), _interior_point(rng, cones)
             sc = _Scaling(layout, s, z)
             ds, dz = rng.standard_normal((2, layout.m))
-            for sigma in (sc.sigma, None):
-                one = [layout.max_step(sc.lam, [d], sigma) for d in (ds, dz)]
-                assert layout.max_step(sc.lam, (ds, dz), sigma) == min(one)
+            one = [sc.max_step([d]) for d in (ds, dz)]
+            assert sc.max_step((ds, dz)) == min(one)
 
 
 class TestConeProgramValidation:
@@ -1133,9 +1168,11 @@ def _ref_circ(layout, u, v):
 
 
 def _ref_circ_solve(layout, lam, v, sigma):
-    """``circ_solve`` given a scaled point's ``sigma``."""
+    """``lam^{-1} o v`` given a scaled point's ``sigma``, or for any interior
+    ``lam`` with ``sigma=None``: each psd block solved in the eigenbasis of
+    its block of ``lam``."""
     out = np.empty(layout.m)
-    sig = iter(sigma)
+    sig = iter(sigma) if sigma is not None else None
     for kind, sl, blocks in layout.runs:
         if kind == "nn":
             out[sl] = v[sl] / lam[sl]
@@ -1148,8 +1185,13 @@ def _ref_circ_solve(layout, lam, v, sigma):
             O[:, 1:] = (V[:, 1:] - u0[:, None] * L[:, 1:]) / L[:, :1]
         else:
             for b in blocks:
-                d = next(sig)
-                out[b.sl] = svec(2.0 * smat(v[b.sl], b.order) / np.add.outer(d, d))
+                if sig is None:
+                    w, Q = np.linalg.eigh(smat(lam[b.sl], b.order))
+                    V = Q.T @ smat(v[b.sl], b.order) @ Q
+                    out[b.sl] = svec(Q @ (2.0 * V / np.add.outer(w, w)) @ Q.T)
+                else:
+                    d = next(sig)
+                    out[b.sl] = svec(2.0 * smat(v[b.sl], b.order) / np.add.outer(d, d))
     return out
 
 
@@ -1284,22 +1326,21 @@ class TestBoundOperatorsBitwise:
 
     @pytest.mark.parametrize("cones", BOUND_LAYOUTS)
     def test_jordan_products_and_steps(self, cones):
-        # lam o lam from sigma against the two n x n products, and the
-        # unpacking without smat's checks in circ, circ_solve and max_step
+        # lam o lam through the general product against the two n x n
+        # products, and the unpacking without smat's checks in circ, divide
+        # and max_step
         rng = np.random.default_rng(32)
         layout = _Layout(cones)
         for scale in (1e-6, 1.0, 1e4):
             sc = _Scaling(layout, scale * _interior_point(rng, cones),
                           _interior_point(rng, cones) / scale)
             lam = sc.lam
-            assert _same_bits(layout.circ(lam, lam, sc.sigma), _ref_circ(layout, lam, lam))
+            assert _same_bits(layout.circ(lam, lam), _ref_circ(layout, lam, lam))
             u, v = rng.standard_normal((2, layout.m))
             assert _same_bits(layout.circ(u, v), _ref_circ(layout, u, v))
-            assert _same_bits(layout.circ_solve(lam, v, sc.sigma),
-                              _ref_circ_solve(layout, lam, v, sc.sigma))
+            assert _same_bits(sc.divide(v), _ref_circ_solve(layout, lam, v, sc.sigma))
             for sigma in (sc.sigma, None):
-                assert (layout.max_step(lam, (u, v), sigma)
-                        == _ref_max_step(layout, lam, (u, v), sigma))
+                assert sc.max_step((u, v)) == _ref_max_step(layout, lam, (u, v), sigma)
 
     @pytest.mark.parametrize("name", ["eps_path", "trace_cap", "dual_packing",
                                       "mixed_runs", "nn_pair"])
@@ -1386,24 +1427,20 @@ class TestBoundOperatorsBitwise:
     @pytest.mark.parametrize("cones", [(("nn", 3), ("psd", 3)), SOC_RUNS,
                                        (("nn", 2), ("soc", 3), ("psd", 2), ("psd", 2)), ()])
     def test_margin_at_least(self, cones):
-        # nan fails, and an empty layout passes.  (A nan in a psd block makes
-        # both raise LinAlgError from eigvalsh, unless an earlier run decides
-        # margin_at_least first; such points are left out here.)
+        # nan fails, in a block of any kind, and an empty layout passes
         rng = np.random.default_rng(35)
         layout = _Layout(cones)
         e = layout.identity()
         points = [(_interior_point(rng, cones) if cones else np.zeros(0)) - shift * e
                   for shift in (0.0, 0.5, 3.0)]
-        rows = [i for b in layout.blocks if b.kind != "psd"
-                for i in range(b.sl.start, b.sl.stop)]
         for v in list(points):
-            for i in rows:
+            for i in range(layout.m):
                 nan = v.copy()
                 nan[i] = np.nan
                 points.append(nan)
         for v in points:
             for floor in (-5.0, -1e-9, 0.0, 0.5):
-                assert layout.margin_at_least(v, floor) is (layout.margin(v) >= floor)
+                assert layout.margin_at_least(v, floor) is (_margin(layout, v) >= floor)
 
     def test_margin_at_least_stops_at_the_first_failing_run(self, monkeypatch):
         # the eps-path's dual-infeasibility test: an nn run below the floor

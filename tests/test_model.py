@@ -103,6 +103,13 @@ class TestParse:
             model.parse_problem(doc)
         assert exc.value.witness == (0, 0)
 
+    def test_resource_block_rejects_a_negative_entry(self):
+        # built through the API, not parsed: the parser's check, message
+        # and witness
+        with pytest.raises(ValidationError, match="resource.P has a negative entry") as exc:
+            model.ResourceBlock(P=np.array([[1.0, 0.0], [0.5, -2.0]]), d=np.ones(2))
+        assert exc.value.witness == (1, 1)
+
 
 class TestRoundTrip:
     def test_combined_round_trip_exact(self):

@@ -339,6 +339,16 @@ class TestLowRank:
         diffs = np.diff(sol.path_values)
         assert np.all(diffs >= -1e-9)
 
+    @pytest.mark.parametrize("C", [np.zeros((2, 2)), np.diag([1.0, 0.0])])
+    def test_trivial_route(self, C):
+        # a zero objective, and one the zero-budget row e1 e1' projects to
+        # zero, whose multipliers then come from the dual packing program
+        prob = packing(C, [np.diag([1.0, 0.0]), np.eye(2)], [0.0, 1.0])
+        sol = sv.solve_packing_lowrank(prob)
+        assert sol.route == "trivial" and sol.status is Status.OPTIMAL
+        assert np.array_equal(sol.X, np.zeros((2, 2))) and sol.objective == 0.0
+        assert sol.kkt_residuals.max() <= 1e-8
+
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleInput):
             sv.solve_packing_lowrank(packing(np.eye(2), [np.eye(2)], [-1.0]))

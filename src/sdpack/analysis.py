@@ -55,44 +55,45 @@ def check_feasible(problem: PackingProblem) -> tuple[bool, int | None]:
     return True, None
 
 
-def _positive_eigvecs(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled eigenvectors c_k = sqrt(w_k) q_k spanning the range of C."""
-    dec = linalg.eigh_desc(C)
-    cut = max(dec.eigenvalues[0], 0.0) * C.shape[0] * linalg.DEFAULT_RANK_RTOL
+def _positive_eigvecs(dec: linalg.EigenDecomp) -> np.ndarray:
+    """Scaled eigenvectors c_k = sqrt(w_k) q_k spanning the range of C,
+    from ``dec = eigh_desc(C)``."""
+    cut = max(dec.eigenvalues[0], 0.0) * dec.n * linalg.DEFAULT_RANK_RTOL
     keep = dec.eigenvalues > cut
-    w = dec.eigenvalues[keep]
-    q = dec.eigenvectors[:, keep]
-    return np.sqrt(w)[None, :] * q, q
+    return np.sqrt(dec.eigenvalues[keep])[None, :] * dec.eigenvectors[:, keep]
 
 
-def dual_scalar_bound(problem: PackingProblem) -> float:
+def dual_scalar_bound(problem: PackingProblem,
+                      c_dec: linalg.EigenDecomp | None = None) -> float:
     """Scalar ``lam >= 0`` with ``lam * sum(M_i) - C`` PSD, computed as
     ``sum_k c_k . pinv(sum(M_i)) c_k`` over a factorization C = sum c_k c_k^T.
+    ``c_dec`` as for :func:`check_bounded`.
 
     Raises ``RangeInclusionFails`` when no scalar works because some
     eigenvector of C leaves the range of the constraint sum.
     """
-    cert = check_bounded(problem)
+    cert = check_bounded(problem, c_dec=c_dec)
     if not cert.bounded:
         raise RangeInclusionFails("objective range leaves the constraint range")
     return cert.lam
 
 
 def check_bounded(problem: PackingProblem,
-                  sum_dec: linalg.EigenDecomp | None = None) -> BoundednessCertificate:
+                  sum_dec: linalg.EigenDecomp | None = None,
+                  c_dec: linalg.EigenDecomp | None = None) -> BoundednessCertificate:
     """Boundedness certificate for a feasible packing problem.
 
     Bounded iff every positive-eigenvalue eigenvector of C stays in the
     range of ``sum(M_i)`` (projector residual at most 1e-8 relative).  The
     unbounded certificate is the kernel direction maximizing ``h . C h``
     over the nullspace of the constraint sum: the strongest ray, and
-    deterministic.  ``sum_dec``, ``eigh_desc(problem.mat_sum())``, may come
-    from a caller that needs it too; it is decomposed here otherwise.
+    deterministic.  ``sum_dec`` and ``c_dec``, ``eigh_desc`` of
+    ``problem.mat_sum()`` and ``problem.C``, may come from the caller.
     """
     if sum_dec is None:
         sum_dec = linalg.eigh_desc(problem.mat_sum())
     U = sum_dec.range_basis()
-    cks, _ = _positive_eigvecs(problem.C)
+    cks = _positive_eigvecs(linalg.eigh_desc(problem.C) if c_dec is None else c_dec)
     if cks.shape[1]:
         resid = cks - U @ (U.T @ cks)
         rel = np.linalg.norm(resid, axis=0) / np.linalg.norm(cks, axis=0)

@@ -20,6 +20,7 @@ by default (``--report text`` rounds to 9 significant digits).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -348,8 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process; each call parses into a fresh namespace
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "analyze": cmd_analyze,
         "reduce": cmd_reduce,

@@ -8,7 +8,16 @@ through these helpers, so the conventions are fixed here once:
   so inputs are averaged rather than rejected);
 * eigenvalues are always reported in descending order;
 * the numerical-rank threshold is relative, ``n * 1e-12`` times the largest
-  absolute eigenvalue by default.
+  absolute eigenvalue by default;
+* ``l`` matrices of order ``n`` stack as one ``(l, n, n)`` array, on which
+  ``symmetrize_stack``, ``zero_mask`` and ``psd_factors`` give, matrix by
+  matrix, the bits of ``symmetrize``, ``is_zero`` and ``psd_factor``.
+
+These stacked calls equal their per-matrix loops to the bit
+(``tests/test_stacked.py``): ``np.linalg.eigh``, ``B.T @ S @ B``, ``S @ X``,
+``np.trace(S, axis1=1, axis2=2)``, and ``(w[:, None, None] * S).sum(0)``
+against Python's ``sum`` (numpy adds along a leading axis in order, from
++0.0).  ``np.einsum`` and ``np.tensordot`` do not, and are not used.
 """
 
 from __future__ import annotations
@@ -34,15 +43,26 @@ def symmetrize(a) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _threshold(eigenvalues: np.ndarray, tol: float | None) -> float:
-    """Absolute cutoff below which eigenvalues count as zero."""
-    n = eigenvalues.shape[0]
+def symmetrize_stack(s) -> np.ndarray:
+    """:func:`symmetrize` of every matrix of an ``(l, n, n)`` stack."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 3 or s.shape[1] != s.shape[2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {s.shape}")
+    if s.shape[1] < 1:
+        raise InvalidInput("matrix dimension must be at least 1")
+    if not np.all(np.isfinite(s)):
+        raise InvalidInput("matrix has non-finite entries")
+    return 0.5 * (s + s.transpose(0, 2, 1))
+
+
+def _threshold(eigenvalues: np.ndarray, tol: float | None):
+    """Absolute cutoff below which eigenvalues (along the last axis) count as zero."""
+    n = eigenvalues.shape[-1]
     if tol is None:
         tol = n * DEFAULT_RANK_RTOL
     elif tol <= 0:
         raise InvalidInput(f"tolerance must be positive, got {tol}")
-    scale = float(np.max(np.abs(eigenvalues))) if n else 0.0
-    return tol * scale
+    return tol * np.max(np.abs(eigenvalues), axis=-1, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -105,6 +125,11 @@ def is_zero(s) -> bool:
     return not symmetrize(s).any()
 
 
+def zero_mask(s) -> np.ndarray:
+    """:func:`is_zero` of every matrix of an ``(l, n, n)`` stack."""
+    return ~symmetrize_stack(s).any(axis=(1, 2))
+
+
 def rank_tol(s, tol: float | None = None) -> int:
     """Numerical rank: the count of eigenvalues exceeding ``tol`` relative
     to the largest absolute eigenvalue (0 for the zero matrix)."""
@@ -147,13 +172,29 @@ def psd_factor(m, tol: float | None = None) -> np.ndarray:
     singular in general.  Eigenvalues in ``[-threshold, 0]`` are clipped to
     zero instead of raising.
     """
-    dec = eigh_desc(m)
-    cut = dec._psd_cut(tol, "cannot factor a matrix with negative eigenvalues")
-    w = np.clip(dec.eigenvalues, 0.0, None)
-    keep = w > cut
-    if not np.any(keep):
-        return np.zeros((0, dec.n))
-    return (np.sqrt(w[keep])[:, None] * dec.eigenvectors[:, keep].T).copy()
+    return _factors(symmetrize(m)[None], tol)[0]
+
+
+def psd_factors(s, tol: float | None = None) -> list[np.ndarray]:
+    """:func:`psd_factor` of every matrix of an ``(l, n, n)`` stack; ``NotPsd``
+    carries the witness of the first matrix that fails."""
+    return _factors(symmetrize_stack(s), tol)
+
+
+def _factors(s: np.ndarray, tol: float | None) -> list[np.ndarray]:
+    """Factors of symmetric matrices: the eigenvalues above the cutoff are a
+    prefix of the descending ones, so ``A`` is the first rows of ``sqrt(w) Q.T``."""
+    w, q = np.linalg.eigh(s)
+    cut = _threshold(w, tol)
+    bad = np.flatnonzero(w[:, 0] < -cut)
+    if bad.size:
+        raise NotPsd("cannot factor a matrix with negative eigenvalues",
+                     witness=float(w[bad[0], 0]))
+    w = np.clip(w[:, ::-1], 0.0, None)
+    ranks = np.count_nonzero(w > cut[:, None], axis=1)
+    a = np.multiply(np.sqrt(w)[:, :, None], q.transpose(0, 2, 1)[:, ::-1],
+                    order="C")
+    return [f[:k] for f, k in zip(a, ranks.tolist())]
 
 
 def pinv(s, tol: float | None = None) -> np.ndarray:

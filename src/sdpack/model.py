@@ -16,6 +16,7 @@ reproduces every entry bit for bit.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import SchemaError, ValidationError
+from .errors import DimensionMismatch, SchemaError, ValidationError
 
 
 class Status(str, enum.Enum):
@@ -53,7 +54,9 @@ class KktResiduals:
 
 @dataclass(frozen=True)
 class PackingProblem:
-    """Data of ``max <C, X> s.t. <M_i, X> <= b_i, X PSD`` with C, M_i PSD."""
+    """Data of ``max <C, X> s.t. <M_i, X> <= b_i, X PSD`` with C, M_i PSD.
+    ``stack``, the ``mats`` as one ``(l, n, n)`` array, is built once, on
+    first use: a problem's arrays are not to change after it is built."""
 
     C: np.ndarray
     mats: tuple[np.ndarray, ...]
@@ -67,8 +70,14 @@ class PackingProblem:
     def l(self) -> int:
         return len(self.mats)
 
+    @functools.cached_property
+    def stack(self) -> np.ndarray:
+        if not self.mats:  # the sum of no matrices is the scalar 0
+            raise DimensionMismatch("expected a square matrix, got shape ()")
+        return np.stack(self.mats).astype(float, copy=False)
+
     def mat_sum(self) -> np.ndarray:
-        return linalg.symmetrize(sum(self.mats))
+        return linalg.symmetrize(self.stack.sum(0))
 
 
 @dataclass(frozen=True)
@@ -116,9 +125,9 @@ class ResourceBlock:
 
     def __post_init__(self):
         if np.any(self.P < 0):
-            idx = np.argwhere(self.P < 0)[0]
-            raise ValidationError(f"resource.P has a negative entry at {tuple(idx)}",
-                                  witness=tuple(int(v) for v in idx))
+            idx = tuple(np.argwhere(self.P < 0)[0].tolist())
+            raise ValidationError(f"resource.P has a negative entry at {idx}",
+                                  witness=idx)
 
 
 class Criterion(str, enum.Enum):
@@ -154,12 +163,6 @@ class DesignProblem:
     @property
     def l(self) -> int:
         return len(self.mats)
-
-    def observation(self, i: int) -> np.ndarray:
-        """A_i with ``A_i.T @ A_i = M_i``, factored on demand when absent."""
-        if self.obs is not None:
-            return self.obs[i]
-        return linalg.psd_factor(self.mats[i])
 
 
 @dataclass(frozen=True)
@@ -204,24 +207,15 @@ def _need(doc: dict, key: str):
     return doc[key]
 
 
-def _as_matrix(obj, key: str) -> np.ndarray:
+def _as_array(obj, key: str, ndim: int = 2) -> np.ndarray:
+    """A finite numeric field of ``ndim`` dimensions (1 for a vector)."""
     try:
         a = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{key}: not a numeric matrix") from exc
-    if a.ndim != 2:
-        raise SchemaError(f"{key}: expected a 2-d array, got {a.ndim}-d")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError(f"{key}: non-finite entries", witness=key)
-    return a
-
-def _as_vector(obj, key: str) -> np.ndarray:
-    try:
-        a = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{key}: not a numeric vector") from exc
-    if a.ndim != 1:
-        raise SchemaError(f"{key}: expected a 1-d array, got {a.ndim}-d")
+        what = "matrix" if ndim == 2 else "vector"
+        raise SchemaError(f"{key}: not a numeric {what}") from exc
+    if a.ndim != ndim:
+        raise SchemaError(f"{key}: expected a {ndim}-d array, got {a.ndim}-d")
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{key}: non-finite entries", witness=key)
     return a
@@ -233,16 +227,29 @@ def _as_list(obj, key: str) -> list:
     return obj
 
 
+def _each(items: list, key: str, parse, dim: int) -> tuple:
+    """``parse(item, "key[i]")`` of every item in order, each checked to
+    have ``dim`` rows before the next is parsed."""
+    out = []
+    for i, item in enumerate(items):
+        a = parse(item, f"{key}[{i}]")
+        if a.shape[0] != dim:
+            raise ValidationError(f"{key}[{i}]: dimension {a.shape[0]} != {dim}",
+                                  witness=(a.shape[0], dim))
+        out.append(a)
+    return tuple(out)
+
+
 def _sym_or_empty(obj, key: str) -> np.ndarray:
     """A symmetric matrix field, where null or an empty list stands for
     order 0."""
     if obj is None or (isinstance(obj, list) and not obj):
         return np.zeros((0, 0))
-    return linalg.symmetrize(_as_matrix(obj, key))
+    return linalg.symmetrize(_as_array(obj, key))
 
 
 def _sym_psd(obj, key: str) -> np.ndarray:
-    m = linalg.symmetrize(_as_matrix(obj, key))
+    m = linalg.symmetrize(_as_array(obj, key))
     ok, witness = linalg.is_psd(m)
     if not ok:
         raise ValidationError(f"{key}: not positive semidefinite "
@@ -291,23 +298,16 @@ def _parse_combined(doc: dict) -> CombinedProblem:
         if len(_as_list(rs_doc, "R")) != l:
             raise ValidationError(f"R: expected {l} matrices, got {len(rs_doc)}",
                                   witness=(len(rs_doc), l))
-        Rs = []
-        for i, ri in enumerate(rs_doc):
-            m = _sym_or_empty(ri, f"R[{i}]")
-            if m.shape[0] != p:
-                raise ValidationError(f"R[{i}]: dimension {m.shape[0]} != {p}",
-                                      witness=(m.shape[0], p))
-            Rs.append(m)
-        Rs = tuple(Rs)
+        Rs = _each(rs_doc, "R", _sym_or_empty, p)
 
-    h0 = _as_vector(doc.get("h0", []), "h0")
+    h0 = _as_array(doc.get("h0", []), "h0", 1)
     q = h0.shape[0]
     hs_doc = doc.get("h")
     H_doc = None
     if doc.get("H") is not None:
         H_doc = doc["H"]
         H_doc = (np.zeros((q, l)) if isinstance(H_doc, list) and not H_doc
-                 else _as_matrix(H_doc, "H"))
+                 else _as_array(H_doc, "H"))
         if H_doc.shape != (q, l):
             raise ValidationError(f"H: shape {H_doc.shape} != ({q}, {l})",
                                   witness=(H_doc.shape, (q, l)))
@@ -319,14 +319,7 @@ def _parse_combined(doc: dict) -> CombinedProblem:
         if len(_as_list(hs_doc, "h")) != l:
             raise ValidationError(f"h: expected {l} vectors, got {len(hs_doc)}",
                                   witness=(len(hs_doc), l))
-        hs = []
-        for i, hi in enumerate(hs_doc):
-            v = _as_vector(hi, f"h[{i}]")
-            if v.shape[0] != q:
-                raise ValidationError(f"h[{i}]: dimension {v.shape[0]} != {q}",
-                                      witness=(v.shape[0], q))
-            hs.append(v)
-        hs = tuple(hs)
+        hs = _each(hs_doc, "h", lambda v, key: _as_array(v, key, 1), q)
 
     H = np.column_stack(hs) if l and q else np.zeros((q, l))
     if H_doc is not None and not np.array_equal(H_doc, H):
@@ -336,7 +329,7 @@ def _parse_combined(doc: dict) -> CombinedProblem:
 
 
 def _parse_design(doc: dict) -> DesignProblem:
-    K = _as_matrix(_need(doc, "K"), "K")
+    K = _as_array(_need(doc, "K"), "K")
     if K.shape[1] < 1:
         raise ValidationError("K: needs at least one column", witness=K.shape)
     n = K.shape[0]
@@ -354,7 +347,7 @@ def _parse_design(doc: dict) -> DesignProblem:
     if doc.get("A") is not None:
         obs = []
         for i, ai in enumerate(_as_list(doc["A"], "A")):
-            a = _as_matrix(ai, f"A[{i}]")
+            a = _as_array(ai, f"A[{i}]")
             if a.shape[1] != n:
                 raise ValidationError(f"A[{i}]: {a.shape[1]} columns != {n}",
                                       witness=(a.shape[1], n))
@@ -362,14 +355,7 @@ def _parse_design(doc: dict) -> DesignProblem:
         obs = tuple(obs)
 
     if doc.get("M") is not None:
-        mats = []
-        for i, mi in enumerate(_as_list(doc["M"], "M")):
-            m = _sym_psd(mi, f"M[{i}]")
-            if m.shape[0] != n:
-                raise ValidationError(f"M[{i}]: dimension {m.shape[0]} != {n}",
-                                      witness=(m.shape[0], n))
-            mats.append(m)
-        mats = tuple(mats)
+        mats = _each(_as_list(doc["M"], "M"), "M", _sym_psd, n)
         if obs is not None:
             if len(obs) != len(mats):
                 raise ValidationError("A and M have different lengths",
@@ -392,8 +378,8 @@ def _parse_design(doc: dict) -> DesignProblem:
         res = doc["resource"]
         if not isinstance(res, dict):
             raise SchemaError("resource: expected an object with 'P' and 'd'")
-        P = _as_matrix(_need(res, "P"), "resource.P")
-        d = _as_vector(_need(res, "d"), "resource.d")
+        P = _as_array(_need(res, "P"), "resource.P")
+        d = _as_array(_need(res, "d"), "resource.d", 1)
         if P.shape[1] != len(mats):
             raise ValidationError(f"resource.P: {P.shape[1]} columns != {len(mats)}",
                                   witness=(P.shape[1], len(mats)))
@@ -445,18 +431,18 @@ def parse_solution(text) -> Solution | CombinedSolution:
         if obj_val is None:
             obj_val = math.inf if status is Status.UNBOUNDED else math.nan
         return Solution(
-            X=linalg.symmetrize(_as_matrix(_need(doc, "X"), "X")),
+            X=linalg.symmetrize(_as_array(_need(doc, "X"), "X")),
             objective=_number(obj_val, "objective"),
             numerical_rank=_integer(_need(doc, "numerical_rank"), "numerical_rank"),
-            mu=_as_vector(_need(doc, "mu"), "mu"),
+            mu=_as_array(_need(doc, "mu"), "mu", 1),
             status=status,
             kkt_residuals=kkt)
     if kind == "combined_solution":
         y = doc.get("Y")
         return CombinedSolution(
-            X=linalg.symmetrize(_as_matrix(_need(doc, "X"), "X")),
-            Y=(linalg.symmetrize(_as_matrix(y, "Y")) if y else np.zeros((0, 0))),
-            lam=_as_vector(doc.get("lambda", []), "lambda"),
+            X=linalg.symmetrize(_as_array(_need(doc, "X"), "X")),
+            Y=(linalg.symmetrize(_as_array(y, "Y")) if y else np.zeros((0, 0))),
+            lam=_as_array(doc.get("lambda", []), "lambda", 1),
             objective=_number(_need(doc, "objective"), "objective"),
             status=_status(_need(doc, "status")),
             gamma=tuple(_number(g, f"gamma[{i}]")
@@ -523,25 +509,17 @@ def _kkt_doc(k: KktResiduals | None) -> dict | None:
 
 def to_document(obj) -> dict:
     """Convert a problem or solution to a JSON-ready dict."""
-    if isinstance(obj, PackingProblem):
-        return {
+    if isinstance(obj, (PackingProblem, CombinedProblem)):
+        doc = {
             "kind": "packing",
             "C": _mat(obj.C),
             "constraints": [{"M": _mat(m), "b": float(bi)}
                             for m, bi in zip(obj.mats, obj.b)],
         }
-    if isinstance(obj, CombinedProblem):
-        return {
-            "kind": "combined",
-            "C": _mat(obj.C),
-            "constraints": [{"M": _mat(m), "b": float(bi)}
-                            for m, bi in zip(obj.mats, obj.b)],
-            "R0": _mat(obj.R0),
-            "R": [_mat(r) for r in obj.Rs],
-            "h0": _vec(obj.h0),
-            "h": [_vec(h) for h in obj.hs],
-            "H": _mat(obj.H),
-        }
+        if isinstance(obj, CombinedProblem):
+            doc.update(kind="combined", R0=_mat(obj.R0), R=[_mat(r) for r in obj.Rs],
+                       h0=_vec(obj.h0), h=[_vec(h) for h in obj.hs], H=_mat(obj.H))
+        return doc
     if isinstance(obj, DesignProblem):
         doc = {
             "kind": "design",

@@ -66,6 +66,7 @@ class ReducedProblem:
     of the constraint sum that strictly dominates the objective and its
     margin (the margin is reported, not blindly asserted: it can shrink to
     roundoff level when the constraint sum is badly conditioned).
+    ``c_dec``, ``eigh_desc(problem.C)``, serves every later use of C.
     """
 
     problem: PackingProblem | None
@@ -75,6 +76,7 @@ class ReducedProblem:
     strict_eps: float
     dual_scale: float
     dual_margin: float
+    c_dec: linalg.EigenDecomp | None = None
 
     @property
     def empty(self) -> bool:
@@ -94,52 +96,49 @@ def project_packing(problem: PackingProblem) -> tuple[ReducedProblem, LiftMap]:
 
     b = problem.b
     cut = ZERO_B_RTOL * max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-    dropped = [i for i, m in enumerate(problem.mats) if linalg.is_zero(m)]
-    zeroed = [i for i in range(problem.l)
-              if i not in dropped and abs(b[i]) <= cut]
-    kept = [i for i in range(problem.l)
-            if i not in dropped and i not in zeroed]
+    S = problem.stack
+    zero = linalg.zero_mask(S)
+    small = np.abs(b) <= cut
+    dropped = np.flatnonzero(zero).tolist()
+    zeroed = np.flatnonzero(~zero & small).tolist()
+    kept = np.flatnonzero(~zero & ~small)
 
     if sum_dec.rank() == problem.n:
         U = np.eye(problem.n)  # identity reduction when the sum has full rank
     else:
         U = sum_dec.range_basis()
     if U.shape[1] == 0:
-        return _empty_reduction(kept, zeroed, dropped, problem.n)
+        return _empty_reduction(kept.tolist(), zeroed, dropped, problem.n)
 
     if zeroed:
-        N = sum(U.T @ problem.mats[i] @ U for i in zeroed)
+        N = (U.T @ S[zeroed] @ U).sum(0)
         V = linalg.null_basis(linalg.symmetrize(N))
         B = U @ V
     else:
         B = U
     if B.shape[1] == 0:
-        return _empty_reduction(kept, zeroed, dropped, problem.n)
+        return _empty_reduction(kept.tolist(), zeroed, dropped, problem.n)
 
-    mats_red, kept_final = [], []
-    for i in kept:
-        m = linalg.symmetrize(B.T @ problem.mats[i] @ B)
-        if linalg.is_zero(m):
-            dropped.append(i)
-        else:
-            mats_red.append(m)
-            kept_final.append(i)
+    R = linalg.symmetrize_stack(B.T @ S[kept] @ B)
+    live = ~linalg.zero_mask(R)
+    kept_final = kept[live].tolist()
+    dropped = sorted(dropped + kept[~live].tolist())
     C_red = linalg.symmetrize(B.T @ problem.C @ B)
     if not kept_final:
         # every surviving direction is unconstrained; boundedness forces C'=0
-        return _empty_reduction(kept_final, zeroed, sorted(dropped), problem.n)
+        return _empty_reduction(kept_final, zeroed, dropped, problem.n)
 
-    reduced = PackingProblem(C=C_red, mats=tuple(mats_red),
-                             b=b[kept_final].copy())
+    reduced = PackingProblem(C=C_red, mats=tuple(R[live]), b=b[kept_final].copy())
     eps = 0.5 * float(np.min(reduced.b)) / max(
-        1.0, max(float(np.trace(m)) for m in mats_red))
-    lam_bar = analysis.dual_scalar_bound(reduced) + 1.0
+        1.0, float(np.max(np.trace(reduced.stack, axis1=1, axis2=2))))
+    c_dec = linalg.eigh_desc(C_red)
+    lam_bar = analysis.dual_scalar_bound(reduced, c_dec) + 1.0
     slack = lam_bar * reduced.mat_sum() - reduced.C
     margin = float(np.linalg.eigvalsh(slack)[0])
     return (ReducedProblem(problem=reduced, kept=tuple(kept_final),
-                           zeroed=tuple(zeroed), dropped=tuple(sorted(dropped)),
+                           zeroed=tuple(zeroed), dropped=tuple(dropped),
                            strict_eps=eps, dual_scale=lam_bar,
-                           dual_margin=margin),
+                           dual_margin=margin, c_dec=c_dec),
             LiftMap(basis=B))
 
 
@@ -166,8 +165,7 @@ def embed_dual(reduced: ReducedProblem, mu_reduced: np.ndarray, l: int) -> np.nd
     """Place reduced dual multipliers at their original indices (zeros
     elsewhere)."""
     mu = np.zeros(l)
-    for j, i in enumerate(reduced.kept):
-        mu[i] = mu_reduced[j]
+    mu[list(reduced.kept)] = mu_reduced
     return mu
 
 
@@ -217,10 +215,12 @@ class SocpProblem:
             raise ValueError(f"sense must be 'max' or 'min', got {self.sense!r}")
 
 
-def rank_one_vector(C: np.ndarray) -> np.ndarray:
+def rank_one_vector(C: np.ndarray,
+                    dec: linalg.EigenDecomp | None = None) -> np.ndarray:
     """Factor a numerically rank-one PSD matrix as ``c c^T`` and return ``c``
-    with its first nonzero entry positive."""
-    dec = linalg.eigh_desc(C)
+    with its first nonzero entry positive; ``dec`` is ``eigh_desc(C)``."""
+    if dec is None:
+        dec = linalg.eigh_desc(C)
     rank = dec.rank()
     if rank != 1:
         raise RankNotOne(f"objective matrix has rank {rank}, not 1")
@@ -231,24 +231,20 @@ def rank_one_vector(C: np.ndarray) -> np.ndarray:
     return c
 
 
-def to_socp_rank1(problem: PackingProblem) -> SocpProblem:
+def to_socp_rank1(problem: PackingProblem,
+                  c_dec: linalg.EigenDecomp | None = None) -> SocpProblem:
     """Rewrite a rank-one-objective packing problem as
-    ``max c.x  s.t.  |A_i x| <= sqrt(b_i)`` with ``A_i.T A_i = M_i``.
-
-    Meant to run after :func:`project_packing` so every ``b_i`` is positive;
-    right-hand sides are clamped at zero before the square root to guard
-    against roundoff.
+    ``max c.x  s.t.  |A_i x| <= sqrt(b_i)`` with ``A_i.T A_i = M_i``, all
+    factored at once; ``c_dec`` is ``eigh_desc(problem.C)``.  Meant to run
+    after :func:`project_packing`, so every ``b_i`` is positive.
     """
     ok, idx = analysis.check_feasible(problem)
     if not ok:
         raise InfeasibleInput(f"right-hand side {idx} is negative")
-    c = rank_one_vector(problem.C)
-    n = problem.n
-    cones = []
-    for m, bi in zip(problem.mats, problem.b):
-        A = linalg.psd_factor(m)
-        cones.append(SocCon(F=A, g=np.zeros(A.shape[0]), f=np.zeros(n),
-                            d=float(np.sqrt(max(bi, 0.0)))))
+    c, n = rank_one_vector(problem.C, c_dec), problem.n
+    d = np.sqrt(problem.b).tolist()  # check_feasible leaves no negative b_i
+    cones = [SocCon(F=A, g=np.zeros(A.shape[0]), f=np.zeros(n), d=di)
+             for A, di in zip(linalg.psd_factors(problem.stack), d)]
     return SocpProblem(objective=c, cones=tuple(cones))
 
 
@@ -315,20 +311,21 @@ def combined_to_socp(problem: CombinedProblem) -> SocpProblem:
         raise InfeasibleDual("no nonnegative multipliers dominate the objective "
                              "matrix under the linear constraints")
 
-    n, q = problem.n, problem.q
-    nv = n + q
-    cones = []
-    for m, bi, hi in zip(problem.mats, problem.b, problem.hs):
-        A = linalg.psd_factor(m)
-        k = A.shape[0]
-        F = np.zeros((k + 1, nv))
-        F[:k, :n] = 2.0 * A
-        F[k, n:] = hi
-        g = np.r_[np.zeros(k), bi - 1.0]
-        f = np.r_[np.zeros(n), hi]
-        cones.append(SocCon(F=F, g=g, f=f, d=float(bi) + 1.0))
-    objective = np.r_[c, np.zeros(q)]
-    return SocpProblem(objective=objective, cones=tuple(cones))
+    nv = problem.n + problem.q
+    cones = [_hyperbolic_cone(linalg.psd_factor(m), hi, bi, nv)
+             for m, bi, hi in zip(problem.mats, problem.b, problem.hs)]
+    return SocpProblem(objective=np.r_[c, np.zeros(problem.q)], cones=tuple(cones))
+
+
+def _hyperbolic_cone(A: np.ndarray, h: np.ndarray, b: float, nv: int) -> SocCon:
+    """``|A x|^2 <= b + h . lam`` over ``(x, lam)`` (``nv`` variables) as
+    the cone ``|(2 A x; h . lam + b - 1)| <= h . lam + b + 1``."""
+    k, n = A.shape
+    F = np.zeros((k + 1, nv))
+    F[:k, :n] = 2.0 * A
+    F[k, n:] = h
+    return SocCon(F=F, g=np.r_[np.zeros(k), b - 1.0], f=np.r_[np.zeros(n), h],
+                  d=float(b) + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +346,14 @@ def build_a_optimal(design: DesignProblem) -> PackingProblem:
     """Trace-criterion design as a packing problem of dimension ``r n``:
     block-diagonal constraint matrices and the stacked functionals as a
     rank-one objective, so the cone reduction applies."""
-    r = design.r
+    r, n, l = design.r, design.n, design.l
     c_stack = design.K.flatten(order="F")
-    mats = tuple(linalg.symmetrize(np.kron(np.eye(r), m)) for m in design.mats)
+    # np.kron(np.eye(r), m_k) for every k: block (a, b) is eye[a, b] * m_k,
+    # so off the diagonal 0.0 * m_k, which is -0.0 where m_k < 0
+    blocks = np.eye(r)[:, None, :, None] * np.stack(design.mats)[:, None, :, None, :]
+    mats = linalg.symmetrize_stack(blocks.reshape(l, r * n, r * n))
     return PackingProblem(C=linalg.symmetrize(np.outer(c_stack, c_stack)),
-                          mats=mats, b=np.ones(design.l))
+                          mats=tuple(mats), b=np.ones(l))
 
 
 def build_e_optimal(design: DesignProblem) -> PackingProblem:
@@ -403,27 +403,19 @@ def build_resource_constrained(design: DesignProblem) -> ResourceSocpPair:
     if np.min(d[used] / load[used], initial=1.0) <= 1e-9 or np.any(d[~used] < 0):
         raise InfeasibleDesign("no strictly positive allocation satisfies the "
                                "resource constraints")
-    S = linalg.symmetrize(sum(design.mats))
-    U = linalg.range_basis(S)
+    M = np.stack(design.mats)
+    U = linalg.range_basis(linalg.symmetrize(M.sum(0)))
     resid = c - U @ (U.T @ c)
     if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(c)):
         raise InfeasibleDesign("target functional is not estimable by the "
                                "available experiments")
 
-    obs = [design.observation(i) for i in range(l)]
+    obs = design.obs if design.obs is not None else linalg.psd_factors(M)
     obs_rows = tuple(a.shape[0] for a in obs)
 
     # primal: variables (x, lam)
     nv = n + q
-    cones = []
-    for i, a in enumerate(obs):
-        k = a.shape[0]
-        F = np.zeros((k + 1, nv))
-        F[:k, :n] = 2.0 * a
-        F[k, n:] = P[:, i]
-        g = np.r_[np.zeros(k), -1.0]
-        f = np.r_[np.zeros(n), P[:, i]]
-        cones.append(SocCon(F=F, g=g, f=f, d=1.0))
+    cones = [_hyperbolic_cone(a, P[:, i], 0.0, nv) for i, a in enumerate(obs)]
     A_ub = np.zeros((1 + q, nv))
     A_ub[0, n:] = d
     A_ub[1:, n:] = -np.eye(q)
@@ -432,35 +424,18 @@ def build_resource_constrained(design: DesignProblem) -> ResourceSocpPair:
                          lin_ineq=(A_ub, e_ub))
 
     # dual: variables (mu, t, alpha, z_1..z_l)
-    nz = sum(obs_rows)
-    nd = l + 1 + l + nz
+    nd = 2 * l + 1 + sum(obs_rows)
     obj = np.zeros(nd)
-    obj[l] = 1.0
-    obj[l + 1:2 * l + 1] = 1.0
-    B = np.zeros((n, nd))
-    pos = 2 * l + 1
-    starts = []
-    for i, a in enumerate(obs):
-        k = a.shape[0]
-        starts.append(pos)
-        B[:, pos:pos + k] = a.T
-        pos += k
-    r_eq = c.copy()
-    rows = []
-    A1 = np.zeros((q, nd))
-    A1[:, :l] = P
-    A1[:, l] = -d
-    rows.append((A1, np.zeros(q)))
-    A2 = np.zeros((2 * l + 1, nd))
-    A2[:l, :l] = -np.eye(l)
-    A2[l, l] = -1.0
-    A2[l + 1:, l + 1:2 * l + 1] = -np.eye(l)
-    rows.append((A2, np.zeros(2 * l + 1)))
-    A_ub_d = np.vstack([r[0] for r in rows])
-    e_ub_d = np.concatenate([r[1] for r in rows])
+    obj[l:2 * l + 1] = 1.0
+    B = np.hstack([np.zeros((n, 2 * l + 1))] + [a.T for a in obs])
+    starts = np.cumsum((2 * l + 1,) + obs_rows[:-1]).tolist()
+    A_ub_d = np.zeros((q + 2 * l + 1, nd))
+    A_ub_d[:q, :l] = P
+    A_ub_d[:q, l] = -d
+    A_ub_d[q:q + l, :l] = A_ub_d[q + l + 1:, l + 1:2 * l + 1] = -np.eye(l)
+    A_ub_d[q + l, l] = -1.0
     dcones = []
-    for i, (a, start) in enumerate(zip(obs, starts)):
-        k = a.shape[0]
+    for i, (k, start) in enumerate(zip(obs_rows, starts)):
         F = np.zeros((k + 1, nd))
         F[:k, start:start + k] = np.eye(k)
         F[k, l + 1 + i] = 1.0
@@ -470,6 +445,6 @@ def build_resource_constrained(design: DesignProblem) -> ResourceSocpPair:
         f[i] = 1.0
         dcones.append(SocCon(F=F, g=np.zeros(k + 1), f=f, d=0.0))
     dual = SocpProblem(objective=obj, cones=tuple(dcones),
-                       lin_ineq=(A_ub_d, e_ub_d), lin_eq=(B, r_eq),
+                       lin_ineq=(A_ub_d, np.zeros(q + 2 * l + 1)), lin_eq=(B, c.copy()),
                        sense="min")
     return ResourceSocpPair(primal=primal, dual=dual, l=l, obs_rows=obs_rows)

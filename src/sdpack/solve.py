@@ -28,8 +28,8 @@ import scipy.optimize
 
 from . import linalg, reduce as reduction
 from .analysis import check_bounded, check_feasible
-from .conelp import (ConeProgram, ConeResult, cone_program, psd_variable, smat,
-                     solve_cone_program, svec, svec_dim)
+from .conelp import (ConeProgram, ConeResult, _svec_index, cone_program,
+                     psd_variable, smat, solve_cone_program, svec, svec_dim)
 from .errors import (InfeasibleDual, InfeasiblePrimal, InvalidInput,
                      MaxIterations, NumericalFailure, PathDiverged,
                      PathNotMonotone, ZeroDual)
@@ -115,11 +115,10 @@ def kkt_check(problem: PackingProblem, X: np.ndarray, mu: np.ndarray,
     mu = np.asarray(mu, dtype=float)
     if X.shape[0] != problem.n or mu.shape[0] != problem.l:
         raise InvalidInput("solution dimensions do not match the problem")
-    traces = np.array([float(np.trace(m @ X)) for m in problem.mats])
+    traces = np.trace(problem.stack @ X, axis1=1, axis2=2)
     primal = max(0.0, float(np.max(traces - problem.b)),
                  -float(np.linalg.eigvalsh(X)[0]))
-    slack = linalg.symmetrize(
-        sum(m * M for m, M in zip(mu, problem.mats)) - problem.C)
+    slack = linalg.symmetrize((mu[:, None, None] * problem.stack).sum(0) - problem.C)
     dual = max(0.0, -float(np.linalg.eigvalsh(slack)[0]),
                -float(np.min(mu)) if mu.size else 0.0)
     comp = max(float(np.max(np.abs(slack @ X))),
@@ -133,8 +132,13 @@ def kkt_check(problem: PackingProblem, X: np.ndarray, mu: np.ndarray,
 
 
 def _socp_to_cone_program(socp: reduction.SocpProblem) -> tuple[ConeProgram, int]:
-    blocks = [("soc", con.F.shape[0] + 1, -np.vstack([con.f[None, :], con.F]),
-               np.r_[con.d, con.g]) for con in socp.cones]
+    """Cone ``i`` is the soc block ``(-[f_i; F_i], [d_i; g_i])``, cut from one array."""
+    blocks = []
+    if socp.cones:
+        G = -np.concatenate([a for con in socp.cones for a in (con.f[None, :], con.F)])
+        h = np.concatenate([a for con in socp.cones for a in ((con.d,), con.g)])
+        ends = np.cumsum([con.F.shape[0] + 1 for con in socp.cones]).tolist()
+        blocks = [("soc", e - s, G[s:e], h[s:e]) for s, e in zip([0] + ends, ends)]
     n_ineq = 0
     if socp.lin_ineq is not None:
         n_ineq = socp.lin_ineq[0].shape[0]
@@ -210,27 +214,21 @@ def solve_socp(socp: reduction.SocpProblem,
 
 
 def _socp_result(socp, res, n_ineq, status) -> SocpResult:
-    x = res.x
-    value = float(socp.objective @ x)
-    ineq_duals = res.z[:n_ineq].copy()
-    cone_duals = []
-    pos = n_ineq
-    for con in socp.cones:
-        k = con.F.shape[0] + 1
-        zc = res.z[pos:pos + k]
-        cone_duals.append((float(zc[0]), zc[1:].copy()))
-        pos += k
+    z = res.z
+    ends = np.cumsum([n_ineq] + [con.F.shape[0] + 1 for con in socp.cones]).tolist()
+    cone_duals = tuple([(float(z[s]), z[s + 1:e].copy()) for s, e in zip(ends, ends[1:])])
     eq_duals = res.y.copy() if res.y is not None else np.zeros(0)
-    return SocpResult(x=x.copy(), value=value, cone_duals=tuple(cone_duals),
-                      ineq_duals=ineq_duals, eq_duals=eq_duals,
+    return SocpResult(x=res.x.copy(), value=float(socp.objective @ res.x),
+                      cone_duals=cone_duals, ineq_duals=z[:n_ineq].copy(), eq_duals=eq_duals,
                       report=_report_from_cone(res, status, socp.sense))
 
 
-def _packing_cone_program(C, mats, b, eps: float = 0.0) -> ConeProgram:
+def _packing_cone_program(C, S, b, eps: float = 0.0) -> ConeProgram:
+    """The packing program of ``C``, the stack ``S`` of the ``M_i`` and ``b``."""
     n = C.shape[0]
-    eye = np.eye(n)
-    rows = np.array([svec(m + eps * eye) for m in mats])
-    return cone_program(-svec(C), [("nn", len(mats), rows, np.asarray(b, float)),
+    _, _, flat, scale = _svec_index(n)
+    rows = (S + eps * np.eye(n)).reshape(len(S), n * n)[:, flat] * scale
+    return cone_program(-svec(C), [("nn", len(S), rows, np.asarray(b, float)),
                                    psd_variable(n, svec_dim(n))])
 
 
@@ -238,8 +236,9 @@ def solve_dual_packing(problem: PackingProblem,
                        opts: SolveOptions | None = None) -> tuple[np.ndarray, float]:
     """Solve ``min b.mu  s.t.  sum mu_i M_i >= C, mu >= 0`` directly."""
     opts = opts or SolveOptions()
-    l = problem.l
-    psd_rows = -np.column_stack([svec(m) for m in problem.mats])
+    l, n = problem.l, problem.n
+    _, _, flat, scale = _svec_index(n)
+    psd_rows = -(problem.stack.reshape(l, n * n)[:, flat] * scale).T
     prog = cone_program(problem.b.copy(),
                         [("nn", l, -np.eye(l), np.zeros(l)),
                          ("psd", problem.n, psd_rows, -svec(problem.C))])
@@ -290,13 +289,13 @@ def solve_sdp(problem, opts: SolveOptions | None = None):
         U = linalg.range_basis(S)
         inner = PackingProblem(
             C=linalg.symmetrize(U.T @ problem.C @ U),
-            mats=tuple(linalg.symmetrize(U.T @ m @ U) for m in problem.mats),
+            mats=tuple(linalg.symmetrize_stack(U.T @ problem.stack @ U)),
             b=problem.b.copy())
     else:
         U = None
         inner = problem
 
-    prog = _packing_cone_program(inner.C, inner.mats, inner.b)
+    prog = _packing_cone_program(inner.C, inner.stack, inner.b)
     res = solve_cone_program(prog, reltol=opts.tol, max_iter=opts.max_iter)
     if res.x is None:
         raise NumericalFailure("cone solver returned no iterate")
@@ -337,7 +336,7 @@ def _truncate_feasible(problem: PackingProblem, X: np.ndarray,
     grows."""
     scale = max(1.0, float(np.max(np.abs(problem.b))))
     Xt = truncate_psd(X, threshold)
-    slacks = problem.b - np.array([np.trace(m @ Xt) for m in problem.mats])
+    slacks = problem.b - np.trace(problem.stack @ Xt, axis1=1, axis2=2)
     return Xt if float(np.min(slacks)) >= -1e-8 * scale else X
 
 
@@ -368,7 +367,7 @@ def solve_packing_lowrank(problem: PackingProblem,
     if route not in ("auto", "socp", "eps-path"):
         raise InvalidInput(f"unknown route {route!r}")
     red, lift = reduction.project_packing(problem)
-    rank_c = 0 if red.empty else linalg.rank_tol(red.problem.C)
+    rank_c = 0 if red.empty else red.c_dec.rank()
     if rank_c == 0:
         X = np.zeros((problem.n, problem.n))
         if linalg.is_zero(problem.C):
@@ -382,7 +381,7 @@ def solve_packing_lowrank(problem: PackingProblem,
     inner = red.problem
     use_socp = (rank_c == 1) if route == "auto" else (route == "socp")
     if use_socp:
-        X_red, mu_red, path = _rank_one_route(inner, opts)
+        X_red, mu_red, path = _rank_one_route(inner, opts, red.c_dec)
         route = "socp"
     else:
         X_red, mu_red, path = _eps_path_route(inner, opts)
@@ -419,23 +418,21 @@ def _polish(problem: PackingProblem, X: np.ndarray, mu: np.ndarray):
     """
     n, l = problem.n, problem.l
     scale = max(1.0, float(np.max(np.abs(problem.b))))
-    traces = np.array([float(np.trace(m @ X)) for m in problem.mats])
+    traces = np.trace(problem.stack @ X, axis1=1, axis2=2)
     active = np.flatnonzero(problem.b - traces <= 1e-6 * scale)
     if active.size == 0:
         return X, mu
+    Ma = problem.stack[active]
     dec = linalg.eigh_desc(X)
     r = max(1, dec.rank(1e-8))
     V = dec.eigenvectors[:, :r] * np.sqrt(np.clip(dec.eigenvalues[:r], 0.0, None))
     mu_a = mu[active].copy()
     nr = n * r
     for _ in range(3):
-        S = linalg.symmetrize(
-            sum(m * M for m, M in zip(mu_a, (problem.mats[i] for i in active)))
-            - problem.C)
+        S = linalg.symmetrize((mu_a[:, None, None] * Ma).sum(0) - problem.C)
         F = np.r_[(S @ V).ravel(),
-                  [float(np.sum(V * (problem.mats[i] @ V))) - problem.b[i]
-                   for i in active]]
-        J = _polish_jacobian(S, V, [problem.mats[i] for i in active])
+                  (V * (Ma @ V)).sum(axis=(1, 2)) - problem.b[active]]
+        J = _polish_jacobian(S, V, Ma)
         try:
             delta = np.linalg.lstsq(J, -F, rcond=None)[0]
         except np.linalg.LinAlgError:
@@ -444,37 +441,38 @@ def _polish(problem: PackingProblem, X: np.ndarray, mu: np.ndarray):
         mu_a = np.clip(mu_a + delta[nr:], 0.0, None)
     else:  # all steps taken: keep them if X stays feasible
         X_new = linalg.symmetrize(V @ V.T)
-        traces_new = np.array([float(np.trace(m @ X_new)) for m in problem.mats])
+        traces_new = np.trace(problem.stack @ X_new, axis1=1, axis2=2)
         if float(np.max(traces_new - problem.b)) <= 1e-9 * scale:
             X, mu, dec = X_new, np.zeros(l), None
             mu[active] = mu_a
     R = (dec if dec is not None else linalg.eigh_desc(X)).range_basis(1e-8)
     if R.shape[1] == 0:
         return X, mu
-    cols = np.column_stack([(problem.mats[i] @ R).ravel() for i in active])
+    cols = np.ascontiguousarray((Ma @ R).reshape(active.size, -1).T)
     fit, _ = scipy.optimize.nnls(cols, (problem.C @ R).ravel())
     mu = np.zeros(l)
     mu[active] = fit
     return X, mu
 
 
-def _polish_jacobian(S: np.ndarray, V: np.ndarray, mats: list) -> np.ndarray:
-    """Jacobian of :func:`_polish`'s system in ``(V, mu_A)`` (``mats``: the
-    active ``M_i``); column ``j r + k`` is the derivative along the unit
-    matrix ``E_jk``, the ``E_jk`` stacked through one product per matrix."""
+def _polish_jacobian(S: np.ndarray, V: np.ndarray, Ma: np.ndarray) -> np.ndarray:
+    """Jacobian of :func:`_polish`'s system in ``(V, mu_A)`` (``Ma``: the
+    stack of the active ``M_i``); column ``j r + k`` is the derivative along
+    the unit matrix ``E_jk``, the ``E_jk`` and the ``M_i`` stacked through
+    one product."""
     n, r = V.shape
-    nr, na = n * r, len(mats)
+    nr, na = n * r, len(Ma)
     E = np.eye(nr).reshape(nr, n, r)
     J = np.zeros((nr + na, nr + na))
     J[:nr, :nr] = (S @ E).reshape(nr, nr).T
-    for a, m in enumerate(mats):
-        J[nr + a, :nr] = 2.0 * (V * (m @ E)).reshape(nr, nr).sum(axis=1)
-        J[:nr, nr + a] = (m @ V).ravel()
+    J[nr:, :nr] = 2.0 * (V * (Ma[:, None] @ E)).reshape(na, nr, nr).sum(axis=2)
+    J[:nr, nr:] = (Ma @ V).reshape(na, nr).T
     return J
 
 
-def _rank_one_route(inner: PackingProblem, opts: SolveOptions):
-    socp = reduction.to_socp_rank1(inner)
+def _rank_one_route(inner: PackingProblem, opts: SolveOptions,
+                    c_dec: linalg.EigenDecomp):
+    socp = reduction.to_socp_rank1(inner, c_dec)
     res = solve_socp(socp, opts)
     if res.report.status is not Status.OPTIMAL:
         raise NumericalFailure(f"cone solve ended with {res.report.status.value}")
@@ -527,7 +525,7 @@ def _check_monotone(values, error: type[Exception], what: str) -> None:
 
 def _eps_path_route(inner: PackingProblem, opts: SolveOptions):
     results = _follow_path(
-        lambda eps: _packing_cone_program(inner.C, inner.mats, inner.b, eps=eps),
+        lambda eps: _packing_cone_program(inner.C, inner.stack, inner.b, eps=eps),
         _EPS_SCHEDULE, opts.max_iter, "perturbed solve at eps")
     values = [-res.pcost for res in results]
     _check_monotone(values, PathDiverged, "perturbation-path")

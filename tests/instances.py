@@ -54,6 +54,19 @@ def subspace_packing(rng, n, k, l, rank_c, zero_b=0):
     return packing(C, mats, b)
 
 
+def zero_budget_instances():
+    """40 seeded instances with one or two zero-budget rows, from both
+    generators, with rank(C) 1 (the SOCP route) and 2 (the eps-path)."""
+    rng = np.random.default_rng(2024)
+    problems = []
+    for _ in range(5):
+        for zero_b in (1, 2):
+            for rank_c in (1, 2):
+                problems.append(bounded_packing(rng, 5, 4, rank_c, zero_b))
+                problems.append(subspace_packing(rng, 6, 4, 4, rank_c, zero_b))
+    return problems
+
+
 def unbounded_packing(rng, n, l, kernel_dim=1):
     """Constraint matrices supported on a common subspace and an objective
     whose energy concentrates on its orthogonal complement."""

@@ -149,6 +149,15 @@ class TestSolve:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_parser_built_once_and_options_not_carried(self, capsys, rank1_file):
+        cli._parser.cache_clear()
+        assert cli.main(["solve", rank1_file, "--report", "text"]) == 0
+        text = capsys.readouterr().out
+        code, doc = run(capsys, ["solve", rank1_file])
+        assert cli._parser.cache_info().misses == 1
+        assert text.startswith("file: ") and "\nstatus: optimal\n" in text
+        assert code == 0 and doc["status"] == "optimal"
+
     def test_batch_mode(self, capsys, rank1_file, tmp_path):
         other = write(tmp_path, "inf.json", {
             "kind": "packing", "C": [[1.0]],
@@ -214,7 +223,7 @@ class TestDesign:
         code, out = run(capsys, ["design", write(tmp_path, "neg_p.json", doc)])
         assert code == 2
         assert out["error"] == "ValidationError"
-        assert out["message"].startswith("resource.P has a negative entry")
+        assert out["message"] == "resource.P has a negative entry at (1, 0)"
         assert out["witness"] == [1.0, 0.0]
 
     def test_c_optimal_report(self, capsys, tmp_path):

@@ -106,9 +106,16 @@ class TestParse:
     def test_resource_block_rejects_a_negative_entry(self):
         # built through the API, not parsed: the parser's check, message
         # and witness
-        with pytest.raises(ValidationError, match="resource.P has a negative entry") as exc:
+        with pytest.raises(ValidationError) as exc:
             model.ResourceBlock(P=np.array([[1.0, 0.0], [0.5, -2.0]]), d=np.ones(2))
+        assert str(exc.value) == "resource.P has a negative entry at (1, 1)"
         assert exc.value.witness == (1, 1)
+
+    def test_resource_block_message_has_plain_indices(self):
+        with pytest.raises(ValidationError) as exc:
+            model.ResourceBlock(P=np.array([[1, 0], [-1, 0]]), d=np.array([1, 1]))
+        assert str(exc.value) == "resource.P has a negative entry at (1, 0)"
+        assert exc.value.witness == (1, 0)
 
 
 class TestRoundTrip:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from instances import (bounded_packing, face_restricted, packing, random_psd,
-                       subspace_packing)
+                       subspace_packing, zero_budget_instances)
 
 from sdpack import linalg
 from sdpack import reduce as rd
@@ -23,19 +23,6 @@ def c_opt_instance():
     c = np.array([1.0, 1.0])
     return packing(np.outer(c, c),
                    [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [1.0, 1.0])
-
-
-def zero_budget_instances():
-    """40 seeded instances with one or two zero-budget rows, from both
-    generators, with rank(C) 1 (the SOCP route) and 2 (the eps-path)."""
-    rng = np.random.default_rng(2024)
-    problems = []
-    for _ in range(5):
-        for zero_b in (1, 2):
-            for rank_c in (1, 2):
-                problems.append(bounded_packing(rng, 5, 4, rank_c, zero_b))
-                problems.append(subspace_packing(rng, 6, 4, 4, rank_c, zero_b))
-    return problems
 
 
 def tangent_combined():
@@ -472,7 +459,7 @@ class TestLowRank:
                 S = S + S.T
                 V = rng.standard_normal((n, r))
                 mats = [random_psd(rng, n) for _ in range(na)]
-                assert np.array_equal(sv._polish_jacobian(S, V, mats),
+                assert np.array_equal(sv._polish_jacobian(S, V, np.array(mats)),
                                       column_loop(S, V, mats))
 
     def test_forced_eps_path_on_rank_one(self):

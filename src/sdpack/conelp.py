@@ -45,10 +45,10 @@ problems, which the path-following solvers need for their monotonicity
 checks.  The factorization is chosen once per solve from the cone layout
 (:class:`_KktFactor`): QR of the scaled rows, with residuals in double, for
 programs with no psd block (LPs, SOCPs, the rank-one and design programs);
-else every nn or psd selection block (rows ``-I`` on their own columns, as
-``X >= 0`` on the eps-path) is eliminated through its scaling and a dense
-LU factors the bordered Schur complement left (order ``l`` on the
-eps-path), with residuals in ``longdouble``.  On the
+else every variable block the program declares (rows ``-I`` on the
+variable's own columns, as ``X >= 0`` on the eps-path) is eliminated
+through its scaling and a dense LU factors the bordered Schur complement
+left (order ``l`` on the eps-path), with residuals in ``longdouble``.  On the
 ``tools/path_census.py`` census, 0 of 336 stages (seed 1), 0 of 1008
 (seeds 4-6) and 0 of 3696 (seeds 7-17) end short of their 1e-11 gaps.
 
@@ -64,9 +64,9 @@ the trace-cap path's answers at low rank.
 Every exit of :func:`solve_cone_program` records a :class:`StopReason`.
 
 Every program sdpack builds is assembled by :func:`cone_program` from its
-cone blocks in row order, and the block ``X >= 0`` of a psd variable comes
-from :func:`psd_variable`: its ``-I`` rows are the selection blocks the
-psd KKT solve eliminates.
+cone blocks in row order; the assembly builds the ``-I`` rows of each
+variable block ``x_b >= 0`` and declares them (:class:`ConeProgram`), so
+the psd KKT solve eliminates the declared blocks and never searches ``G``.
 
 This is an internal engine; the user-facing entry points are in
 ``sdpack.solve``.
@@ -152,12 +152,17 @@ def svec_dim(n: int) -> int:
 class ConeProgram:
     """Cone program data.  ``cones`` lists blocks as ``("nn", d)``,
     ``("soc", d)`` or ``("psd", n)`` covering the rows of ``G`` in order
-    (PSD blocks occupy ``n (n + 1) / 2`` packed rows)."""
+    (PSD blocks occupy ``n (n + 1) / 2`` packed rows).
+
+    An nn or psd block written ``(kind, order, start)`` declares a variable
+    block ``x_b >= 0``: rows ``-I`` on the columns from ``start``, that no
+    other variable block holds, and zero elsewhere; checked here, once, and
+    eliminated by the psd KKT solve (:class:`_SchurKkt`)."""
 
     c: np.ndarray
     G: np.ndarray
     h: np.ndarray
-    cones: tuple[tuple[str, int], ...]
+    cones: tuple[tuple, ...]
     A: np.ndarray | None = None
     b: np.ndarray | None = None
 
@@ -165,12 +170,19 @@ class ConeProgram:
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
         object.__setattr__(self, "G", np.atleast_2d(np.asarray(self.G, dtype=float)))
         object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
-        object.__setattr__(self, "cones", tuple((str(k), int(d)) for k, d in self.cones))
-        for kind, d in self.cones:
+        cones, variables, rows = [], [], 0
+        for cone in self.cones:
+            kind, d = str(cone[0]), int(cone[1])
             if kind not in ("nn", "soc", "psd"):
                 raise InvalidInput(f"unknown cone kind {kind!r}")
             if d < 0:
                 raise InvalidInput(f"cone {kind!r} has negative order {d}")
+            dim = d * (d + 1) // 2 if kind == "psd" else d
+            cones.append((kind, d, *map(int, cone[2:])))
+            if len(cone) > 2:
+                variables.append((kind, rows, dim, cones[-1][2]))
+            rows += dim
+        object.__setattr__(self, "cones", tuple(cones))
         if self.A is not None:
             if self.b is None:
                 raise InvalidInput("cone program has equality rows A but no b")
@@ -180,7 +192,6 @@ class ConeProgram:
             v = getattr(self, name)
             if v is not None and not np.all(np.isfinite(v)):
                 raise InvalidInput(f"cone program {name} has a non-finite entry")
-        rows = sum(svec_dim(d) if k == "psd" else d for k, d in self.cones)
         if rows != self.G.shape[0] or self.h.shape[0] != rows:
             raise InvalidInput(f"cone rows {rows} do not match G/h ({self.G.shape[0]})")
         if self.G.shape[1] != self.c.shape[0]:
@@ -188,40 +199,52 @@ class ConeProgram:
         if self.A is not None and (self.A.shape[1] != self.c.shape[0]
                                    or self.A.shape[0] != self.b.shape[0]):
             raise InvalidInput("A/b shapes inconsistent with objective")
+        used = np.zeros(self.G.shape[1], dtype=bool)
+        for kind, row, dim, start in variables:
+            G_b, cols = self.G[row:row + dim], slice(start, start + dim)
+            # columns in G that no other block holds, and dim nonzeros in
+            # the block's rows, all of them -1 on its own diagonal
+            if (kind == "soc" or start < 0 or cols.stop > used.shape[0]
+                    or used[cols].any() or np.count_nonzero(G_b) != dim
+                    or not (G_b[:, cols].diagonal() == -1.0).all()):
+                raise InvalidInput(f"variable block at row {row} is not an nn or psd block of "
+                                   f"-I on its own columns {start}:{cols.stop}, zero elsewhere")
+            used[cols] = True
 
 
 def cone_program(c, blocks, A=None, b=None) -> ConeProgram:
-    """The :class:`ConeProgram` of ``blocks``, each ``(kind, order, G_rows,
-    h_rows)`` in row order: the rows of ``G`` and ``h`` are the blocks'
-    rows stacked as given, every entry kept to the bit."""
-    return ConeProgram(c=c, G=np.vstack([blk[2] for blk in blocks]),
-                       h=np.concatenate([blk[3] for blk in blocks]),
-                       cones=[blk[:2] for blk in blocks], A=A, b=b)
-
-
-def psd_variable(order: int, nx: int, start: int = 0) -> tuple:
-    """The block ``X >= 0`` of a psd variable of ``order`` packed at the
-    columns from ``start`` of ``nx``: rows ``-I`` on those columns (a
-    selection block, see :func:`_selection_blocks`), zero elsewhere and in
-    ``h``."""
-    L = svec_dim(order)
-    G = np.zeros((L, nx))
-    G[:, start:start + L] = -np.eye(L)
-    return "psd", order, G, np.zeros(L)
+    """The :class:`ConeProgram` of ``blocks`` in row order: ``(kind, order,
+    G_rows, h_rows)``, stacked as given to the bit, or the variable block
+    ``(kind, order, start[, h_rows])`` (see :class:`ConeProgram`), its
+    ``-I`` rows built here and ``h_rows`` zero when not given."""
+    G_rows, h_rows, cones = [], [], []
+    for kind, order, *rest in blocks:
+        if isinstance(rest[0], (int, np.integer)):
+            start, dim = rest[0], svec_dim(order) if kind == "psd" else order
+            G = np.zeros((dim, len(c)))
+            G[:, start:start + dim] = -np.eye(dim)
+            rest = [G, rest[1] if len(rest) > 1 else np.zeros(dim), start]
+        G_rows.append(rest[0])
+        h_rows.append(rest[1])
+        cones.append((kind, order, *rest[2:]))
+    return ConeProgram(c=c, G=np.vstack(G_rows), h=np.concatenate(h_rows),
+                       cones=cones, A=A, b=b)
 
 
 class _Block:
-    """One cone block: its rows ``sl``, and for a psd block its packed
+    """One cone block: its rows ``sl``, the columns ``cols`` of a declared
+    variable block (else ``None``), and for a psd block its packed
     coordinates ``index`` (:func:`_svec_index`) and the packed positions
     ``diag`` of its diagonal."""
 
-    __slots__ = ("kind", "dim", "sl", "order", "index", "diag")
+    __slots__ = ("kind", "dim", "sl", "cols", "order", "index", "diag")
 
-    def __init__(self, kind: str, order: int, start: int):
+    def __init__(self, kind: str, order: int, start: int, col: int | None = None):
         self.kind = kind
         self.order = order
         self.dim = svec_dim(order) if kind == "psd" else order
         self.sl = slice(start, start + self.dim)
+        self.cols = None if col is None else slice(col, col + self.dim)
         self.index = _svec_index(order) if kind == "psd" else None
         self.diag = self.index[0].diagonal() if kind == "psd" else None
 
@@ -243,10 +266,10 @@ class _Layout:
     def __init__(self, cones):
         self.blocks: list[_Block] = []
         pos = 0
-        for kind, d in cones:
+        for kind, d, *col in cones:
             if d <= 0:
                 continue
-            blk = _Block(kind, d, pos)
+            blk = _Block(kind, d, pos, *col)
             pos += blk.dim
             self.blocks.append(blk)
         self.m = pos
@@ -854,7 +877,10 @@ def solve_cone_program(prog: ConeProgram, *, reltol: float = 1e-8,
         # least that is > 0 exactly (and a nan fails)
         if (tau <= 0 or kappa < 0 or not layout.margin_at_least(s, math.ulp(0.0))
                 or not layout.margin_at_least(z, math.ulp(0.0))):
-            # should not happen with fraction-to-boundary steps
+            # a fraction-to-boundary step can still leave the cone in
+            # floating point: the tests stop here on eps-path and trace-cap
+            # stages (the golden instance and demo 06 among them), both dual
+            # caps of solve_combined_dual, a dual phase 1 and an SOCP
             reason = StopReason.LEFT_CONE
             break
 
@@ -937,15 +963,11 @@ class _KktFactor:
       stacked ``[Gs; 1e-7 I]`` gives ``R.T R = Gs.T Gs + 1e-14 I`` without
       forming the Gram matrix, and a second QR handles the equality rows.
       Residuals are taken in double.
-    * :class:`_SchurKkt`, for programs with a psd block: each nn or psd
-      selection block (cone rows ``-I`` on their own columns) is
-      eliminated, columns and rows, through the exact image ``Q (I + 1e-14
-      Q)^{-1}`` of the regularization, ``Q = W_b.T W_b``, applied in its
-      eigenbasis; a dense LU factors the bordered system that is left
-      (order ``l`` on the eps-path), with residuals accumulated in
-      ``longdouble``.  Solving through this Schur complement keeps the
-      eps-path's stages at their 1e-11 gaps: 0 of the 5040 stages of
-      census seeds 1 and 4-17 end short.
+    * :class:`_SchurKkt`, for programs with a psd block: each declared
+      variable block is eliminated through its scaling and a dense LU
+      factors the bordered system left (order ``l`` on the eps-path), with
+      residuals in ``longdouble``.  It keeps the eps-path's stages at their
+      1e-11 gaps: 0 of the 5040 stages of census seeds 1 and 4-17 end short.
 
     :func:`_kkt_factory` picks one per cone program from its layout.
     """
@@ -991,7 +1013,7 @@ def _max_abs(*parts: np.ndarray) -> float:
 def _kkt_factory(G: np.ndarray, A: np.ndarray, layout: _Layout):
     """The factorization every iteration of one solve uses, as a function
     of the scaling: :class:`_QrKkt` when the layout has no psd run, else
-    :class:`_SchurKkt` on the :class:`_SchurPlan` of ``G`` found once here."""
+    :class:`_SchurKkt` on the :class:`_SchurPlan` of ``G`` built once here."""
     if all(kind != "psd" for kind, _, _ in layout.runs):
         return functools.partial(_QrKkt, G, A)
     return functools.partial(_SchurKkt, _SchurPlan(G, A, layout))
@@ -1068,24 +1090,6 @@ class _QrKkt(_KktFactor):
         return e1, e2, e3
 
 
-def _selection_blocks(G: np.ndarray, layout: _Layout):
-    """``(block, columns)`` of each selection block: a cone block whose rows
-    of ``G`` are exactly ``-I`` on a contiguous range of columns that no
-    earlier selection block uses."""
-    used = np.zeros(G.shape[1], dtype=bool)
-    for blk in layout.blocks:
-        rows = G[blk.sl]
-        first = np.flatnonzero(rows[0])
-        if first.size != 1:
-            continue
-        cols = slice(int(first[0]), int(first[0]) + blk.dim)
-        if (cols.stop <= G.shape[1] and not used[cols].any()
-                and np.count_nonzero(rows) == blk.dim
-                and np.all(rows[:, cols].diagonal() == -1.0)):
-            used[cols] = True
-            yield blk, cols
-
-
 def _positions(mask: np.ndarray):
     """The indices where ``mask`` holds, as a slice when they are one
     stretch, else as an index array."""
@@ -1097,24 +1101,22 @@ def _positions(mask: np.ndarray):
 
 class _SchurPlan:
     """Where the rows and columns of one cone program go in
-    :class:`_SchurKkt`, found once per solve.
+    :class:`_SchurKkt`, built once per solve from the declared blocks.
 
-    ``sel`` holds ``(kind, run, part, rows, cols)`` per nn or psd selection
-    block (see :func:`_selection_blocks`) and ``dense`` ``(kind, run, part,
-    rows, at)`` per other block: ``run`` indexes ``_Layout.runs``, ``part``
-    picks the block's share of that run's scaling in ``_Scaling.runs`` (an
-    entry range of an nn run's diagonal, a one-block range of a soc run's
-    stack, the position of a psd block in its run's list) and
-    ``at`` its rows in ``GA = [A; G_D]``, the equality rows stacked over
-    the dense rows ``G_D = G[dense_rows]``.  ``GAt`` holds the transposed
-    columns of ``GA`` per selection block, ``free`` the columns of no
-    selection block.  ``G_D_l`` (and its transpose ``G_D_lt``) and ``A_l``
-    are the ``longdouble`` copies the refinement residual uses."""
+    ``sel`` holds ``(kind, run, part, rows, cols)`` per declared variable
+    block and ``dense`` ``(kind, run, part, rows, at)`` per other block:
+    ``run`` indexes ``_Layout.runs``, ``part`` picks the block's share of
+    that run's scaling in ``_Scaling.runs`` (an entry range of an nn run's
+    diagonal, a one-block range of a soc run's stack, the position of a psd
+    block in its run's list) and ``at`` its rows in ``GA = [A; G_D]``, the
+    equality rows stacked over the dense rows ``G_D = G[dense_rows]``.
+    ``GAt`` holds the transposed columns of ``GA`` per variable block,
+    ``free`` the columns of no variable block.  ``G_D_l`` (and its
+    transpose ``G_D_lt``) and ``A_l`` are the ``longdouble`` copies the
+    refinement residual uses."""
 
     def __init__(self, G: np.ndarray, A: np.ndarray, layout: _Layout):
         self.nx, self.p, self.m = G.shape[1], A.shape[0], G.shape[0]
-        chosen = {blk.sl.start: cols for blk, cols in _selection_blocks(G, layout)
-                  if blk.kind != "soc"}
         self.sel, self.dense = [], []
         free, dense = np.ones(self.nx, dtype=bool), np.zeros(self.m, dtype=bool)
         at = self.p
@@ -1122,10 +1124,9 @@ class _SchurPlan:
             for j, blk in enumerate(blocks):
                 part = (slice(blk.sl.start - run.start, blk.sl.stop - run.start)
                         if kind == "nn" else j if kind == "psd" else slice(j, j + 1))
-                cols = chosen.get(blk.sl.start)
-                if cols is not None:
-                    self.sel.append((kind, r, part, blk.sl, cols))
-                    free[cols] = False
+                if blk.cols is not None:
+                    self.sel.append((kind, r, part, blk.sl, blk.cols))
+                    free[blk.cols] = False
                 else:
                     self.dense.append((kind, r, part, blk.sl, slice(at, at + blk.dim)))
                     dense[blk.sl] = True
@@ -1142,10 +1143,10 @@ class _SchurPlan:
 
 class _SchurKkt(_KktFactor):
     """The reduced system of a program with a psd block as one bordered
-    Schur-complement system, with every selection block eliminated.
+    Schur-complement system, with every variable block eliminated.
 
-    A selection block ``b`` (cone rows ``-I`` on its own columns ``x_b``,
-    see :func:`_selection_blocks`) has the cone rows ``-ux_b - Q_b uz_b =
+    A variable block ``b`` (cone rows ``-I`` on its own columns ``x_b``,
+    declared in :class:`ConeProgram`) has the cone rows ``-ux_b - Q_b uz_b =
     rz_b`` with ``Q_b = W_b.T W_b``.  With ``w = (uy, v_D)``, the equality
     multipliers over the scaled directions ``v_D = W_D uz_D`` of the other
     (dense) blocks, and ``E = [A; inv(W_D).T G_D]`` the rows those meet,
@@ -1163,7 +1164,7 @@ class _SchurKkt(_KktFactor):
     with ``J`` the identity on the ``v_D`` rows and zero on the ``uy`` rows,
     so algebraically the full augmented system.  Its order is the free
     columns plus the equality and dense rows: ``l`` (10) on the eps-path,
-    ``q + l + 1`` on the trace-cap path.  With no selection block it is the
+    ``q + l + 1`` on the trace-cap path.  With no variable block it is the
     full augmented system itself.
 
     ``Qt_b`` is diagonal in the eigenbasis of ``Q_b``: the identity basis
@@ -1177,9 +1178,7 @@ class _SchurKkt(_KktFactor):
     once, each psd block's transforms into and out of its eigenbasis (the
     congruences by ``U`` and ``U.T``), ``inv(W_D).T`` and ``inv(W_D)`` on
     the dense rows, and the ``longdouble`` ``W.T W`` of the residual, as
-    :class:`_BlockOp` operators or bound congruences.  (A soc block of
-    ``-I`` rows, which no program sdpack builds has next to a psd block,
-    stays in the bordered system.)
+    :class:`_BlockOp` operators or bound congruences.
 
     Back-substitution is ``ux_b = t_b - Qt_b E_b.T w`` and ``uz_D = inv(W_D)
     v_D``; ``uz_b`` is read off the (regularized) ``x_b`` rows, which hold
@@ -1188,7 +1187,7 @@ class _SchurKkt(_KktFactor):
     against ``rz_b`` and then multiplies the rounding by ``inv(Q_b)``.)
 
     The refinement residual is accumulated in ``longdouble`` against the
-    unreduced equations, with the selection rows entering as the exact
+    unreduced equations, with the variable rows entering as the exact
     terms ``-ux_b`` and ``-uz_b``, the dense rows through ``G_D_l`` and
     ``W.T W`` through its congruences.
 
@@ -1252,7 +1251,7 @@ class _SchurKkt(_KktFactor):
         # K is symmetric, so its transpose is the Fortran-ordered matrix
         # getrf factors in place.  A zero pivot (info > 0) surfaces as
         # non-finite solves, which the refinement loop and the caller's
-        # guards handle.  K is empty when selection blocks are all there is.
+        # guards handle.  K is empty when variable blocks are all there is.
         self.lu, self.piv, info = _getrf(K.T, overwrite_a=True) if N else (K, None, 0)
         if info < 0:
             raise ValueError(f"getrf rejected argument {-info}")
@@ -1312,7 +1311,7 @@ class _SchurKkt(_KktFactor):
         else:
             e2 = np.zeros(0)
         # rz - G ux + W.T W uz: G ux through G_D_l on the dense rows and as
-        # -ux_b on the rows of each selection block
+        # -ux_b on the rows of each variable block
         e3 = rz + self._WtW_l(uz_l)
         e3[plan.dense_rows] -= plan.G_D_l.dot(ux_l)
         for rows, cols, *_ in self._sel:

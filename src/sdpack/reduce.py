@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, linalg
-from .conelp import cone_program, psd_variable, solve_cone_program, svec, svec_dim
+from .conelp import cone_program, solve_cone_program, svec, svec_dim
 from .errors import (DimensionMismatch, InfeasibleDesign, InfeasibleDual,
                      InfeasibleInput, InfeasiblePrimal, NonzeroH0, NonzeroR,
                      RankNotOne, UnboundedInput, WrongCriterion)
@@ -249,30 +249,31 @@ def to_socp_rank1(problem: PackingProblem,
 
 
 def combined_primal_phase1(cmb: CombinedProblem) -> tuple[bool, float]:
-    """Maximize the worst constraint slack over (Y, lam) with X = 0."""
+    """Maximize the worst constraint slack over (Y, lam) with X = 0, decided
+    by the rule of :func:`combined_dual_phase1`."""
     p, q, l = cmb.p, cmb.q, cmb.l
     nv = svec_dim(p) + q + 1
     rows = [np.r_[-svec(r), -hi, 1.0] for r, hi in zip(cmb.Rs, cmb.hs)]
     rows.append(np.r_[np.zeros(nv - 1), 1.0])
     blocks = [("nn", l + 1, np.array(rows), np.r_[cmb.b, 1.0])]
     if p:
-        blocks.append(psd_variable(p, nv))
+        blocks.append(("psd", p, 0))
     res = solve_cone_program(cone_program(np.r_[np.zeros(nv - 1), -1.0], blocks),
                              reltol=1e-9)
-    if not res.optimal:
+    if res.x is None:
         return False, -math.inf
     return bool(-res.pcost >= -1e-9), float(-res.pcost)
 
 
 def combined_dual_phase1(cmb: CombinedProblem) -> tuple[bool, np.ndarray, float]:
     """Minimize the uniform relaxation ``t`` of the dual constraints; the
-    dual is feasible exactly when the minimum is nonpositive."""
+    dual is feasible exactly when the minimum is nonpositive.  Infeasible
+    only on a certificate; any other stop is decided from the engine's
+    (best) iterate."""
     l, n, p, q = cmb.l, cmb.n, cmb.p, cmb.q
-    G_nn = np.zeros((l + 1, l + 1))
-    G_nn[:l, :l] = -np.eye(l)
-    G_nn[l, l] = -1.0          # t >= -1 keeps the relaxation bounded
     G_psd = -np.column_stack([svec(m) for m in cmb.mats] + [svec(np.eye(n))])
-    blocks = [("nn", l + 1, G_nn, np.r_[np.zeros(l), 1.0]),
+    # mu >= 0, and t >= -1 keeps the relaxation bounded
+    blocks = [("nn", l + 1, 0, np.r_[np.zeros(l), 1.0]),
               ("psd", n, G_psd, -svec(cmb.C))]
     if p:
         G_r = np.column_stack([svec(r) for r in cmb.Rs] + [-svec(np.eye(p))])

@@ -29,7 +29,7 @@ import scipy.optimize
 from . import linalg, reduce as reduction
 from .analysis import check_bounded, check_feasible
 from .conelp import (ConeProgram, ConeResult, _svec_index, cone_program,
-                     psd_variable, smat, solve_cone_program, svec, svec_dim)
+                     smat, solve_cone_program, svec, svec_dim)
 from .errors import (InfeasibleDual, InfeasiblePrimal, InvalidInput,
                      MaxIterations, NumericalFailure, PathDiverged,
                      PathNotMonotone, ZeroDual)
@@ -229,7 +229,7 @@ def _packing_cone_program(C, S, b, eps: float = 0.0) -> ConeProgram:
     _, _, flat, scale = _svec_index(n)
     rows = (S + eps * np.eye(n)).reshape(len(S), n * n)[:, flat] * scale
     return cone_program(-svec(C), [("nn", len(S), rows, np.asarray(b, float)),
-                                   psd_variable(n, svec_dim(n))])
+                                   ("psd", n, 0)])
 
 
 def solve_dual_packing(problem: PackingProblem,
@@ -240,8 +240,7 @@ def solve_dual_packing(problem: PackingProblem,
     _, _, flat, scale = _svec_index(n)
     psd_rows = -(problem.stack.reshape(l, n * n)[:, flat] * scale).T
     prog = cone_program(problem.b.copy(),
-                        [("nn", l, -np.eye(l), np.zeros(l)),
-                         ("psd", problem.n, psd_rows, -svec(problem.C))])
+                        [("nn", l, 0), ("psd", problem.n, psd_rows, -svec(problem.C))])
     res = solve_cone_program(prog, reltol=opts.tol, max_iter=opts.max_iter)
     if res.x is None:
         raise NumericalFailure(f"dual solve ended with {res.status}")
@@ -544,16 +543,13 @@ def _combined_cone_program(cmb: CombinedProblem, cap: float,
                            eps: float) -> ConeProgram:
     """Trace-capped, constraint-perturbed combined problem as a cone program."""
     n, p = cmb.n, cmb.p
-    Lx = svec_dim(n)
-    nv = Lx + svec_dim(p) + cmb.q
     eye_n = np.eye(n)
     rows = [np.r_[svec(m + eps * eye_n), -svec(r), -hi]
             for m, r, hi in zip(cmb.mats, cmb.Rs, cmb.hs)]
     rows.append(np.r_[cap * svec(eye_n), cap * svec(np.eye(p)), np.zeros(cmb.q)])
-    blocks = [("nn", cmb.l + 1, np.array(rows), np.r_[cmb.b, 1.0]),
-              psd_variable(n, nv)]
+    blocks = [("nn", cmb.l + 1, np.array(rows), np.r_[cmb.b, 1.0]), ("psd", n, 0)]
     if p:
-        blocks.append(psd_variable(p, nv, Lx))
+        blocks.append(("psd", p, svec_dim(n)))
     c = np.r_[-svec(cmb.C), -svec(cmb.R0), -cmb.h0]
     return cone_program(c, blocks)
 

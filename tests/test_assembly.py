@@ -2,10 +2,16 @@
 
 The ``_ref_*`` functions below are the hand-rolled assemblies that each
 builder carried before the builders went through
-:func:`sdpack.conelp.cone_program` and :func:`sdpack.conelp.psd_variable`,
-kept as they were.  Every array of every program must equal its reference
-to the bit, the sign of each zero included, so the engine sees the same
-input whichever assembly built it.
+:func:`sdpack.conelp.cone_program`, kept as they were but for two things:
+each cone list names the columns of the variable blocks (``x_b >= 0``)
+the assembly declares, and the dual phase 1's ``-I`` block is one negated
+identity (see ``_ref_dual_phase1``).  Every array of every program must
+equal its reference to the bit, the sign of each zero included, so the
+engine sees the same input whichever assembly built it.
+
+``tests/test_conelp.py::TestDeclaredBlocks`` checks that every program
+declares exactly the blocks that the scan the engine made before the
+declarations (``_ref_selection_blocks``) finds in its ``G``.
 """
 
 import dataclasses
@@ -55,7 +61,7 @@ def _ref_packing_cone_program(C, mats, b, eps=0.0):
     G = np.vstack([np.array([svec(m + eps * eye) for m in mats]),
                    -np.eye(L)])
     h = np.r_[np.asarray(b, float), np.zeros(L)]
-    return ConeProgram(c=-svec(C), G=G, h=h, cones=[("nn", l), ("psd", n)])
+    return ConeProgram(c=-svec(C), G=G, h=h, cones=[("nn", l), ("psd", n, 0)])
 
 
 def _ref_dual_packing(problem):
@@ -66,7 +72,7 @@ def _ref_dual_packing(problem):
         G[l:, i] = -svec(m)
     h = np.r_[np.zeros(l), -svec(problem.C)]
     return ConeProgram(c=problem.b.copy(), G=G, h=h,
-                       cones=[("nn", l), ("psd", n)])
+                       cones=[("nn", l, 0), ("psd", n)])
 
 
 def _ref_combined_cone_program(cmb, cap, eps):
@@ -94,13 +100,13 @@ def _ref_combined_cone_program(cmb, cap, eps):
     G_x[:, :Lx] = -np.eye(Lx)
     G = np.vstack([G_nn, G_x])
     hv = np.r_[np.asarray(h), np.zeros(Lx)]
-    cones = [("nn", l + 1), ("psd", n)]
+    cones = [("nn", l + 1), ("psd", n, 0)]
     if p:
         G_y = np.zeros((Lp, nv))
         G_y[:, Lx:Lx + Lp] = -np.eye(Lp)
         G = np.vstack([G, G_y])
         hv = np.r_[hv, np.zeros(Lp)]
-        cones.append(("psd", p))
+        cones.append(("psd", p, Lx))
     c = np.zeros(nv)
     c[:Lx] = -svec(cmb.C)
     if p:
@@ -137,7 +143,7 @@ def _ref_primal_phase1(cmb):
         Gp[:, :Lp] = -np.eye(Lp)
         G = np.vstack([G, Gp])
         hv = np.r_[hv, np.zeros(Lp)]
-        cones.append(("psd", p))
+        cones.append(("psd", p, 0))
     return ConeProgram(c=c, G=G, h=hv, cones=cones)
 
 
@@ -145,9 +151,11 @@ def _ref_dual_phase1(cmb):
     l, n, p, q = cmb.l, cmb.n, cmb.p, cmb.q
     c = np.zeros(l + 1)
     c[-1] = 1.0
-    G_nn = np.zeros((l + 1, l + 1))
-    G_nn[:l, :l] = -np.eye(l)
-    G_nn[l, l] = -1.0
+    # the block (mu, t) >= 0 as one negated identity: the zeros of row l
+    # and column l are -0.0 (the hand-built block had +0.0 there), and every
+    # engine result and answer of the benchmark's workloads stays the same
+    # to the bit
+    G_nn = -np.eye(l + 1)
     h_nn = np.r_[np.zeros(l), 1.0]
     Ln = svec_dim(n)
     G_psd = np.zeros((Ln, l + 1))
@@ -157,7 +165,7 @@ def _ref_dual_phase1(cmb):
     h_psd = -svec(cmb.C)
     G = np.vstack([G_nn, G_psd])
     h = np.r_[h_nn, h_psd]
-    cones = [("nn", l + 1), ("psd", n)]
+    cones = [("nn", l + 1, 0), ("psd", n)]
     if p:
         Lp = svec_dim(p)
         G_r = np.zeros((Lp, l + 1))

@@ -1,4 +1,8 @@
+import contextlib
+import importlib
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from sdpack import solve as sv
 from sdpack.conelp import (_WARM_MARGIN, ConeProgram, StopReason, _chol_or_eig,
                            _congruence, _kkt_factory, _KktFactor, _Layout, _push_interior,
                            _QrKkt, _rows, _Scaling, _scaled_rows, _SchurKkt, _SchurPlan,
-                           _selection_blocks, _smallest_positive_root, _svec_index,
+                           _smallest_positive_root, _svec_index,
                            _warm_margin, _warm_residual, smat, solve_cone_program, svec,
                            svec_dim)
 from sdpack.errors import InvalidInput
@@ -44,7 +48,7 @@ class TestPackedCoordinates:
 
 def _interior_point(rng, cones):
     parts = []
-    for kind, d in cones:
+    for kind, d, *_ in cones:
         if kind == "nn":
             parts.append(rng.uniform(0.1, 3.0, d))
         elif kind == "soc":
@@ -769,11 +773,11 @@ class TestLuKkt:
                 assert got.dtype == long and np.array_equal(got, ref)
 
     def test_residual_with_selection_blocks(self):
-        # the selection rows enter as exact terms: against the matmul
+        # the variable rows enter as exact terms: against the matmul
         # reference over the whole G, equal up to the order of the sums
         tol = 64 * np.finfo(np.longdouble).eps
         rng = np.random.default_rng(15)
-        cones = (("nn", 2), ("psd", 2), ("psd", 3))
+        cones = (("nn", 2), ("psd", 2, 0), ("psd", 3, 3))
         layout = _Layout(cones)
         G = np.zeros((layout.m, 3 + 6 + 2))
         G[:2] = rng.standard_normal((2, G.shape[1]))
@@ -892,7 +896,7 @@ def _captured_program(monkeypatch, module, run):
 
 def _program_shape(name, monkeypatch):
     """A psd program, one sdpack builds or a synthetic layout, with the
-    (rows, columns) of its selection blocks."""
+    (rows, columns) of its variable blocks."""
     rng = np.random.default_rng(21)
     n, l = 3, 3
     L = svec_dim(n)
@@ -923,7 +927,7 @@ def _program_shape(name, monkeypatch):
     if name == "mixed_runs":
         # rows: nn 0-1 (eliminated), nn 2-3, psd 4-6, psd 7-9 (eliminated),
         # nn 10-12; columns 5 and 6 are free
-        cones = (("nn", 2), ("nn", 2), ("psd", 2), ("psd", 2), ("nn", 3))
+        cones = (("nn", 2, 3), ("nn", 2), ("psd", 2), ("psd", 2, 0), ("nn", 3))
         G = rng.standard_normal((13, 7))
         G[:2] = 0.0
         G[:2, 3:5] = -np.eye(2)
@@ -932,7 +936,7 @@ def _program_shape(name, monkeypatch):
         sel = [(slice(0, 2), slice(3, 5)), (slice(7, 10), slice(0, 3))]
         A = rng.standard_normal((2, 7))
     else:
-        cones = (("nn", 2), ("nn", 2), ("psd", 2))
+        cones = (("nn", 2, 0), ("nn", 2, 2), ("psd", 2))
         G = np.zeros((7, 4))
         G[:4] = -np.eye(4)
         G[4:] = rng.standard_normal((3, 4))
@@ -979,41 +983,54 @@ class TestSelectionElimination:
             for e in _matmul_residual(G, A, sc, rx, ry, rz, *once):
                 assert float(np.max(np.abs(e), initial=0.0)) <= 1e-6
 
-    @staticmethod
-    def _selected(G, cones):
-        return [(blk.sl, cols) for blk, cols in _selection_blocks(G, _Layout(cones))]
+    # an nn block of two dense rows, then two psd blocks of order 2 declared
+    # on columns 0-2 and 3-5
+    DECLARED = (("nn", 2), ("psd", 2, 0), ("psd", 2, 3))
 
-    def test_detection(self):
-        # an nn block of two dense rows, then two psd blocks of order 2 on
-        # columns 0-2 and 3-5
-        cones = (("nn", 2), ("psd", 2), ("psd", 2))
-        base = np.zeros((8, 6))
-        base[:2] = np.arange(1.0, 13.0).reshape(2, 6)
-        base[2:5, :3] = -np.eye(3)
-        base[5:, 3:] = -np.eye(3)
-        assert self._selected(base, cones) == [(slice(2, 5), slice(0, 3)),
-                                               (slice(5, 8), slice(3, 6))]
-        second = [(slice(5, 8), slice(3, 6))]
-        for entry in (1.0, 2.0):
-            G = base.copy()
-            G[3, 1] = entry                 # +1 or 2 in place of a -1
-            assert self._selected(G, cones) == second
-        G = base.copy()
-        G[4, 5] = 0.5                       # a stray entry outside the range
-        assert self._selected(G, cones) == second
-        G = base.copy()
-        G[5:, 3:] = 0.0
-        G[5:, :3] = -np.eye(3)              # columns the first block uses
-        assert self._selected(G, cones) == [(slice(2, 5), slice(0, 3))]
-        G = base.copy()
-        G[5:, 3:] = -np.eye(3)[[0, 2, 1]]   # the range is not in order
-        assert self._selected(G, cones) == [(slice(2, 5), slice(0, 3))]
-        G = base.copy()
-        G[5:, 3:] = 0.0
-        G[5, 3], G[6, 4] = -1.0, -1.0
-        G = np.hstack([G, np.zeros((8, 1))])
-        G[7, 6] = -1.0                      # columns 3, 4 and 6: not contiguous
-        assert self._selected(G, cones) == [(slice(2, 5), slice(0, 3))]
+    @staticmethod
+    def _declared_program(G, cones=DECLARED):
+        return ConeProgram(c=np.zeros(G.shape[1]), G=G, h=np.zeros(G.shape[0]),
+                           cones=cones)
+
+    @staticmethod
+    def _declared_base():
+        G = np.zeros((8, 6))
+        G[:2] = np.arange(1.0, 13.0).reshape(2, 6)
+        G[2:5, :3] = -np.eye(3)
+        G[5:, 3:] = -np.eye(3)
+        return G
+
+    def test_declaration_accepted(self):
+        prog = self._declared_program(self._declared_base())
+        assert prog.cones == self.DECLARED
+        assert [(b.sl, b.cols) for b in _Layout(prog.cones).blocks] == [
+            (slice(0, 2), None), (slice(2, 5), slice(0, 3)), (slice(5, 8), slice(3, 6))]
+
+    @pytest.mark.parametrize("case", ["plus_one", "two", "stray", "claimed", "permuted",
+                                      "not_contiguous", "outside", "soc"])
+    def test_bad_declaration_rejected(self, case):
+        G, cones = self._declared_base(), self.DECLARED
+        if case in ("plus_one", "two"):
+            G[3, 1] = 1.0 if case == "plus_one" else 2.0   # in place of a -1
+        elif case == "stray":
+            G[4, 5] = 0.5                       # an entry outside the columns
+        elif case == "claimed":
+            G[5:, 3:] = 0.0
+            G[5:, :3] = -np.eye(3)              # columns the first block holds
+            cones = (("nn", 2), ("psd", 2, 0), ("psd", 2, 0))
+        elif case == "permuted":
+            G[5:, 3:] = -np.eye(3)[[0, 2, 1]]   # the columns out of order
+        elif case == "not_contiguous":
+            G[5:, 3:] = 0.0
+            G[5, 3], G[6, 4] = -1.0, -1.0
+            G = np.hstack([G, np.zeros((8, 1))])
+            G[7, 6] = -1.0                      # columns 3, 4 and 6
+        elif case == "outside":
+            cones = (("nn", 2), ("psd", 2, 0), ("psd", 2, 4))
+        else:
+            cones = (("soc", 2), ("psd", 2, 0), ("soc", 3, 3))
+        with pytest.raises(InvalidInput, match="is not an nn or psd block of -I"):
+            self._declared_program(G, cones)
 
     def test_no_selection_block_factors_full_system_bitwise(self):
         rng = np.random.default_rng(23)
@@ -1078,6 +1095,105 @@ class TestSelectionElimination:
             factored.clear()
             solve_cone_program(prog, max_iter=3)
             assert [a.shape for a in factored] == [(order, order)] * 3
+
+
+def _ref_selection_blocks(G, layout):
+    """The scan the KKT solve made of ``G`` before programs declared their
+    variable blocks: ``(block, columns)`` of each cone block whose rows of
+    ``G`` are exactly ``-I`` on a contiguous range of columns that no
+    earlier such block uses."""
+    used = np.zeros(G.shape[1], dtype=bool)
+    for blk in layout.blocks:
+        rows = G[blk.sl]
+        first = np.flatnonzero(rows[0])
+        if first.size != 1:
+            continue
+        cols = slice(int(first[0]), int(first[0]) + blk.dim)
+        if (cols.stop <= G.shape[1] and not used[cols].any()
+                and np.count_nonzero(rows) == blk.dim
+                and np.all(rows[:, cols].diagonal() == -1.0)):
+            used[cols] = True
+            yield blk, cols
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@contextlib.contextmanager
+def _perfbench_workloads():
+    """``perfbench/workloads.py``, imported with the benchmark's own
+    ``instances`` and ``checks`` modules (the tests hold another
+    ``instances``), which are put back on exit."""
+    names = ("workloads", "checks", "instances")
+    saved = {k: sys.modules.pop(k) for k in names if k in sys.modules}
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for k in names:
+            sys.modules.pop(k, None)
+        sys.modules.update(saved)
+
+
+class TestDeclaredBlocks:
+    """Every program sdpack builds declares exactly the variable blocks that
+    the scan the KKT solve used to make finds in its ``G``, so each solve
+    eliminates the same blocks as before the declarations."""
+
+    @staticmethod
+    def _programs(monkeypatch, run):
+        """Every program ``run`` hands to the engine."""
+        progs = []
+
+        def tap(prog, **kw):
+            progs.append(prog)
+            return solve_cone_program(prog, **kw)
+
+        for module in (sv, rd):
+            monkeypatch.setattr(module, "solve_cone_program", tap)
+        run()
+        return progs
+
+    @staticmethod
+    def _assert_declared_as_scanned(progs):
+        for prog in progs:
+            layout = _Layout(prog.cones)
+            declared = [(b.sl, b.cols) for b in layout.blocks if b.cols is not None]
+            scanned = [(b.sl, cols) for b, cols in _ref_selection_blocks(prog.G, layout)]
+            assert declared == scanned
+
+    def test_workloads(self, monkeypatch, tmp_path):
+        # the first round of each benchmark workload, seed 1: eps-path and
+        # rank-one packing, c, a, e and resource designs, and a combined
+        # problem (both phase-1 programs and the trace-cap path)
+        with _perfbench_workloads() as wl:
+            tap = wl.SolutionTap()
+            try:
+                cases = (wl.lowrank_path(1)[1][:2] + wl.socp_design(1)[1][:8]
+                         + wl.cli_batch(1, str(tmp_path), tap)[1][:8])
+                progs = self._programs(monkeypatch, lambda: [c.run() for c in cases])
+            finally:
+                tap.close()
+        kinds = {(b.kind, b.cols is not None) for p in progs for b in _Layout(p.cones).blocks}
+        assert {("psd", True), ("nn", True), ("soc", False)} <= kinds
+        self._assert_declared_as_scanned(progs)
+
+    def test_tangent_instance(self, monkeypatch):
+        from test_solve import tangent_combined
+        progs = self._programs(monkeypatch,
+                               lambda: sv.solve_combined_eta(tangent_combined()))
+        assert len(progs) == 2 + len(sv._ETA_SCHEDULE)
+        self._assert_declared_as_scanned(progs)
+
+    def test_dual_packing_and_phase1(self, monkeypatch):
+        problem = bounded_packing(np.random.default_rng(26), 4, 3, 2)
+        cmb = _combined_problem(np.random.default_rng(27))
+        progs = self._programs(monkeypatch, lambda: (
+            sv.solve_dual_packing(problem), rd.combined_primal_phase1(cmb),
+            rd.combined_dual_phase1(cmb)))
+        assert len(progs) == 3
+        self._assert_declared_as_scanned(progs)
 
 
 # ---------------------------------------------------------------------------
@@ -1346,7 +1462,7 @@ class TestBoundOperatorsBitwise:
                                       "mixed_runs", "nn_pair"])
     def test_factor_transforms(self, name, monkeypatch):
         # the eigenbasis transforms and the dense rows' inv(W).T against
-        # _eigen and _apply, on programs with psd, nn and no selection blocks
+        # _eigen and _apply, on programs with psd, nn and no variable blocks
         prog, _ = _program_shape(name, monkeypatch)
         G = prog.G
         A = prog.A if prog.A is not None else np.zeros((0, G.shape[1]))

@@ -98,11 +98,11 @@ class TestClassify:
 
 
 def _stopped_engine(monkeypatch, resid, x_scale=1.0,
-                    reason=StopReason.ITERATION_LIMIT):
-    """Make the engine end every solve as a ``max_iterations`` stop at its
-    real answer, with the given residuals, the iterate scaled and the given
-    stop reason."""
-    engine = sv.solve_cone_program
+                    reason=StopReason.ITERATION_LIMIT, module=sv):
+    """Make the engine end every solve ``module`` makes as a
+    ``max_iterations`` stop at its real answer, with the given residuals,
+    the iterate scaled and the given stop reason."""
+    engine = module.solve_cone_program
 
     def stopped(*args, **kw):
         res = engine(*args, **kw)
@@ -110,7 +110,7 @@ def _stopped_engine(monkeypatch, resid, x_scale=1.0,
                                    x=x_scale * res.x, pres=resid, dres=resid,
                                    relgap=resid, stop_reason=reason)
 
-    monkeypatch.setattr(sv, "solve_cone_program", stopped)
+    monkeypatch.setattr(module, "solve_cone_program", stopped)
 
 
 class TestStoppedSolves:
@@ -145,6 +145,26 @@ class TestStoppedSolves:
         _stopped_engine(monkeypatch, 1e-10, x_scale=1e5)
         sol = sv.solve_sdp(c_opt_instance())
         assert sol.status is Status.NEAR_UNATTAINED
+
+    def test_phase1_stops_decided_from_the_iterate(self, monkeypatch):
+        # both phase-1 programs end max_iterations at their real answers:
+        # no certificate, so each is decided from its iterate (slack 1, and
+        # a relaxation t <= 0) and the trace-cap path runs
+        _stopped_engine(monkeypatch, 1e-6, module=rd)
+        cmb = tangent_combined()
+        ok, slack = rd.combined_primal_phase1(cmb)
+        assert ok and slack == pytest.approx(1.0, abs=1e-6)
+        assert rd.combined_dual_phase1(cmb)[0]
+        assert sv.solve_combined_eta(cmb).objective == pytest.approx(3.1, abs=1e-3)
+
+    def test_phase1_infeasible_only_on_a_certificate(self, monkeypatch):
+        monkeypatch.setattr(rd, "solve_cone_program", lambda *a, **k: ConeResult(
+            status="primal_infeasible", stop_reason=StopReason.PRIMAL_INFEASIBLE))
+        cmb = tangent_combined()
+        assert rd.combined_primal_phase1(cmb) == (False, -math.inf)
+        assert not rd.combined_dual_phase1(cmb)[0]
+        with pytest.raises(InfeasiblePrimal, match="best slack -inf"):
+            sv.solve_combined_eta(cmb)
 
     def test_path_stage_without_iterate_names_the_stage(self, monkeypatch):
         monkeypatch.setattr(sv, "solve_cone_program",

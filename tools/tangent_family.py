@@ -6,8 +6,8 @@ Runs ``solve_combined_eta`` on copies of ``tangent_combined`` from
 ``tests/test_solve.py`` (the 2 x 2 combined instance of value 31/10 that no
 finite point attains) with ``C`` and ``h0`` scaled by ``2**k`` for each
 ``k`` from ``--kmin`` to ``--kmax``; the value scales by the same factor.
-The trace-cap program it solves has free columns and two psd selection
-blocks.  Prints one JSON line: the number of copies, how many raised, and
+The trace-cap program it solves has free columns and one psd variable
+block.  Prints one JSON line: the number of copies, how many raised, and
 for each exception type the ``k`` that raised it.  The exit status is 1
 when more than ``--max-failures N`` copies raised (a gate for CI).
 

@@ -146,7 +146,7 @@ def cmd_solve(path: str, args) -> dict:
             "lambda": model._vec(sol.lam),
             "gamma": [float(g) for g in sol.gamma],
             "ranks": list(sol.ranks),
-            "route": "eta-path",
+            "route": sol.route,
         }
     if not isinstance(prob, model.PackingProblem):
         raise SchemaError(f"{path}: solve expects a packing or combined problem")

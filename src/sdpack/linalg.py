@@ -200,3 +200,33 @@ def _factors(s: np.ndarray, tol: float | None) -> list[np.ndarray]:
 def pinv(s, tol: float | None = None) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric matrix via its eigendecomposition."""
     return eigh_desc(s).pinv(tol)
+
+
+# eigenvalues of K.T X K at or below this fraction of the largest are noise:
+# inverting ones of about 1e-14, as np.linalg.pinv's cutoff of 1e-15 does,
+# magnifies the roundoff in X K into an X' of full rank that X no longer
+# dominates
+_SHORTED_RTOL = 1e-9
+
+
+def shorted(x, c) -> np.ndarray:
+    """The shorted operator ``X K (K.T X K)^+ K.T X`` of a PSD ``X`` to the
+    range of a PSD ``C = K K.T`` (Anderson and Trapp).
+
+    It has rank at most ``rank(C)``, lies between 0 and ``X`` in the PSD
+    order, and ``<C, X'> = <C, X>``; so with every ``M_i`` PSD no
+    ``<M_i, X'>`` exceeds ``<M_i, X>``, and a feasible ``X`` maps to a
+    feasible ``X'`` of the same objective.  Eigenvalues of ``K.T X K`` at or
+    below ``1e-9`` times its largest are cut as noise.
+    """
+    x = symmetrize(x)
+    k = psd_factor(c).T
+    if k.shape[0] != x.shape[0]:
+        raise DimensionMismatch(f"X has order {x.shape[0]}, C {k.shape[0]}")
+    if k.shape[1] == 0:
+        return np.zeros_like(x)
+    xk = x @ k
+    dec = eigh_desc(k.T @ xk)
+    keep = dec.eigenvalues > _SHORTED_RTOL * max(dec.eigenvalues[0], 0.0)
+    w = xk @ (dec.eigenvectors[:, keep] / np.sqrt(dec.eigenvalues[keep]))
+    return symmetrize(w @ w.T)

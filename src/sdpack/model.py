@@ -115,6 +115,16 @@ class CombinedProblem:
     def q(self) -> int:
         return self.h0.shape[0]
 
+    def __post_init__(self):
+        # the rank bound, and the short that attains it, hold only for C
+        # and M_i symmetric PSD of one order
+        n = _check_sym_psd(self.C, "C")
+        for i, m in enumerate(self.mats):
+            key = f"constraints[{i}].M"
+            if _check_sym_psd(m, key) != n:
+                raise ValidationError(f"{key}: dimension {len(m)} != {n}",
+                                      witness=(len(m), n))
+
 
 @dataclass(frozen=True)
 class ResourceBlock:
@@ -186,7 +196,9 @@ class Solution:
 
 @dataclass(frozen=True)
 class CombinedSolution:
-    """Solution of a combined problem, with the trace-cap path values."""
+    """Solution of a combined problem.  ``route`` records how it was
+    produced ("direct" or "eta-path"); ``gamma`` and ``ranks`` hold the
+    value and first-block rank of each solve along that route."""
 
     X: np.ndarray
     Y: np.ndarray
@@ -195,6 +207,7 @@ class CombinedSolution:
     status: Status
     gamma: tuple[float, ...] = field(default_factory=tuple)
     ranks: tuple[int, ...] = field(default_factory=tuple)
+    route: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +263,33 @@ def _sym_or_empty(obj, key: str) -> np.ndarray:
 
 def _sym_psd(obj, key: str) -> np.ndarray:
     m = linalg.symmetrize(_as_array(obj, key))
+    _check_psd(m, key)
+    return m
+
+
+def _check_psd(m: np.ndarray, key: str) -> None:
     ok, witness = linalg.is_psd(m)
     if not ok:
         raise ValidationError(f"{key}: not positive semidefinite "
                               f"(min eigenvalue {witness:.3e})", witness=witness)
-    return m
+
+
+def _check_sym_psd(m, key: str) -> int:
+    """Order of ``m``; ``ValidationError`` unless it is a square matrix,
+    symmetric up to roundoff and PSD."""
+    shape = np.shape(m)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+        raise ValidationError(f"{key}: not a square matrix (shape {shape})",
+                              witness=shape)
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise ValidationError(f"{key}: non-finite entries", witness=key)
+    asym = float(np.max(np.abs(m - m.T)))
+    if asym > shape[0] * linalg.DEFAULT_RANK_RTOL * max(1.0, float(np.max(np.abs(m)))):
+        raise ValidationError(f"{key}: not symmetric (max |M - M.T| {asym:.3e})",
+                              witness=asym)
+    _check_psd(m, key)
+    return shape[0]
 
 
 def _parse_packing_fields(doc: dict) -> tuple[np.ndarray, tuple, np.ndarray]:

@@ -11,11 +11,13 @@ the unperturbed optimum.  A solution whose KKT check fails at the end gets
 one polish step on the original problem (Newton on the factored optimality
 system, then an NNLS refit of the active multipliers); the full problem's
 dual is not solved again, because with a zero budget it has no Slater
-point and need not attain its optimum.  Combined problems go through a
-trace-cap path ``cap * (tr X + tr Y) <= 1`` instead, whose values decrease
-to the supremum from below as the cap loosens; an unattained supremum shows
-up as iterate norms diverging while the values converge.  Every cone
-program here is assembled by :func:`sdpack.conelp.cone_program`.
+point and need not attain its optimum.  A combined problem whose dual has
+a Slater point is solved once, uncapped, and its first block shorted to
+the range of C (:func:`sdpack.linalg.shorted`); any other goes through a
+trace-cap path ``cap * (tr X + tr Y) <= 1``, whose values increase to the
+supremum from below as the cap loosens; an unattained supremum shows up as
+iterate norms diverging while the values converge.  Every cone program
+here is assembled by :func:`sdpack.conelp.cone_program`.
 """
 
 from __future__ import annotations
@@ -556,21 +558,40 @@ def _combined_cone_program(cmb: CombinedProblem, cap: float,
 
 def solve_combined_eta(cmb: CombinedProblem,
                        opts: SolveOptions | None = None) -> CombinedSolution:
-    """Follow the trace-cap path on a combined problem.
+    """Solve a combined problem with a first block of rank at most ``rank(C)``.
 
-    Each stage solves the problem under ``cap * (tr X + tr Y) <= 1`` with a
-    tiny constraint perturbation that forces every stage solution's first
-    block to rank at most ``rank(C)``.  The stage values are nondecreasing
-    as the cap loosens (else ``PathNotMonotone``); when they converge while
-    the iterates' norms diverge, the supremum is reported asymptotic.
+    When the dual phase 1 ends optimal with a Slater margin, the primal
+    optimum is attained: one uncapped solve at the path tolerances finds
+    it, and if that solve ends optimal its X block is shorted to the range
+    of C, which keeps the value and feasibility (every ``M_i`` is PSD) at
+    rank at most ``rank(C)``.  Route "direct", one value in ``gamma``.
+
+    Otherwise, route "eta-path": follow the trace-cap path.  Each stage
+    solves the problem under ``cap * (tr X + tr Y) <= 1`` with a tiny
+    constraint perturbation that forces every stage solution's first block
+    to rank at most ``rank(C)``.  The stage values are nondecreasing as the
+    cap loosens (else ``PathNotMonotone``); when they converge while the
+    iterates' norms diverge, the supremum is reported asymptotic.
     """
     opts = opts or SolveOptions()
     ok, margin = reduction.combined_primal_phase1(cmb)
     if not ok:
         raise InfeasiblePrimal(f"no feasible point (best slack {margin:.3e})")
-    ok, _, t = reduction.combined_dual_phase1(cmb)
+    ok, _, t, strict = reduction.combined_dual_phase1(cmb)
     if not ok:
         raise InfeasibleDual(f"dual infeasible (relaxation needs t={t:.3e})")
+    if strict:
+        res = solve_cone_program(_combined_cone_program(cmb, 0.0, 0.0),
+                                 reltol=_PATH_RELTOL, feastol=_PATH_FEASTOL,
+                                 max_iter=opts.max_iter)
+        if res.status == "optimal":
+            X, Y, lam = _split_combined(res.x, cmb)
+            X = linalg.shorted(X, cmb.C)
+            value = float(-res.pcost)
+            return CombinedSolution(X=X, Y=Y, lam=lam, objective=value,
+                                    status=Status.OPTIMAL, gamma=(value,),
+                                    ranks=(linalg.rank_tol(X, _RANK_THRESHOLD),),
+                                    route="direct")
 
     mat_scale = max(1.0, max((float(np.linalg.eigvalsh(m)[-1])
                               for m in cmb.mats), default=1.0))
@@ -596,7 +617,7 @@ def solve_combined_eta(cmb: CombinedProblem,
     status = Status.ASYMPTOTIC_SUP if (diverging and converged) else Status.OPTIMAL
     return CombinedSolution(X=Xt, Y=Y, lam=lam, objective=float(gammas[-1]),
                             status=status, gamma=tuple(gammas),
-                            ranks=tuple(ranks))
+                            ranks=tuple(ranks), route="eta-path")
 
 
 def _split_combined(x: np.ndarray, cmb: CombinedProblem):
@@ -621,7 +642,7 @@ def solve_combined_dual(cmb: CombinedProblem,
     multipliers come from the tighter cap's constraint duals.
     """
     opts = opts or SolveOptions()
-    ok, _, t = reduction.combined_dual_phase1(cmb)
+    ok, _, t, _ = reduction.combined_dual_phase1(cmb)
     if not ok:
         raise InfeasibleDual(f"dual infeasible (relaxation needs t={t:.3e})")
     # cold starts: these solves need full accuracy and the warm point sits

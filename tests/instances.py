@@ -7,7 +7,7 @@ construction.
 
 import numpy as np
 
-from sdpack.model import PackingProblem
+from sdpack.model import CombinedProblem, PackingProblem
 
 
 def packing(C, mats, b) -> PackingProblem:
@@ -52,6 +52,36 @@ def subspace_packing(rng, n, k, l, rank_c, zero_b=0):
             mats.append(Q @ (random_psd(rng, k) + 0.05 * np.eye(k)) @ Q.T)
     C = Q @ random_psd(rng, k, min(rank_c, k)) @ Q.T
     return packing(C, mats, b)
+
+
+def attained_combined(rng, n, l, rank_c, p=0, q=0):
+    """Combined instance whose dual has a Slater point ``mu0 > 0``:
+    ``h0 = -H mu0``, ``R0 = -sum mu0_i R_i - I/2`` and ``C`` scaled to half
+    the smallest eigenvalue of ``sum mu0_i M_i``; every budget is positive,
+    so the primal is strictly feasible too and its optimum is attained."""
+    mats = [random_psd(rng, n) + 0.05 * np.eye(n) for _ in range(l)]
+    b = rng.uniform(0.5, 2.0, l)
+    mu0 = rng.uniform(0.5, 1.5, l)
+    H = rng.standard_normal((q, l))
+    Rs = [0.5 * (r + r.T) for r in rng.standard_normal((l, p, p))]
+    R0 = -sum(m * r for m, r in zip(mu0, Rs)) - 0.5 * np.eye(p)
+    C = random_psd(rng, n, rank_c)
+    floor = float(np.linalg.eigvalsh(sum(m * M for m, M in zip(mu0, mats)))[0])
+    C *= 0.5 * floor / float(np.linalg.eigvalsh(C)[-1])
+    return CombinedProblem(C=C, mats=tuple(mats), b=b, R0=R0, Rs=tuple(Rs),
+                           h0=-H @ mu0, hs=tuple(H.T), H=H)
+
+
+def degenerate_combined(rng, n, rank_c):
+    """Combined instance without a second block or free variables whose
+    optimal face is large: ``C`` of rank ``rank_c`` in the range of one
+    ``M_1`` of rank ``rank_c + 1``, plus ``tr X <= 10``.  An interior
+    point of that face has rank well above ``rank_c``."""
+    B = rng.standard_normal((n, rank_c + 1))
+    A = B[:, :rank_c] @ rng.standard_normal((rank_c, rank_c))
+    return CombinedProblem(C=A @ A.T, mats=(B @ B.T, np.eye(n)), b=np.array([1.0, 10.0]),
+                           R0=np.zeros((0, 0)), Rs=(np.zeros((0, 0)),) * 2,
+                           h0=np.zeros(0), hs=(np.zeros(0),) * 2, H=np.zeros((0, 2)))
 
 
 def zero_budget_instances():

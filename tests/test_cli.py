@@ -132,6 +132,20 @@ class TestSolve:
         assert doc["status"] == "asymptotic_sup"
         assert doc["objective"] == pytest.approx(3.1, abs=1e-3)
         assert all(r <= 1 for r in doc["ranks"])
+        assert doc["route"] == "eta-path" and len(doc["gamma"]) == 7
+
+    def test_combined_attained_is_direct(self, capsys, tmp_path):
+        # max <cc', X> - y  s.t.  <4I, X> <= 1 + y: the dual has a Slater
+        # point, so one uncapped solve answers; optimum 1/2 at rank one
+        path = write(tmp_path, "attained.json", {
+            "kind": "combined", "C": [[1.0, 1.0], [1.0, 1.0]],
+            "constraints": [{"M": [[4.0, 0.0], [0.0, 4.0]], "b": 1.0}],
+            "R0": [[-1.0]], "R": [[[1.0]]], "h0": []})
+        code, doc = run(capsys, ["solve", path])
+        assert code == 0
+        assert (doc["status"], doc["route"], doc["rank"]) == ("optimal", "direct", 1)
+        assert doc["gamma"] == [doc["objective"]]
+        assert doc["objective"] == pytest.approx(0.5, abs=1e-9)
 
     def test_infeasible_exit_4(self, capsys, tmp_path):
         path = write(tmp_path, "inf.json", {

@@ -208,3 +208,84 @@ class TestIsPsd:
     def test_zero(self):
         ok, _ = linalg.is_psd(np.zeros((2, 2)))
         assert ok
+
+
+def _shorted_by_definition(x, c):
+    """``X K (K.T X K)^+ K.T X`` with ``C = K K.T``, the pseudoinverse taken
+    over the eigenvalues above 1e-9 of the largest one."""
+    k = linalg.psd_factor(c).T
+    w, v = np.linalg.eigh(k.T @ x @ k)
+    keep = w > 1e-9 * w[-1]
+    inv = (v[:, keep] / w[keep]) @ v[:, keep].T
+    return x @ k @ inv @ k.T @ x
+
+
+def _shorting_case(kind, seed, n, rank_c):
+    """(X, C) of order ``n`` with rank(C) = ``rank_c``.  ``random``: X of
+    full rank; ``low_rank``: X of rank 2, so K.T X K is singular at rank(C)
+    3; ``noise``: K.T X K of rank 1 plus an eigenvalue of about 1e-14 from a
+    1e-7 component of a second term along the range of C (as an
+    interior-point iterate carries), so that term's X K is about 1e-7 and
+    inverting the eigenvalue changes X' at order 1; ``off_range``: X with
+    its range orthogonal to C's, so X' = 0."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    R, P = Q[:, :rank_c], Q[:, rank_c:]  # range of C and its complement
+    C = R @ random_psd(rng, rank_c) @ R.T
+    if kind == "random":
+        X = random_psd(rng, n)
+    elif kind == "low_rank":
+        X = random_psd(rng, n, 2)
+    elif kind == "noise":
+        z = rng.standard_normal(n)
+        y = P @ rng.standard_normal(n - rank_c) + 1e-7 * R @ rng.standard_normal(rank_c)
+        X = np.outer(z, z) + np.outer(y, y)
+    else:
+        X = P @ random_psd(rng, n - rank_c) @ P.T
+    return linalg.symmetrize(X), linalg.symmetrize(C)
+
+
+class TestShorted:
+    @pytest.mark.parametrize("kind", ["random", "low_rank", "noise", "off_range"])
+    @pytest.mark.parametrize("rank_c", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_against_definition(self, kind, rank_c, seed):
+        X, C = _shorting_case(kind, seed, 6, rank_c)
+        Xs = linalg.shorted(X, C)
+        scale = max(1.0, float(np.linalg.norm(X)))
+        tol = 1e-12 * scale * max(1.0, float(np.linalg.norm(C)))
+        if kind == "off_range":
+            assert np.linalg.norm(Xs) <= 1e-12 * scale
+        else:
+            assert np.linalg.norm(Xs - _shorted_by_definition(X, C)) <= 1e-10 * scale
+        # X' lies between 0 and X, keeps <C, X>, and has rank <= rank(C)
+        assert np.array_equal(Xs, Xs.T)
+        assert np.linalg.eigvalsh(Xs)[0] >= -1e-14 * scale
+        assert np.linalg.eigvalsh(X - Xs)[0] >= -1e-12 * scale
+        assert abs(np.sum(C * Xs) - np.sum(C * X)) <= tol
+        assert linalg.rank_tol(Xs) <= rank_c
+        mats = [random_psd(np.random.default_rng(100 + i), 6, 1 + i) for i in range(6)]
+        for M in mats:
+            assert np.sum(M * Xs) <= np.sum(M * X) + 1e-12 * scale * np.linalg.norm(M)
+
+    # the cases whose K.T X K has an eigenvalue of 1e-15 to 1e-12: inverting
+    # it, as np.linalg.pinv's cutoff of 1e-15 does, gave X' of rank 5-6,
+    # outside X by up to 0.06
+    @pytest.mark.parametrize("rank_c, seed", [(2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+    def test_noise_eigenvalue_is_cut(self, rank_c, seed):
+        X, C = _shorting_case("noise", seed, 6, rank_c)
+        k = linalg.psd_factor(C).T
+        w = np.linalg.eigvalsh(k.T @ X @ k)
+        assert w[-1] > 0.1 and 1e-15 < w[-2] < 1e-12
+        Xs = linalg.shorted(X, C)
+        assert linalg.rank_tol(Xs) == 1
+        assert np.linalg.eigvalsh(X - Xs)[0] >= -1e-12 * np.linalg.norm(X)
+        assert abs(np.sum(C * Xs) - np.sum(C * X)) <= 1e-12 * np.linalg.norm(C) * np.linalg.norm(X)
+
+    def test_zero_objective(self):
+        X = random_psd(np.random.default_rng(5), 4)
+        assert np.array_equal(linalg.shorted(X, np.zeros((4, 4))), np.zeros((4, 4)))
+
+    def test_orders_must_match(self):
+        with pytest.raises(DimensionMismatch):
+            linalg.shorted(np.eye(3), np.eye(2))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from instances import (bounded_packing, face_restricted, packing, random_psd,
-                       subspace_packing, zero_budget_instances)
+from instances import (attained_combined, bounded_packing, degenerate_combined,
+                       face_restricted, packing, random_psd, subspace_packing,
+                       zero_budget_instances)
 
 from sdpack import linalg
 from sdpack import reduce as rd
@@ -605,6 +606,108 @@ class TestCombined:
             sol = sv.solve_combined_eta(parse_problem(doc))
             assert sol.status is Status.OPTIMAL
             assert all(rank <= r for rank in sol.ranks)
+
+
+def _counted_engine(monkeypatch):
+    """Record the result of every engine solve, from either module."""
+    seen = []
+    for module in (rd, sv):
+        def counted(*args, _engine=module.solve_cone_program, **kw):
+            res = _engine(*args, **kw)
+            seen.append(res)
+            return res
+        monkeypatch.setattr(module, "solve_cone_program", counted)
+    return seen
+
+
+# (n, l, rank(C), p, q) of the attained instances
+_ATTAINED = [(3, 2, 1, 2, 2), (4, 3, 2, 2, 2), (5, 4, 3, 2, 2), (5, 4, 1, 0, 0),
+             (5, 4, 2, 1, 0), (6, 4, 3, 0, 1), (5, 4, 2, 1, 1), (6, 5, 3, 2, 0)]
+
+
+class TestDirectCombined:
+    """A combined problem whose dual phase 1 ends optimal with a Slater
+    margin makes one uncapped solve and shorts its X block to the range of
+    C; anything else takes the trace-cap path."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n, l, rank_c, p, q", _ATTAINED)
+    def test_attained_matches_dual(self, monkeypatch, n, l, rank_c, p, q, seed):
+        cmb = attained_combined(np.random.default_rng([seed, n, l, p, q]), n, l,
+                                rank_c, p, q)
+        seen = _counted_engine(monkeypatch)
+        sol = sv.solve_combined_eta(cmb)
+        # two phase-1 programs and one uncapped solve
+        assert [res.status for res in seen] == ["optimal"] * 3
+        assert (sol.route, sol.status, len(sol.gamma)) == ("direct", Status.OPTIMAL, 1)
+        monkeypatch.undo()
+        _, value = sv.solve_combined_dual(cmb)
+        assert sol.objective == pytest.approx(value, rel=1e-9, abs=1e-9)
+        assert sol.gamma == (sol.objective,)
+        assert sol.ranks == (linalg.rank_tol(sol.X, sv._RANK_THRESHOLD),)
+        assert sol.ranks[0] <= rank_c
+        self._assert_feasible(cmb, sol)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_degenerate_face_comes_back_within_rank(self, monkeypatch, seed):
+        # the uncapped solve's X has rank 5 on these; the short brings it to
+        # rank(C) or below without moving the value
+        rank_c = 1 + seed % 3
+        cmb = degenerate_combined(np.random.default_rng(seed), 6 + seed % 3, rank_c)
+        seen = _counted_engine(monkeypatch)
+        sol = sv.solve_combined_eta(cmb)
+        assert sol.route == "direct" and len(seen) == 3
+        X_raw = sv._split_combined(seen[-1].x, cmb)[0]
+        assert linalg.rank_tol(X_raw, sv._RANK_THRESHOLD) > rank_c
+        assert sol.ranks[0] <= rank_c
+        assert np.sum(cmb.C * sol.X) == pytest.approx(np.sum(cmb.C * X_raw), rel=1e-12)
+        monkeypatch.undo()
+        assert sol.objective == pytest.approx(sv.solve_combined_dual(cmb)[1], rel=1e-9)
+        self._assert_feasible(cmb, sol)
+
+    @staticmethod
+    def _assert_feasible(cmb, sol):
+        slack = (cmb.b + np.array([np.sum(r * sol.Y) for r in cmb.Rs]) + cmb.H.T @ sol.lam
+                 - np.array([np.sum(m * sol.X) for m in cmb.mats]))
+        assert np.min(slack) >= -1e-9 * max(1.0, float(np.max(np.abs(cmb.b))))
+        assert np.linalg.eigvalsh(sol.X)[0] >= -1e-12
+
+    def test_golden_instance_takes_the_path(self, monkeypatch):
+        seen = _counted_engine(monkeypatch)
+        sol = sv.solve_combined_eta(tangent_combined())
+        assert sol.route == "eta-path" and len(sol.gamma) == 7
+        assert len(seen) == 2 + 7
+
+    def test_unconverged_phase1_takes_the_path(self, monkeypatch):
+        # the same Slater margin read from a phase 1 that stopped short
+        # proves nothing: the instance takes the trace-cap path
+        cmb = attained_combined(np.random.default_rng(1), 5, 4, 2, 1, 0)
+        assert rd.combined_dual_phase1(cmb)[3]
+        _stopped_engine(monkeypatch, 1e-10, module=rd)
+        ok, _, t, strict = rd.combined_dual_phase1(cmb)
+        assert ok and t < -0.01 and not strict
+        sol = sv.solve_combined_eta(cmb)
+        assert sol.route == "eta-path" and len(sol.gamma) == 7
+
+    def test_stopped_direct_solve_takes_the_path(self, monkeypatch):
+        # an uncapped solve that does not end optimal falls back to the
+        # trace-cap path, run as it would be without the direct attempt
+        cmb = attained_combined(np.random.default_rng(1), 5, 4, 2, 1, 0)
+        phase1 = rd.combined_dual_phase1
+        monkeypatch.setattr(rd, "combined_dual_phase1", lambda c: phase1(c)[:3] + (False,))
+        path = sv.solve_combined_eta(cmb)
+        monkeypatch.undo()
+        engine, calls = sv.solve_cone_program, []
+
+        def first_stops(prog, **kw):
+            res = engine(prog, **kw)
+            calls.append(res)
+            return dataclasses.replace(res, status="max_iterations") if len(calls) == 1 else res
+
+        monkeypatch.setattr(sv, "solve_cone_program", first_stops)
+        sol = sv.solve_combined_eta(cmb)
+        assert len(calls) == 1 + 7 and sol.route == "eta-path"
+        assert sol.gamma == path.gamma and np.array_equal(sol.X, path.X)
 
 
 class TestPathChecks:

@@ -258,11 +258,15 @@ def _sym_or_empty(obj, key: str) -> np.ndarray:
     order 0."""
     if obj is None or (isinstance(obj, list) and not obj):
         return np.zeros((0, 0))
+    return _sym(obj, key)
+
+
+def _sym(obj, key: str) -> np.ndarray:
     return linalg.symmetrize(_as_array(obj, key))
 
 
 def _sym_psd(obj, key: str) -> np.ndarray:
-    m = linalg.symmetrize(_as_array(obj, key))
+    m = _sym(obj, key)
     _check_psd(m, key)
     return m
 
@@ -292,8 +296,9 @@ def _check_sym_psd(m, key: str) -> int:
     return shape[0]
 
 
-def _parse_packing_fields(doc: dict) -> tuple[np.ndarray, tuple, np.ndarray]:
-    C = _sym_psd(_need(doc, "C"), "C")
+def _parse_packing_fields(doc: dict, matrix) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """C, the M_i and b, each matrix read by ``matrix(obj, key)``."""
+    C = matrix(_need(doc, "C"), "C")
     rows = _need(doc, "constraints")
     if not isinstance(rows, list) or len(rows) < 1:
         raise SchemaError("constraints: expected a non-empty list")
@@ -301,7 +306,7 @@ def _parse_packing_fields(doc: dict) -> tuple[np.ndarray, tuple, np.ndarray]:
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise SchemaError(f"constraints[{i}]: expected an object")
-        m = _sym_psd(_need(row, "M"), f"constraints[{i}].M")
+        m = matrix(_need(row, "M"), f"constraints[{i}].M")
         if m.shape != C.shape:
             raise ValidationError(
                 f"constraints[{i}].M: dimension {m.shape[0]} != {C.shape[0]}",
@@ -316,12 +321,13 @@ def _parse_packing_fields(doc: dict) -> tuple[np.ndarray, tuple, np.ndarray]:
 
 
 def _parse_packing(doc: dict) -> PackingProblem:
-    C, mats, b = _parse_packing_fields(doc)
+    C, mats, b = _parse_packing_fields(doc, _sym_psd)
     return PackingProblem(C=C, mats=mats, b=b)
 
 
 def _parse_combined(doc: dict) -> CombinedProblem:
-    C, mats, b = _parse_packing_fields(doc)
+    # CombinedProblem checks its C and M_i PSD when it is built
+    C, mats, b = _parse_packing_fields(doc, _sym)
     l = len(mats)
 
     R0 = _sym_or_empty(doc.get("R0"), "R0")

@@ -35,7 +35,9 @@ ZERO_B_RTOL = 1e-12
 # max(1, |C|) shows a Slater point: t reads -0.085 to -0.97 on that scale on
 # the attained combined files of cli_batch seeds 1, 2, 3 and 7, and within
 # 1.2e-8 of 0 on the 55 scaled copies of the unattained tangent instance,
-# whose duals have no Slater point
+# whose duals have no Slater point.  The relaxation is bounded by t >= -1,
+# so the threshold is capped at 1/2 of that bound: past |C| = 1e4 the
+# fraction alone would ask for a t the program cannot reach
 _SLATER_MARGIN = 1e-4
 
 
@@ -271,16 +273,16 @@ def combined_primal_phase1(cmb: CombinedProblem) -> tuple[bool, float]:
     return bool(-res.pcost >= -1e-9), float(-res.pcost)
 
 
-def combined_dual_phase1(cmb: CombinedProblem) -> tuple[bool, np.ndarray, float, bool]:
+def combined_dual_phase1(cmb: CombinedProblem) -> tuple[bool, float, bool]:
     """Minimize the uniform relaxation ``t`` of the dual constraints; the
     dual is feasible exactly when the minimum is nonpositive.  Infeasible
     only on a certificate; any other stop is decided from the engine's
     (best) iterate.
 
-    Returns ``(feasible, mu, t, strict)``.  ``strict`` says the dual has a
+    Returns ``(feasible, t, strict)``.  ``strict`` says the dual has a
     Slater point, so the primal optimum is attained: the solve ended
     optimal (an unconverged iterate proves nothing) with ``t`` below
-    ``-_SLATER_MARGIN * max(1, |C|)``."""
+    ``-min(_SLATER_MARGIN * max(1, |C|), 1/2)``."""
     l, n, p, q = cmb.l, cmb.n, cmb.p, cmb.q
     G_psd = -np.column_stack([svec(m) for m in cmb.mats] + [svec(np.eye(n))])
     # mu >= 0, and t >= -1 keeps the relaxation bounded
@@ -293,11 +295,11 @@ def combined_dual_phase1(cmb: CombinedProblem) -> tuple[bool, np.ndarray, float,
     res = solve_cone_program(cone_program(np.r_[np.zeros(l), 1.0], blocks, A, beq),
                              reltol=1e-9)
     if res.x is None:
-        return False, np.zeros(l), math.inf, False
+        return False, math.inf, False
     t = float(res.x[-1])
     scale = max(1.0, float(np.linalg.norm(cmb.C)))
-    strict = res.status == "optimal" and t < -_SLATER_MARGIN * scale
-    return bool(t <= 1e-7 * scale), np.clip(res.x[:l], 0.0, None), t, strict
+    strict = res.status == "optimal" and t < -min(_SLATER_MARGIN * scale, 0.5)
+    return bool(t <= 1e-7 * scale), t, strict
 
 
 def combined_to_socp(problem: CombinedProblem) -> SocpProblem:

@@ -577,7 +577,7 @@ def solve_combined_eta(cmb: CombinedProblem,
     ok, margin = reduction.combined_primal_phase1(cmb)
     if not ok:
         raise InfeasiblePrimal(f"no feasible point (best slack {margin:.3e})")
-    ok, _, t, strict = reduction.combined_dual_phase1(cmb)
+    ok, t, strict = reduction.combined_dual_phase1(cmb)
     if not ok:
         raise InfeasibleDual(f"dual infeasible (relaxation needs t={t:.3e})")
     if strict:
@@ -642,7 +642,7 @@ def solve_combined_dual(cmb: CombinedProblem,
     multipliers come from the tighter cap's constraint duals.
     """
     opts = opts or SolveOptions()
-    ok, _, t, _ = reduction.combined_dual_phase1(cmb)
+    ok, t, _ = reduction.combined_dual_phase1(cmb)
     if not ok:
         raise InfeasibleDual(f"dual infeasible (relaxation needs t={t:.3e})")
     # cold starts: these solves need full accuracy and the warm point sits

@@ -665,6 +665,25 @@ class TestDirectCombined:
         assert sol.objective == pytest.approx(sv.solve_combined_dual(cmb)[1], rel=1e-9)
         self._assert_feasible(cmb, sol)
 
+    @pytest.mark.parametrize("norm_c", [1e5, 1e6])
+    @pytest.mark.parametrize("n, l, rank_c, p, q", [(3, 2, 1, 2, 2), (4, 3, 2, 2, 2),
+                                                    (5, 4, 1, 0, 0), (5, 4, 2, 1, 1)])
+    def test_scaled_attained_takes_direct(self, n, l, rank_c, p, q, norm_c):
+        # the relaxation stops at its bound t = -1 at every scale, so the
+        # margin, capped at 1/2, still reads a Slater point past |C| = 1e4
+        base = attained_combined(np.random.default_rng([0, n, l, p, q]), n, l,
+                                 rank_c, p, q)
+        s = norm_c / float(np.linalg.norm(base.C))
+        cmb = dataclasses.replace(base, C=base.C * s, R0=base.R0 * s, h0=base.h0 * s)
+        ok, t, strict = rd.combined_dual_phase1(cmb)
+        assert ok and strict and t == pytest.approx(-1.0, abs=1e-6)
+        sol = sv.solve_combined_eta(cmb)
+        assert sol.route == "direct" and sol.ranks[0] <= rank_c
+        assert sol.objective / s == pytest.approx(sv.solve_combined_eta(base).objective,
+                                                  rel=1e-9)
+        assert sol.objective == pytest.approx(sv.solve_combined_dual(cmb)[1], rel=1e-9)
+        self._assert_feasible(cmb, sol)
+
     @staticmethod
     def _assert_feasible(cmb, sol):
         slack = (cmb.b + np.array([np.sum(r * sol.Y) for r in cmb.Rs]) + cmb.H.T @ sol.lam
@@ -682,9 +701,9 @@ class TestDirectCombined:
         # the same Slater margin read from a phase 1 that stopped short
         # proves nothing: the instance takes the trace-cap path
         cmb = attained_combined(np.random.default_rng(1), 5, 4, 2, 1, 0)
-        assert rd.combined_dual_phase1(cmb)[3]
+        assert rd.combined_dual_phase1(cmb)[2]
         _stopped_engine(monkeypatch, 1e-10, module=rd)
-        ok, _, t, strict = rd.combined_dual_phase1(cmb)
+        ok, t, strict = rd.combined_dual_phase1(cmb)
         assert ok and t < -0.01 and not strict
         sol = sv.solve_combined_eta(cmb)
         assert sol.route == "eta-path" and len(sol.gamma) == 7
@@ -694,7 +713,7 @@ class TestDirectCombined:
         # trace-cap path, run as it would be without the direct attempt
         cmb = attained_combined(np.random.default_rng(1), 5, 4, 2, 1, 0)
         phase1 = rd.combined_dual_phase1
-        monkeypatch.setattr(rd, "combined_dual_phase1", lambda c: phase1(c)[:3] + (False,))
+        monkeypatch.setattr(rd, "combined_dual_phase1", lambda c: phase1(c)[:2] + (False,))
         path = sv.solve_combined_eta(cmb)
         monkeypatch.undo()
         engine, calls = sv.solve_cone_program, []

@@ -5,7 +5,7 @@ form.  Feasibility of both sides no longer guarantees an optimal solution:
 this 2x2 instance has value 31/10, a unique dual point, and feasible
 sequences climbing to the value with norms going to infinity.  The
 trace-cap path (cap * (tr X + tr Y) <= 1 for a shrinking cap) produces
-exactly such a sequence, with every iterate of rank one, and flags the
+exactly such a sequence, each iterate shorted to rank one, and flags the
 supremum as asymptotic.
 """
 

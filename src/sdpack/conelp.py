@@ -58,8 +58,7 @@ at most to 5% of each block's scale.  The embedding reduces residuals and
 complementarity by one factor per iteration, so a warm point re-centred far
 beyond its residual would spend its iterations on the gap alone.  A warm
 point that already meets the new program to the solve's ``feastol`` gets
-the full 5% push: its residual gives no scale, and re-centring it keeps
-the trace-cap path's answers at low rank.
+the full 5% push: its residual gives no scale.
 
 Every exit of :func:`solve_cone_program` records a :class:`StopReason`.
 
@@ -909,9 +908,7 @@ def _warm_margin(rho: float, feastol: float) -> float:
     ``rho`` itself, capped at ``_WARM_MARGIN``.  A warm point with ``rho <=
     feastol`` (or a non-finite ``rho``) already meets the program to the
     solve's own tolerance, so its residual gives no scale; it is re-centred
-    with the full ``_WARM_MARGIN``.  (On the combined trace-cap path, whose
-    looser caps often do not bind, the ranks of the answers depend on that
-    re-centring.)"""
+    with the full ``_WARM_MARGIN``."""
     if not rho > feastol:
         return _WARM_MARGIN
     return min(_WARM_MARGIN, rho)

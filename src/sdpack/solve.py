@@ -12,12 +12,14 @@ one polish step on the original problem (Newton on the factored optimality
 system, then an NNLS refit of the active multipliers); the full problem's
 dual is not solved again, because with a zero budget it has no Slater
 point and need not attain its optimum.  A combined problem whose dual has
-a Slater point is solved once, uncapped, and its first block shorted to
-the range of C (:func:`sdpack.linalg.shorted`); any other goes through a
+a Slater point is solved once, uncapped; any other goes through a
 trace-cap path ``cap * (tr X + tr Y) <= 1``, whose values increase to the
 supremum from below as the cap loosens; an unattained supremum shows up as
-iterate norms diverging while the values converge.  Every cone program
-here is assembled by :func:`sdpack.conelp.cone_program`.
+iterate norms diverging while the values converge.  No constraint is
+perturbed there: either way the first block is shorted to the range of C
+(:func:`sdpack.linalg.shorted`), which gives it rank at most that of C at
+the same value.  Every cone program here is assembled by
+:func:`sdpack.conelp.cone_program`.
 """
 
 from __future__ import annotations
@@ -541,14 +543,12 @@ def _eps_path_route(inner: PackingProblem, opts: SolveOptions):
 # combined problems
 
 
-def _combined_cone_program(cmb: CombinedProblem, cap: float,
-                           eps: float) -> ConeProgram:
-    """Trace-capped, constraint-perturbed combined problem as a cone program."""
+def _combined_cone_program(cmb: CombinedProblem, cap: float) -> ConeProgram:
+    """Combined problem under ``cap * (tr X + tr Y) <= 1`` as a cone program;
+    ``cap = 0`` leaves it uncapped."""
     n, p = cmb.n, cmb.p
-    eye_n = np.eye(n)
-    rows = [np.r_[svec(m + eps * eye_n), -svec(r), -hi]
-            for m, r, hi in zip(cmb.mats, cmb.Rs, cmb.hs)]
-    rows.append(np.r_[cap * svec(eye_n), cap * svec(np.eye(p)), np.zeros(cmb.q)])
+    rows = [np.r_[svec(m), -svec(r), -hi] for m, r, hi in zip(cmb.mats, cmb.Rs, cmb.hs)]
+    rows.append(np.r_[cap * svec(np.eye(n)), cap * svec(np.eye(p)), np.zeros(cmb.q)])
     blocks = [("nn", cmb.l + 1, np.array(rows), np.r_[cmb.b, 1.0]), ("psd", n, 0)]
     if p:
         blocks.append(("psd", p, svec_dim(n)))
@@ -562,16 +562,16 @@ def solve_combined_eta(cmb: CombinedProblem,
 
     When the dual phase 1 ends optimal with a Slater margin, the primal
     optimum is attained: one uncapped solve at the path tolerances finds
-    it, and if that solve ends optimal its X block is shorted to the range
-    of C, which keeps the value and feasibility (every ``M_i`` is PSD) at
-    rank at most ``rank(C)``.  Route "direct", one value in ``gamma``.
+    it, and if that solve ends optimal it is the answer (route "direct",
+    one value in ``gamma``).  Otherwise, route "eta-path": follow the
+    trace-cap path, each stage solving the problem under ``cap * (tr X +
+    tr Y) <= 1``; the stage values are nondecreasing as the cap loosens
+    (else ``PathNotMonotone``), and when they converge while the iterates'
+    norms diverge the supremum is reported asymptotic.
 
-    Otherwise, route "eta-path": follow the trace-cap path.  Each stage
-    solves the problem under ``cap * (tr X + tr Y) <= 1`` with a tiny
-    constraint perturbation that forces every stage solution's first block
-    to rank at most ``rank(C)``.  The stage values are nondecreasing as the
-    cap loosens (else ``PathNotMonotone``); when they converge while the
-    iterates' norms diverge, the supremum is reported asymptotic.
+    Either way each stage's X block is shorted to the range of C, which
+    keeps its value and feasibility (every ``M_i`` is PSD) at rank at most
+    ``rank(C)``; ``ranks`` holds the shorted ranks.
     """
     opts = opts or SolveOptions()
     ok, margin = reduction.combined_primal_phase1(cmb)
@@ -580,44 +580,35 @@ def solve_combined_eta(cmb: CombinedProblem,
     ok, t, strict = reduction.combined_dual_phase1(cmb)
     if not ok:
         raise InfeasibleDual(f"dual infeasible (relaxation needs t={t:.3e})")
+    route = "eta-path"
     if strict:
-        res = solve_cone_program(_combined_cone_program(cmb, 0.0, 0.0),
+        res = solve_cone_program(_combined_cone_program(cmb, 0.0),
                                  reltol=_PATH_RELTOL, feastol=_PATH_FEASTOL,
                                  max_iter=opts.max_iter)
         if res.status == "optimal":
-            X, Y, lam = _split_combined(res.x, cmb)
-            X = linalg.shorted(X, cmb.C)
-            value = float(-res.pcost)
-            return CombinedSolution(X=X, Y=Y, lam=lam, objective=value,
-                                    status=Status.OPTIMAL, gamma=(value,),
-                                    ranks=(linalg.rank_tol(X, _RANK_THRESHOLD),),
-                                    route="direct")
-
-    mat_scale = max(1.0, max((float(np.linalg.eigvalsh(m)[-1])
-                              for m in cmb.mats), default=1.0))
-    eps = 1e-9 * mat_scale
-
-    results = _follow_path(lambda cap: _combined_cone_program(cmb, cap, eps),
-                           _ETA_SCHEDULE, opts.max_iter, "trace-cap solve at cap")
-    gammas = [-res.pcost for res in results]
+            route, results = "direct", [res]
+    if route == "eta-path":
+        results = _follow_path(lambda cap: _combined_cone_program(cmb, cap),
+                               _ETA_SCHEDULE, opts.max_iter, "trace-cap solve at cap")
+    gammas = [float(-res.pcost) for res in results]
     _check_monotone(gammas, PathNotMonotone, "trace-cap path")
 
     norms, ranks = [], []
     for res in results:
         X, Y, lam = _split_combined(res.x, cmb)
-        Xt = truncate_psd(X, _RANK_THRESHOLD)
-        ranks.append(linalg.rank_tol(Xt, _RANK_THRESHOLD))
         norms.append(float(np.trace(X)) + (float(np.trace(Y)) if cmb.p else 0.0)
                      + float(np.linalg.norm(lam, 1)))
+        X = linalg.shorted(X, cmb.C)
+        ranks.append(linalg.rank_tol(X, _RANK_THRESHOLD))
     scale = max(1.0, float(np.max(np.abs(gammas))))
     converged = (len(gammas) < 2
                  or abs(gammas[-1] - gammas[-2]) <= 1e-3 * scale)
     diverging = (norms[-1] >= 100.0 * (1.0 + norms[0])
                  and norms[-1] >= 1e3 * (1.0 + float(np.max(np.abs(cmb.b)))))
     status = Status.ASYMPTOTIC_SUP if (diverging and converged) else Status.OPTIMAL
-    return CombinedSolution(X=Xt, Y=Y, lam=lam, objective=float(gammas[-1]),
+    return CombinedSolution(X=X, Y=Y, lam=lam, objective=gammas[-1],
                             status=status, gamma=tuple(gammas),
-                            ranks=tuple(ranks), route="eta-path")
+                            ranks=tuple(ranks), route=route)
 
 
 def _split_combined(x: np.ndarray, cmb: CombinedProblem):
@@ -647,7 +638,7 @@ def solve_combined_dual(cmb: CombinedProblem,
         raise InfeasibleDual(f"dual infeasible (relaxation needs t={t:.3e})")
     # cold starts: these solves need full accuracy and the warm point sits
     # too close to the boundary to help
-    results = _follow_path(lambda cap: _combined_cone_program(cmb, cap, eps=0.0),
+    results = _follow_path(lambda cap: _combined_cone_program(cmb, cap),
                            _DUAL_CAPS, opts.max_iter, "capped solve at cap",
                            warm_start=False)
     mu_last = np.clip(results[-1].z[:cmb.l], 0.0, None)

@@ -909,7 +909,7 @@ def _program_shape(name, monkeypatch):
     cmb = _combined_problem(rng, n, l)
     Lp = svec_dim(cmb.p)
     if name == "trace_cap":
-        prog = sv._combined_cone_program(cmb, 0.1, 1e-9)
+        prog = sv._combined_cone_program(cmb, 0.1)
         return prog, [(slice(l + 1, l + 1 + L), slice(0, L)),
                       (slice(l + 1 + L, l + 1 + L + Lp), slice(L, L + Lp))]
     if name == "dual_packing":
@@ -1090,7 +1090,7 @@ class TestSelectionElimination:
         c = rng.standard_normal((n, 2))
         eps = sv._packing_cone_program(c @ c.T, mats, rng.uniform(0.5, 2.0, l), eps=1e-3)
         cmb = _combined_problem(rng)
-        cap = sv._combined_cone_program(cmb, 0.1, 1e-9)
+        cap = sv._combined_cone_program(cmb, 0.1)
         for prog, order in ((eps, l), (cap, cmb.q + cmb.l + 1)):
             factored.clear()
             solve_cone_program(prog, max_iter=3)

@@ -625,35 +625,65 @@ _ATTAINED = [(3, 2, 1, 2, 2), (4, 3, 2, 2, 2), (5, 4, 3, 2, 2), (5, 4, 1, 0, 0),
              (5, 4, 2, 1, 0), (6, 4, 3, 0, 1), (5, 4, 2, 1, 1), (6, 5, 3, 2, 0)]
 
 
+def _attained_instance(shape, seed):
+    n, l, rank_c, p, q = shape
+    return lambda: (attained_combined(np.random.default_rng([seed, n, l, p, q]),
+                                      n, l, rank_c, p, q), rank_c)
+
+
+def _degenerate_instance(seed):
+    rank_c = 1 + seed % 3
+    return lambda: (degenerate_combined(np.random.default_rng(seed), 6 + seed % 3,
+                                        rank_c), rank_c)
+
+
+# the 30 attained instances on each route; the direct route's attained ids
+# are the shape and the seed alone
+_ROUTED_INSTANCES = [
+    pytest.param(route, _attained_instance(shape, seed),
+                 id=("" if route == "direct" else "eta-path-")
+                 + "-".join(map(str, shape + (seed,))))
+    for route in ("direct", "eta-path") for shape in _ATTAINED for seed in range(3)
+] + [pytest.param(route, _degenerate_instance(seed), id=f"{route}-degenerate-{seed}")
+     for route in ("direct", "eta-path") for seed in range(6)]
+
+
 class TestDirectCombined:
     """A combined problem whose dual phase 1 ends optimal with a Slater
     margin makes one uncapped solve and shorts its X block to the range of
     C; anything else takes the trace-cap path."""
 
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("n, l, rank_c, p, q", _ATTAINED)
-    def test_attained_matches_dual(self, monkeypatch, n, l, rank_c, p, q, seed):
-        cmb = attained_combined(np.random.default_rng([seed, n, l, p, q]), n, l,
-                                rank_c, p, q)
+    @pytest.mark.parametrize("route, instance", _ROUTED_INSTANCES)
+    def test_attained_matches_dual(self, monkeypatch, route, instance):
+        # either route answers within rank, feasibly, at the dual's value;
+        # the trace-cap path is forced by reading no Slater point off the
+        # dual phase 1
+        cmb, rank_c = instance()
+        if route == "eta-path":
+            phase1 = rd.combined_dual_phase1
+            monkeypatch.setattr(rd, "combined_dual_phase1",
+                                lambda c: phase1(c)[:2] + (False,))
         seen = _counted_engine(monkeypatch)
         sol = sv.solve_combined_eta(cmb)
-        # two phase-1 programs and one uncapped solve
-        assert [res.status for res in seen] == ["optimal"] * 3
-        assert (sol.route, sol.status, len(sol.gamma)) == ("direct", Status.OPTIMAL, 1)
+        assert sol.route == route
+        if route == "direct":
+            # two phase-1 programs and one uncapped solve
+            assert [res.status for res in seen] == ["optimal"] * 3
+            assert (sol.status, sol.gamma) == (Status.OPTIMAL, (sol.objective,))
+        else:
+            assert len(seen) == 2 + len(sv._ETA_SCHEDULE)
         monkeypatch.undo()
         _, value = sv.solve_combined_dual(cmb)
         assert sol.objective == pytest.approx(value, rel=1e-9, abs=1e-9)
-        assert sol.gamma == (sol.objective,)
-        assert sol.ranks == (linalg.rank_tol(sol.X, sv._RANK_THRESHOLD),)
-        assert sol.ranks[0] <= rank_c
+        assert sol.ranks[-1] == linalg.rank_tol(sol.X, sv._RANK_THRESHOLD)
+        assert max(sol.ranks) <= rank_c
         self._assert_feasible(cmb, sol)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_degenerate_face_comes_back_within_rank(self, monkeypatch, seed):
         # the uncapped solve's X has rank 5 on these; the short brings it to
         # rank(C) or below without moving the value
-        rank_c = 1 + seed % 3
-        cmb = degenerate_combined(np.random.default_rng(seed), 6 + seed % 3, rank_c)
+        cmb, rank_c = _degenerate_instance(seed)()
         seen = _counted_engine(monkeypatch)
         sol = sv.solve_combined_eta(cmb)
         assert sol.route == "direct" and len(seen) == 3
